@@ -51,7 +51,7 @@ from .integrals import (
     transport,
     transport_series,
 )
-from .linalg import JordanDecomposition, jordan_decompose, triangularize_family
+from .linalg import JordanDecomposition, jordan_decompose
 from .monodromy import (
     MonodromyRep,
     build_monodromy_rep,
@@ -142,7 +142,6 @@ __all__ = [
     "sol_spec",
     "transport",
     "transport_series",
-    "triangularize_family",
     "validate_algebra",
     "word_monodromy",
 ]

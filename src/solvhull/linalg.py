@@ -321,200 +321,6 @@ def is_nilpotent_matrix(a, tol=1e-9):
     return nilpotency_residual(a, tol) < tol
 
 
-def _span_basis(mats, tol):
-    """Orthonormal basis of the linear span of a list of matrices."""
-    if not mats:
-        return []
-    shape = mats[0].shape
-    flat = np.stack([m.ravel() for m in mats], axis=1)
-    q = orthonormal_columns(flat, tol)
-    return [q[:, k].reshape(shape) for k in range(q.shape[1])]
-
-
-def _snapped_eigenvector(m, tol):
-    """One eigenvector of m, robust to defective eigenvalues.
-
-    Eigenvalues of a defective block computed by QR iteration carry an
-    error near sqrt(machine epsilon), but their cluster mean is accurate
-    to roughly machine epsilon. Snapping to the mean and taking the
-    least singular vector of the shifted matrix recovers the eigenvector
-    at full precision. The smallest eigenvalue cluster in the (real,
-    imaginary) lexicographic order is chosen for determinism.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape[0] == 1:
-        return np.ones(1, dtype=complex)
-    evals = np.linalg.eigvals(m)
-    width, _ = _cluster_width(m, tol)
-    _, means, _, _ = cluster_scalars(evals, width)
-    lam = means[0]
-    shifted = m - lam * np.eye(m.shape[0])
-    _, _, vh = np.linalg.svd(shifted)
-    return vh[-1].conj()
-
-
-def _joint_eigen_residual(mats, v):
-    worst = 0.0
-    for m in mats:
-        mv = m @ v
-        worst = max(worst, float(np.linalg.norm(mv - np.vdot(v, mv) * v)))
-    return worst
-
-
-def _refine_joint_eigenvector(mats, v, iters=4):
-    """Gauss-Newton polish of an approximate joint eigenvector.
-
-    The recursive construction loses accuracy at every deflation level
-    because eigenvalue errors are divided by local spectral gaps, and
-    those losses compound multiplicatively down the flag. One or two
-    Newton steps on the joint least squares problem restore the vector
-    to the accuracy supported by the input, so each level starts clean.
-    """
-    if not mats:
-        return v
-    n = v.shape[0]
-    k = len(mats)
-    v = v / np.linalg.norm(v)
-    best_v = v
-    best_r = _joint_eigen_residual(mats, v)
-    eye = np.eye(n, dtype=complex)
-    for _ in range(iters):
-        if best_r == 0.0:
-            break
-        lams = [np.vdot(v, m @ v) for m in mats]
-        res = np.concatenate([m @ v - lam * v for m, lam in zip(mats, lams)])
-        a = np.zeros((k * n + 1, n + k), dtype=complex)
-        rhs = np.concatenate([-res, [0.0]])
-        for i, (m, lam) in enumerate(zip(mats, lams)):
-            a[i * n : (i + 1) * n, :n] = m - lam * eye
-            a[i * n : (i + 1) * n, n + i] = -v
-        a[-1, :n] = v.conj()
-        sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-        cand = v + sol[:n]
-        nrm = float(np.linalg.norm(cand))
-        if nrm < 0.5:
-            break
-        cand = cand / nrm
-        r = _joint_eigen_residual(mats, cand)
-        if r < best_r:
-            best_r, best_v = r, cand
-            v = cand
-        else:
-            break
-    return best_v
-
-
-def _common_eigenvector(ops, dim, tol):
-    """Common eigenvector for a family spanning a solvable matrix algebra.
-
-    Recursive construction: find a codimension-one ideal containing the
-    derived span, take its joint eigenspace through a recursively found
-    eigenvector, then diagonalize the leftover direction on that space.
-    """
-    basis = _span_basis(ops, tol)
-    d = len(basis)
-    if d == 0 or dim == 1:
-        v = np.zeros(dim, dtype=complex)
-        v[0] = 1.0
-        return v
-
-    derived = [
-        basis[i] @ basis[j] - basis[j] @ basis[i]
-        for i in range(d)
-        for j in range(i + 1, d)
-    ]
-    # Coordinates of the derived span inside the span of the family.
-    flat_basis = np.stack([b.ravel() for b in basis], axis=1)
-    if derived:
-        coords = flat_basis.conj().T @ np.stack([m.ravel() for m in derived], axis=1)
-        dspan = orthonormal_columns(coords, tol)
-    else:
-        dspan = np.zeros((d, 0), dtype=complex)
-    comp = nullspace(dspan.conj().T, tol) if dspan.shape[1] else np.eye(d, dtype=complex)
-    if comp.shape[1] == 0:
-        # Derived span fills the family, which contradicts solvability.
-        # Fall back to an eigenvector of the first operator.
-        v = _snapped_eigenvector(basis[0], tol)
-        return v / np.linalg.norm(v)
-
-    # Any hyperplane containing the derived span is an ideal. Split off
-    # the last complement direction and keep the rest inside the ideal.
-    z_coord = comp[:, -1]
-    ideal_coords = np.hstack([dspan, comp[:, :-1]])
-    ideal = [
-        sum(ideal_coords[i, k] * basis[i] for i in range(d))
-        for k in range(ideal_coords.shape[1])
-    ]
-    z = sum(z_coord[i] * basis[i] for i in range(d))
-
-    v = _common_eigenvector(ideal, dim, tol)
-
-    # Joint eigenspace of the ideal through v.
-    if ideal:
-        rows = []
-        for mat in ideal:
-            lam = v.conj() @ mat @ v
-            rows.append(mat - lam * np.eye(dim))
-        stacked = np.vstack(rows)
-        w = nullspace(stacked, tol)
-    else:
-        w = np.eye(dim, dtype=complex)
-    if w.shape[1] == 0:
-        w = v.reshape(-1, 1)
-
-    m = w.conj().T @ z @ w
-    u = _snapped_eigenvector(m, tol)
-    out = w @ u
-    out = out / np.linalg.norm(out)
-    out = _refine_joint_eigenvector(basis, out)
-    # Canonical phase: largest component made real positive.
-    k = int(np.argmax(np.abs(out)))
-    phase = out[k] / abs(out[k])
-    return out * phase.conj()
-
-
-def triangularize_family(mats, tol=1e-9):
-    """Unitary q with q^H m q upper triangular for every family member.
-
-    The family must span a solvable matrix Lie algebra. Returns the
-    unitary together with the worst below-diagonal residual across the
-    transformed family, leaving the caller to judge it.
-    """
-    mats = [_as_matrix(m).astype(complex) for m in mats]
-    if not mats:
-        return np.eye(0, dtype=complex), 0.0
-    n = mats[0].shape[0]
-    q_total = np.eye(n, dtype=complex)
-    work = [m.copy() for m in mats]
-    for k in range(n - 1):
-        sub = n - k
-        v = _common_eigenvector(work, sub, tol)
-        # Householder-style unitary with first column v.
-        e1 = np.zeros(sub, dtype=complex)
-        e1[0] = 1.0
-        u = v - e1 if np.linalg.norm(v - e1) > 0.5 else v + e1
-        u = u / np.linalg.norm(u)
-        h = np.eye(sub, dtype=complex) - 2.0 * np.outer(u, u.conj())
-        # Fix the phase so that h @ e1 is exactly proportional to v.
-        first = h[:, 0]
-        phase = np.vdot(first, v)
-        phase = phase / abs(phase) if abs(phase) > 0 else 1.0
-        h = h * phase
-
-        embed = np.eye(n, dtype=complex)
-        embed[k:, k:] = h
-        q_total = q_total @ embed
-        work = [h.conj().T @ m @ h for m in work]
-        work = [m[1:, 1:] for m in work]
-
-    scale = max(1.0, max(float(np.linalg.norm(m, 2)) for m in mats))
-    resid = 0.0
-    for m in mats:
-        t = q_total.conj().T @ m @ q_total
-        resid = max(resid, float(np.max(np.abs(np.tril(t, -1)))))
-    return q_total, resid / scale
-
-
 def joint_eigenbasis(mats, cluster_scale=1e-7, tol=1e-8):
     """Simultaneous eigenbasis of a commuting semisimple family.
 

@@ -24,6 +24,7 @@ from .integrals import (
     transport_series,
 )
 from .monodromy import (
+    _chain_steps,
     build_monodromy_rep,
     closedness_residual,
     path_independence_residual,
@@ -105,22 +106,19 @@ def _integral_section(problem, form, seed, depth):
     series = transport_series(form, path, depth)
     transport_diff = float(np.max(np.abs(full - series.value)))
 
-    # Exponential integral: diagonal characters of the two extreme
-    # monomials with the connecting entry functional, when one exists.
-    r = form.r
-    word = None
-    for p in range(r):
-        for q in range(p + 1, r):
-            if float(np.max(np.abs(form.psi_tensor[:, p, q]))) > 0:
-                word = IntegralWord(
-                    (form.omega[p, :], form.omega[q, :]),
-                    (form.entry_functional(p, q),),
-                )
-                break
-        if word is not None:
-            break
-    if word is None:
+    # Exponential integral: diagonal characters of the ends of the first
+    # live step in row-major order with its entry functional, when one
+    # exists.
+    steps = _chain_steps(form)
+    p = next((p for p, row in enumerate(steps) if row), None)
+    if p is None:
         word = IntegralWord((form.omega[0, :],), ())
+    else:
+        q = steps[p][0]
+        word = IntegralWord(
+            (form.omega[p, :], form.omega[q, :]),
+            (form.entry_functional(p, q),),
+        )
     closed = exp_iterated_integral(word, path)
     ser = exp_iterated_integral_series(word, path, depth)
     exp_diff = abs(closed - ser.value)

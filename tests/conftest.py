@@ -69,6 +69,25 @@ def sl2_structure():
     return c
 
 
+def graded_filiform_structure(m):
+    """Graded filiform algebra of rank m with its grading derivation.
+
+    Basis (T, e1, ..., em) with [e1, ei] = e(i+1) for 2 <= i < m,
+    [T, e1] = e1 and [T, ei] = (i - 1) ei.
+    """
+    n = m + 1
+    c = np.zeros((n, n, n))
+    for i in range(2, m):
+        c[1, i, i + 1] = 1.0
+        c[i, 1, i + 1] = -1.0
+    c[0, 1, 1] = 1.0
+    c[1, 0, 1] = -1.0
+    for i in range(2, m + 1):
+        c[0, i, i] = i - 1.0
+        c[i, 0, i] = -(i - 1.0)
+    return c
+
+
 def conjugate_structure(c, p):
     """Structure constants in the basis f_i whose coordinates are p[:, i]."""
     pinv = np.linalg.inv(p)

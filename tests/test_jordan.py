@@ -8,7 +8,7 @@ not just against each other.
 import numpy as np
 import pytest
 
-from solvhull import EigenClusterAmbiguity, jordan_decompose, triangularize_family
+from solvhull import EigenClusterAmbiguity, jordan_decompose
 from solvhull.linalg import (
     canon_columns,
     cluster_scalars,
@@ -229,42 +229,6 @@ def test_is_nilpotent_treats_rounding_residue_as_zero():
 
 
 # ---------------------------------------------------------------- families
-
-
-def test_triangularize_family_borel_pair():
-    rng = np.random.default_rng(5)
-    u = random_unitary(rng, 2)
-    h = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    e = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    mats = [u @ h @ u.conj().T, u @ e @ u.conj().T]
-    q, resid = triangularize_family(mats)
-    assert resid < 1e-10
-    assert np.allclose(q.conj().T @ q, np.eye(2), atol=1e-12)
-    for m in mats:
-        t = q.conj().T @ m @ q
-        assert np.max(np.abs(np.tril(t, -1))) < 1e-10
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_triangularize_family_conjugated_solvable_algebra(seed):
-    """Hidden Borel-type algebra: one diagonal plus all strictly uppers.
-
-    That span is closed under brackets, which the routine requires.
-    """
-    rng = np.random.default_rng(40 + seed)
-    n = 4
-    mats = [np.diag(rng.integers(-2, 3, size=n).astype(float))]
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = 1.0
-            mats.append(e)
-    g = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
-    ginv = np.linalg.inv(g)
-    family = [g @ m @ ginv for m in mats]
-    q, resid = triangularize_family(family)
-    assert resid < 1e-9
-    assert np.allclose(q.conj().T @ q, np.eye(n), atol=1e-12)
 
 
 def test_joint_eigenbasis_commuting_family():

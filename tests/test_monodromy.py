@@ -1,21 +1,35 @@
 """Monodromy representation and chain decompositions of its entries."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from solvhull import (
+    IntegralWord,
+    build_connection_form,
+    build_enveloping_rep,
     build_monodromy_rep,
+    build_splitting,
     closedness_residual,
     entry_chain_value,
     entry_chains,
+    exp_iterated_integral,
     monodromy,
     parse_word,
     path_from_pairs,
     path_independence_residual,
     path_variants,
     separation_demo,
+    validate_algebra,
     word_monodromy,
 )
+from solvhull.monodromy import _chain_steps
+
+from conftest import CORPUS_SEEDS, graded_filiform_structure
+
+# The package rebinds the name monodromy to a function.
+monodromy_module = importlib.import_module("solvhull.monodromy")
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +42,61 @@ def sect4_rep(sect4_stages, sect4_problem):
     return build_monodromy_rep(sect4_stages["form"], sect4_problem.lattice)
 
 
+@pytest.fixture(scope="module")
+def filiform_forms():
+    """Connection forms of the graded filiform algebras of rank 4 to 6."""
+    forms = {}
+    for m in (4, 5, 6):
+        split = build_splitting(validate_algebra(graded_filiform_structure(m)))
+        forms[m] = build_connection_form(build_enveloping_rep(split))
+    return forms
+
+
 def random_path(rng, dim, segments):
     pairs = []
     for _ in range(segments):
         pairs.append((rng.standard_normal(dim), float(rng.uniform(0.1, 0.8))))
     return path_from_pairs(pairs)
+
+
+def capped_path(rng, form, segments, growth_cap=3.0):
+    """Random path whose summed generator norms stay below growth_cap."""
+    pairs = [
+        (rng.standard_normal(form.dim), float(rng.uniform(0.2, 0.8)))
+        for _ in range(segments)
+    ]
+    growth = sum(t * float(np.linalg.norm(form.psi(v), "fro")) for v, t in pairs)
+    scale = min(1.0, growth_cap / growth)
+    return path_from_pairs([(v, t * scale) for v, t in pairs])
+
+
+def pairwise_chain_steps(form):
+    """Live steps found one entry at a time, the scan the adjacency replaced."""
+    steps = [[] for _ in range(form.r)]
+    for p in range(form.r):
+        for q in range(p + 1, form.r):
+            if float(np.max(np.abs(form.psi_tensor[:, p, q]))) > 0.0:
+                steps[p].append(q)
+    return steps
+
+
+def per_chain_value(form, path, p, q):
+    """Entry (p, q) summed one chain and one segment at a time."""
+    total = 0.0 + 0.0j
+    for chain in entry_chains(form, p, q):
+        word = IntegralWord(
+            tuple(form.omega[node, :] for node in chain),
+            tuple(form.entry_functional(a, b) for a, b in zip(chain, chain[1:])),
+        )
+        total += exp_iterated_integral(word, path)
+    return total
+
+
+def assert_matches_per_chain(form, path, entries):
+    for p, q in entries:
+        ref = per_chain_value(form, path, p, q)
+        value = entry_chain_value(form, path, p, q)
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (p, q, value, ref)
 
 
 # ------------------------------------------------------------ representation
@@ -164,6 +228,74 @@ def test_chain_decomposition_reproduces_transport(seed, sol_stages, sect4_stages
             for q in range(p, form.r):
                 chained = entry_chain_value(form, path, p, q)
                 assert abs(chained - full[p, q]) < 1e-9 * max(1.0, abs(full[p, q]))
+
+
+@pytest.mark.parametrize("seed", CORPUS_SEEDS)
+def test_chain_steps_match_pairwise_scan_on_corpus(seed, corpus_splittings):
+    form = build_connection_form(build_enveloping_rep(corpus_splittings[seed]))
+    assert _chain_steps(form) == pairwise_chain_steps(form)
+
+
+def test_chain_steps_match_pairwise_scan_on_builtins_and_filiform(
+    sol_stages, sect4_stages, filiform_forms
+):
+    for form in (sol_stages["form"], sect4_stages["form"], *filiform_forms.values()):
+        assert _chain_steps(form) == pairwise_chain_steps(form)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_batched_chain_value_matches_per_chain_sum_on_builtins(
+    seed, sol_stages, sect4_stages
+):
+    rng = np.random.default_rng(90 + seed)
+    for stages in (sol_stages, sect4_stages):
+        form = stages["form"]
+        path = random_path(rng, form.dim, 3)
+        entries = [(p, q) for p in range(form.r) for q in range(form.r)]
+        assert_matches_per_chain(form, path, entries)
+
+
+def test_batched_chain_value_matches_per_chain_sum_on_filiform(filiform_forms):
+    """Last column at rank 6: chains up to length 6, repeated characters."""
+    form = filiform_forms[6]
+    last = form.r - 1
+    assert max(len(c) for c in entry_chains(form, 0, last)) == 6
+    path = capped_path(np.random.default_rng(11), form, 4)
+    assert_matches_per_chain(form, path, [(p, last) for p in range(form.r)])
+
+
+def test_batched_chain_value_on_empty_path(sect4_stages):
+    form = sect4_stages["form"]
+    path = path_from_pairs([])
+    for p in range(form.r):
+        for q in range(form.r):
+            expected = 1.0 if p == q else 0.0
+            assert entry_chain_value(form, path, p, q) == expected
+            assert per_chain_value(form, path, p, q) == expected
+
+
+def test_chain_value_takes_one_expm_per_length_and_segment(filiform_forms, monkeypatch):
+    """Chains of one length share a stacked exponential on each segment."""
+    form = filiform_forms[6]
+    last = form.r - 1
+    path = capped_path(np.random.default_rng(12), form, 4)
+    # The entry (0, last) has a single chain; the busiest entry of the
+    # last column tells batching from a per chain loop.
+    p = max(range(form.r), key=lambda p: len(entry_chains(form, p, last)))
+    chains = entry_chains(form, p, last)
+    budget = len({len(c) for c in chains}) * len(path)
+    assert len(chains) * len(path) > budget
+
+    calls = []
+    expm = monodromy_module.expm
+
+    def counting_expm(a):
+        calls.append(np.shape(a))
+        return expm(a)
+
+    monkeypatch.setattr(monodromy_module, "expm", counting_expm)
+    entry_chain_value(form, path, p, last)
+    assert 0 < len(calls) <= budget
 
 
 def test_closedness_residual_on_lattice_targets(sol_stages, sol_problem):
