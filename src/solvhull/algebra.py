@@ -517,7 +517,7 @@ def semisimple_adjoint(alg, nilrad=None, tolerances=DEFAULT):
 
     residuals = _semisimple_residuals(alg, tensor, nil_basis, tolerances)
     worst = max(residuals.values())
-    if worst > 1e3 * tolerances.num:
+    if not worst <= 1e3 * tolerances.num:
         raise SolvHullError(
             f"semisimple adjoint residual {worst:.3e} exceeds tolerance budget"
         )
@@ -537,13 +537,7 @@ def _semisimple_residuals(alg, tensor, nil_basis, tolerances):
     c = alg.structure
     scale = max(1.0, float(np.max(np.abs(tensor))))
 
-    commute = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            commute = max(
-                commute,
-                float(np.max(np.abs(tensor[i] @ tensor[j] - tensor[j] @ tensor[i]))),
-            )
+    commute = linalg.bracket_residual(tensor, np.zeros((n, n, n)))
 
     on_brackets = float(np.max(np.abs(np.einsum("ijk,kab->ijab", c, tensor)))) if n else 0.0
 

@@ -17,6 +17,7 @@ from math import gcd
 
 import numpy as np
 
+from . import linalg
 from .errors import NotInLattice, SolvHullError
 from .tolerances import DEFAULT
 
@@ -63,23 +64,25 @@ def _row_hnf(rows):
     return [r for r in mat[:top] if any(r)]
 
 
-def _integer_coords(basis, f, tol):
-    """Integer coordinates of f in the lattice spanned by basis.
+def _integer_coords(basis, fs):
+    """Integer coordinates of each row of fs in the lattice spanned by basis.
 
-    Returns (coords, in_span_residual, rounding_residual); the first
-    residual measures distance to the real span, the second distance to
-    the nearest integer point.
+    One least-squares solve serves all rows. Returns (coords,
+    in_span_residuals, rounding_residuals), one row or entry per row of
+    fs; the first residual measures distance to the real span, the
+    second distance to the nearest integer point.
     """
+    fs = np.atleast_2d(fs)
     if not basis:
-        norm = float(np.linalg.norm(f))
-        return np.zeros(0, dtype=int), norm, norm
+        norms = np.linalg.norm(fs, axis=1)
+        return np.zeros((fs.shape[0], 0), dtype=int), norms, norms
     a = _real_stack(basis)
-    b = np.concatenate([f.real, f.imag])
+    b = np.concatenate([fs.real, fs.imag], axis=1).T
     alpha, *_ = np.linalg.lstsq(a, b, rcond=None)
-    span_resid = float(np.linalg.norm(a @ alpha - b))
+    span_resid = np.linalg.norm(a @ alpha - b, axis=0)
     m = np.round(alpha)
-    round_resid = float(np.linalg.norm(a @ m - b))
-    return m.astype(int), span_resid, round_resid
+    round_resid = np.linalg.norm(a @ m - b, axis=0)
+    return m.T.astype(int), span_resid, round_resid
 
 
 def _refine_lattice(basis, alpha, tol):
@@ -142,9 +145,9 @@ def integer_lattice_basis(generators, tol):
         if float(np.linalg.norm(a @ m - b)) <= tol:
             continue
         basis = _refine_lattice(basis, alpha, tol)
-        coords, _, round_resid = _integer_coords(basis, f, tol)
-        if round_resid > tol:
-            raise NotInLattice(round_resid, tol)
+        _, _, round_resid = _integer_coords(basis, f)
+        if round_resid[0] > tol:
+            raise NotInLattice(float(round_resid[0]), tol)
     return _canonical_basis(basis, tol)
 
 
@@ -202,7 +205,8 @@ class ConnectionForm:
 
     def psi(self, x):
         """Connection matrix of an algebra element."""
-        return np.einsum("i,irs->rs", np.asarray(x, dtype=complex), self.psi_tensor)
+        flat = np.asarray(x, dtype=complex) @ self.psi_tensor.reshape(self.dim, -1)
+        return flat.reshape(self.r, self.r)
 
     def diagonal_characters(self, x):
         """Diagonal of psi(x), one character value per monomial."""
@@ -228,16 +232,9 @@ def build_connection_form(env, tolerances=DEFAULT):
         psi[i] = env.letter_action(coords)
         psi[i][np.diag_indices(r)] += omega[:, i]
 
-    c = alg.structure
     scale = max(1.0, float(np.max(np.abs(psi))))
-    flat = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = psi[i] @ psi[j] - psi[j] @ psi[i]
-            rhs = np.einsum("k,krs->rs", c[i, j, :].astype(complex), psi)
-            flat = max(flat, float(np.max(np.abs(lhs - rhs))))
-    flat = flat / scale
-    if flat > 1e3 * tolerances.num:
+    flat = linalg.bracket_residual(psi, alg.structure.astype(complex)) / scale
+    if not flat <= 1e3 * tolerances.num:
         raise SolvHullError(f"connection form is not flat: residual {flat:.3e}")
 
     # Character lattice: monomial characters are nonnegative integer sums
@@ -249,15 +246,12 @@ def build_connection_form(env, tolerances=DEFAULT):
     ]
     basis = integer_lattice_basis(gen_functionals, tolerances.integer)
 
-    coeffs = np.zeros((r, len(basis)), dtype=int)
-    worst_round = 0.0
-    for w in range(r):
-        f = omega[w, :]
-        m, span_resid, round_resid = _integer_coords(basis, f, tolerances.integer)
-        if max(span_resid, round_resid) > tolerances.integer:
-            raise NotInLattice(max(span_resid, round_resid), tolerances.integer)
-        worst_round = max(worst_round, round_resid)
-        coeffs[w, :] = m
+    coeffs, span_resid, round_resid = _integer_coords(basis, omega)
+    miss = np.maximum(span_resid, round_resid)
+    over = np.flatnonzero(miss > tolerances.integer)
+    if over.size:
+        raise NotInLattice(float(miss[over[0]]), tolerances.integer)
+    worst_round = float(np.max(round_resid, initial=0.0))
 
     residuals = dict(env.residuals)
     residuals["flatness"] = flat

@@ -18,7 +18,6 @@ every class.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -135,7 +134,9 @@ class EnvelopingTruncation:
 
     def letter_action(self, coords):
         """Matrix of left multiplication by sum_a coords[a] * generator a."""
-        return np.einsum("a,aij->ij", np.asarray(coords, dtype=complex), self.letter_matrices)
+        n = self.letter_matrices.shape[0]
+        flat = np.asarray(coords, dtype=complex) @ self.letter_matrices.reshape(n, -1)
+        return flat.reshape(self.r, self.r)
 
     def shadow_action(self, x):
         """Left multiplication by an algebra element in shadow coordinates."""
@@ -223,16 +224,27 @@ def _generator_table(split, gmat, ginv, weights, chars, tolerances):
 
 
 def _enumerate_words(n, weights, mode, cap, max_dim):
+    """Normally ordered words of length at most cap, by length, then lexically.
+
+    In weighted mode a word is kept only while its weight is at most cap.
+    Letter weights are positive, so a word over the cap has no kept
+    extension and is never extended.
+    """
     words = []
-    max_len = cap
-    for length in range(0, max_len + 1):
-        for combo in combinations_with_replacement(range(n), length):
-            w = sum(weights[a] for a in combo)
-            if mode == "weighted" and w > cap:
-                continue
-            words.append(combo)
+    level = [((), 0)]
+    for length in range(cap + 1):
+        longer = []
+        for word, weight in level:
+            words.append(word)
             if len(words) > max_dim:
                 raise TruncationOverflow(len(words), max_dim)
+            if length == cap:
+                continue
+            for a in range(word[-1] if word else 0, n):
+                w = weight + weights[a]
+                if mode == "plain" or w <= cap:
+                    longer.append((word + (a,), w))
+        level = longer
     return words
 
 
@@ -310,6 +322,10 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
         for col, word in enumerate(words):
             for w2, c2 in normal_product(a, word).items():
                 letter_matrices[a, index[w2], col] = c2
+    # normal_product refers to itself through its closure. Dropping the
+    # name frees it and its cache now; left to the cyclic collector, the
+    # caches of several builds stayed alive at once and fragmented the heap.
+    del normal_product
 
     # Strict upper triangularity in the chosen order.
     tri = 0.0
@@ -328,12 +344,7 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
     word_weights = np.array([sum(weights[a] for a in w) for w in words], dtype=int)
 
     # Left multiplication must be a Lie homomorphism on the quotient.
-    hom = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            lhs = letter_matrices[a] @ letter_matrices[b] - letter_matrices[b] @ letter_matrices[a]
-            rhs = np.einsum("m,mij->ij", gamma[a, b, :], letter_matrices)
-            hom = max(hom, float(np.max(np.abs(lhs - rhs))))
+    hom = linalg.bracket_residual(letter_matrices, gamma)
 
     # The torus acts diagonally and satisfies the Leibniz rule with each
     # generator, shifting it by the generator's character.
@@ -353,7 +364,7 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
         "torus_leibniz": leib / scale,
     }
     budget = {k: v for k, v in residuals.items() if k != "generator_condition"}
-    if max(budget.values()) > 1e3 * tolerances.num:
+    if not all(v <= 1e3 * tolerances.num for v in budget.values()):
         raise SolvHullError(
             f"enveloping action residuals exceed budget: {budget}"
         )

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EndpointMismatch, ValidationError
+from .linalg import bracket_residual
 from .matfuncs import expm, phi1_apply
 from .paths import PathWord
 from .tolerances import DEFAULT
@@ -50,18 +51,14 @@ class SemidirectModel:
         for m in mats:
             if m.shape != (m_dim, m_dim):
                 raise ValidationError("fiber matrices must share one square shape")
-        worst = 0.0
-        for a in range(len(mats)):
-            for b in range(a + 1, len(mats)):
-                worst = max(
-                    worst, float(np.max(np.abs(mats[a] @ mats[b] - mats[b] @ mats[a])))
-                )
+        k = len(mats)
+        worst = bracket_residual(np.stack(mats), np.zeros((k, k, k)))
         if worst > tolerances.alg:
             raise ValidationError(
                 f"fiber matrices must commute, commutator size {worst:.3e}"
             )
         self.mats = mats
-        self.k = len(mats)
+        self.k = k
         self.m = m_dim
         self.tolerances = tolerances
 

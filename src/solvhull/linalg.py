@@ -1,7 +1,11 @@
-"""Dense linear algebra kernels shared across the package.
+"""Linear algebra kernels shared across the package.
 
-Everything here works on small matrices (dimension a few dozen at most), so
-the implementations favor clarity and reproducibility over asymptotics.
+Most kernels here work on small dense matrices (dimension a few dozen at
+most), so they favor clarity and reproducibility over asymptotics.
+bracket_residual is the exception: it checks a Lie homomorphism on stacks
+of matrices of size up to a few hundred that are almost all zero (the
+enveloping module's action matrices are about 0.1 % nonzero), so it
+touches only the nonzero entries and never forms a dense product.
 All randomness is excluded; ties are broken by lowest index so repeated runs
 produce identical output.
 """
@@ -391,3 +395,98 @@ def block_transform(blocks):
     """Stack block bases into one transform and report its conditioning."""
     p = np.hstack(blocks)
     return p, float(np.linalg.cond(p))
+
+
+def _match_sorted(keys, sorted_keys):
+    """All index pairs (p, q) with keys[p] == sorted_keys[q].
+
+    sorted_keys must be ascending. Pairs come out grouped by p, in
+    ascending order of q within each group.
+    """
+    lo = np.searchsorted(sorted_keys, keys, "left")
+    counts = np.searchsorted(sorted_keys, keys, "right") - lo
+    p = np.repeat(np.arange(keys.size), counts)
+    starts = np.cumsum(counts) - counts
+    q = np.arange(p.size)
+    q -= np.repeat(starts - lo, counts)
+    return p, q
+
+
+def _product_terms(n, r, mat, row, col, vals):
+    """Keys (a, b, i, j) and values of the products in [M_a, M_b], a < b.
+
+    The stack's entries are given as parallel arrays in row-major order;
+    the left factor's column k meets the right factor's row k.
+    """
+    by_row = np.argsort(row, kind="stable")
+    left, right = _match_sorted(col, row[by_row])
+    right = by_row[right]
+    cross = mat[left] != mat[right]
+    left, right = left[cross], right[cross]
+    # M_a M_b enters the pair (a, b) with a plus sign when a < b and the
+    # pair (b, a) with a minus sign when a > b. Factors are multiplied
+    # lower matrix first, so entries that commute cancel exactly.
+    first = mat[left] < mat[right]
+    lower, upper = np.where(first, left, right), np.where(first, right, left)
+    keys = mat[lower] * n
+    keys += mat[upper]
+    keys *= r
+    keys += row[left]
+    keys *= r
+    keys += col[right]
+    terms = vals[lower]
+    terms *= vals[upper]
+    np.negative(terms, out=terms, where=~first)
+    return keys, terms
+
+
+def _table_terms(n, r, consts, mat, row, col, vals):
+    """Keys (a, b, i, j) and values of -consts[a, b, m] M_m[i, j], a < b.
+
+    mat must be ascending, as the row-major order of the stack gives.
+    """
+    ca, cb, cm = np.nonzero(consts)
+    above = ca < cb
+    ca, cb, cm = ca[above], cb[above], cm[above]
+    term, entry = _match_sorted(cm, mat)
+    keys = ((ca[term] * n + cb[term]) * r + row[entry]) * r + col[entry]
+    terms = -consts[ca, cb, cm][term] * vals[entry]
+    return keys, terms
+
+
+def bracket_residual(mats, consts):
+    """Largest entry of [M_a, M_b] - sum_m consts[a, b, m] M_m over a < b.
+
+    mats is an (n, r, r) stack and consts an (n, n, n) table; the result
+    is zero exactly when a -> M_a is a Lie homomorphism for the bracket
+    the table defines. Only nonzero entries are used: each product
+    M_a[i, k] M_b[k, j] is formed by joining the entries of the stack on
+    k, the table's terms by joining its nonzeros with the stack on m,
+    and all terms for one (a, b, i, j) are summed before the maximum is
+    taken. Returns inf when any entry of either input is not finite.
+    """
+    mats = np.asarray(mats)
+    consts = np.asarray(consts)
+    n, r = mats.shape[0], mats.shape[1]
+    # One flat comparison is several times faster than np.nonzero on a
+    # complex stack, and lists the entries in the same row-major order.
+    flat = mats.reshape(-1)
+    at = np.flatnonzero(flat != 0)
+    vals = flat[at]
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(consts))):
+        return float("inf")
+    mat, at = np.divmod(at, r * r)
+    row, col = np.divmod(at, r)
+
+    # Each helper's temporaries are freed before the next step.
+    prod_keys, prod_terms = _product_terms(n, r, mat, row, col, vals)
+    table_keys, table_terms = _table_terms(n, r, consts, mat, row, col, vals)
+    keys = np.concatenate([prod_keys, table_keys])
+    terms = np.concatenate([prod_terms, table_terms])
+    del prod_keys, prod_terms, table_keys, table_terms
+    if keys.size == 0:
+        return 0.0
+    uniq, slot = np.unique(keys, return_inverse=True)
+    sums = np.zeros(uniq.size, dtype=terms.dtype)
+    np.add.at(sums, slot, terms)
+    return float(np.max(np.abs(sums)))

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import solvhull
-from solvhull import build_splitting, builtin_problem, validate_algebra
+from solvhull import (
+    build_connection_form,
+    build_enveloping_rep,
+    build_splitting,
+    builtin_problem,
+    validate_algebra,
+)
 from solvhull.verify import build_stages
 
 
@@ -197,6 +203,16 @@ def corpus():
         seed: validate_algebra(random_solvable_structure(seed))
         for seed in CORPUS_SEEDS
     }
+
+
+@pytest.fixture(scope="session")
+def filiform_forms():
+    """Connection forms of the graded filiform algebras of rank 4 to 6."""
+    forms = {}
+    for m in (4, 5, 6):
+        split = build_splitting(validate_algebra(graded_filiform_structure(m)))
+        forms[m] = build_connection_form(build_enveloping_rep(split))
+    return forms
 
 
 class _LazySplittings(Mapping):

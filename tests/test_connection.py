@@ -104,6 +104,22 @@ def test_char_coeffs_reconstruct_omega(sect4_stages):
     assert np.max(np.abs(rebuilt - form.omega)) < 1e-8
 
 
+def per_word_coords(form):
+    """Integer character coordinates from one least-squares solve per word."""
+    if not form.char_basis:
+        worst = max(float(np.linalg.norm(f)) for f in form.omega)
+        return np.zeros((form.r, 0), dtype=int), worst
+    a = np.stack([np.concatenate([v.real, v.imag]) for v in form.char_basis], axis=1)
+    coeffs, worst_round = [], 0.0
+    for f in form.omega:
+        b = np.concatenate([f.real, f.imag])
+        alpha, *_ = np.linalg.lstsq(a, b, rcond=None)
+        m = np.round(alpha)
+        coeffs.append(m.astype(int))
+        worst_round = max(worst_round, float(np.linalg.norm(a @ m - b)))
+    return np.array(coeffs), worst_round
+
+
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)
 def test_connection_postconditions_on_corpus(seed, corpus, corpus_splittings):
     split = corpus_splittings[seed]
@@ -116,6 +132,10 @@ def test_connection_postconditions_on_corpus(seed, corpus, corpus_splittings):
     for b, vec in enumerate(form.char_basis):
         rebuilt += np.outer(form.char_coeffs[:, b], vec)
     assert np.max(np.abs(rebuilt - form.omega)) < 1e-6
+    # the batched solve gives the coordinates of one solve per word
+    coeffs, worst_round = per_word_coords(form)
+    assert np.array_equal(form.char_coeffs, coeffs)
+    assert form.residuals["character_rounding"] == pytest.approx(worst_round, abs=1e-15)
 
 
 # ------------------------------------------------------- integer lattices

@@ -1,5 +1,8 @@
 """Truncated enveloping module: monomial order, triangularity, exactness."""
 
+import gc
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from solvhull import (
     build_splitting,
     validate_algebra,
 )
+from solvhull.envelope import _enumerate_words
 from solvhull.errors import SolvHullError
 
 from conftest import CORPUS_SEEDS, filiform4_structure
@@ -171,6 +175,58 @@ def test_unknown_mode_rejected(sol_stages):
 def test_truncation_overflow(filiform_split):
     with pytest.raises(TruncationOverflow):
         build_enveloping_rep(filiform_split, max_dim=3)
+
+
+def exhaustive_words(n, weights, mode, cap, max_dim):
+    """Every multiset of length at most cap, filtered by weight afterwards."""
+    words = []
+    for length in range(cap + 1):
+        for combo in combinations_with_replacement(range(n), length):
+            if mode == "weighted" and sum(weights[a] for a in combo) > cap:
+                continue
+            words.append(combo)
+            if len(words) > max_dim:
+                raise TruncationOverflow(len(words), max_dim)
+    return words
+
+
+def words_or_overflow(enumerate_words, *args):
+    try:
+        return enumerate_words(*args)
+    except TruncationOverflow as exc:
+        return str(exc)
+
+
+def test_pruned_word_enumeration_matches_exhaustive_filter():
+    rng = np.random.default_rng(12)
+    # The rank 8 graded filiform shadow: 291 of 11440 multisets survive.
+    cases = [(9, (7, 6, 5, 4, 3, 2, 1, 1, 1), "weighted", 7, 512)]
+    for _ in range(300):
+        n = int(rng.integers(0, 7))
+        weights = tuple(sorted(rng.integers(1, 4, size=n).tolist(), reverse=True))
+        cases.append(
+            (n, weights, str(rng.choice(["plain", "weighted"])), int(rng.integers(0, 5)),
+             int(rng.choice([0, 1, 6, 30, 512])))
+        )
+    overflows = 0
+    for case in cases:
+        expected = words_or_overflow(exhaustive_words, *case)
+        assert words_or_overflow(_enumerate_words, *case) == expected, case
+        overflows += isinstance(expected, str)
+    assert 0 < overflows < len(cases)
+    assert len(_enumerate_words(*cases[0])) == 291
+
+
+def test_build_leaves_no_reference_cycles(filiform_split):
+    """The product cache is freed when the build returns, not by the collector."""
+    build_enveloping_rep(filiform_split)
+    gc.collect()
+    gc.disable()
+    try:
+        build_enveloping_rep(filiform_split)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_raising_the_cap_keeps_exactness(sect4_stages):

@@ -13,6 +13,9 @@ from scipy.integrate import solve_ivp
 
 from solvhull import (
     IntegralWord,
+    build_connection_form,
+    build_enveloping_rep,
+    build_splitting,
     exp_iterated_integral,
     exp_iterated_integral_series,
     iterated_integral,
@@ -22,8 +25,11 @@ from solvhull import (
     shuffle_words,
     transport,
     transport_series,
+    validate_algebra,
 )
 from solvhull.matfuncs import expm_upper_bidiagonal, phi1_apply, phi_difference
+
+from conftest import graded_filiform_structure
 
 
 def random_path(rng, dim, segments, scale=1.0):
@@ -348,6 +354,43 @@ def test_phi_difference_far_and_near():
     direct = (np.exp(0.5) - np.exp(0.5 - 1e-5)) / 1e-5
     assert phi_difference(0.5, 0.5 - 1e-5) == pytest.approx(direct, rel=1e-9)
     assert phi_difference(0.7, 0.7) == pytest.approx(np.exp(0.7))
+
+
+def mp_phi_difference(mpmath, a, b):
+    with mpmath.workdps(40):
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+        if a == b:
+            return mpmath.exp(a)
+        return (mpmath.exp(a) - mpmath.exp(b)) / (a - b)
+
+
+def test_phi_difference_matches_mpmath_on_a_close_filiform_chain():
+    """Chain (93, 95) of the rank 6 graded filiform form at gap 9.3e-5.
+
+    Monomial 93 carries the grading character and monomial 95 (the unit)
+    none, so on a segment whose grading coordinate is 9.3e-5 the
+    length-2 exponential integral needs phi_difference at that gap.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    split = build_splitting(validate_algebra(graded_filiform_structure(6)))
+    form = build_connection_form(build_enveloping_rep(split))
+    x = np.zeros(form.dim)
+    x[0] = 9.265699564788051e-05
+    x[1:] = np.random.default_rng(3).standard_normal(form.dim - 1)
+    a, b = form.diagonal_characters(x)[[93, 95]]
+    assert abs(a - b) == pytest.approx(9.3e-5, rel=1e-2)
+    assert abs(phi_difference(a, b) - mp_phi_difference(mpmath, a, b)) <= 1e-16
+
+
+def test_phi_difference_is_accurate_at_every_gap():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        centre = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        gap = 10 ** rng.uniform(-12, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        a, b = centre + gap / 2, centre - gap / 2
+        exact = mp_phi_difference(mpmath, a, b)
+        assert abs(phi_difference(a, b) - exact) <= 1e-14 * abs(exact), (a, b)
 
 
 def test_expm_upper_bidiagonal_matches_dense():

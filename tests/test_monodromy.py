@@ -10,7 +10,6 @@ from solvhull import (
     build_connection_form,
     build_enveloping_rep,
     build_monodromy_rep,
-    build_splitting,
     closedness_residual,
     entry_chain_value,
     entry_chains,
@@ -21,12 +20,11 @@ from solvhull import (
     path_independence_residual,
     path_variants,
     separation_demo,
-    validate_algebra,
     word_monodromy,
 )
 from solvhull.monodromy import _chain_steps
 
-from conftest import CORPUS_SEEDS, graded_filiform_structure
+from conftest import CORPUS_SEEDS
 
 # The package rebinds the name monodromy to a function.
 monodromy_module = importlib.import_module("solvhull.monodromy")
@@ -40,16 +38,6 @@ def sol_rep(sol_stages, sol_problem):
 @pytest.fixture(scope="module")
 def sect4_rep(sect4_stages, sect4_problem):
     return build_monodromy_rep(sect4_stages["form"], sect4_problem.lattice)
-
-
-@pytest.fixture(scope="module")
-def filiform_forms():
-    """Connection forms of the graded filiform algebras of rank 4 to 6."""
-    forms = {}
-    for m in (4, 5, 6):
-        split = build_splitting(validate_algebra(graded_filiform_structure(m)))
-        forms[m] = build_connection_form(build_enveloping_rep(split))
-    return forms
 
 
 def random_path(rng, dim, segments):
