@@ -51,7 +51,6 @@ from .integrals import (
     transport,
     transport_series,
 )
-from .linalg import JordanDecomposition, jordan_decompose
 from .monodromy import (
     MonodromyRep,
     build_monodromy_rep,
@@ -84,7 +83,6 @@ __all__ = [
     "GroupElement",
     "IntegralWord",
     "JacobiViolation",
-    "JordanDecomposition",
     "Lattice",
     "LieAlgebra",
     "MonodromyRep",
@@ -121,7 +119,6 @@ __all__ = [
     "integer_lattice_basis",
     "iterated_integral",
     "iterated_integral_quadrature",
-    "jordan_decompose",
     "lower_central_series",
     "monodromy",
     "nilpotency_class",

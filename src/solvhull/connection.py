@@ -234,7 +234,7 @@ def build_connection_form(env, tolerances=DEFAULT):
 
     scale = max(1.0, float(np.max(np.abs(psi))))
     flat = linalg.bracket_residual(psi, alg.structure.astype(complex)) / scale
-    if not flat <= 1e3 * tolerances.num:
+    if not flat <= tolerances.stage_budget:
         raise SolvHullError(f"connection form is not flat: residual {flat:.3e}")
 
     # Character lattice: monomial characters are nonnegative integer sums

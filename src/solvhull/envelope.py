@@ -364,7 +364,7 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
         "torus_leibniz": leib / scale,
     }
     budget = {k: v for k, v in residuals.items() if k != "generator_condition"}
-    if not all(v <= 1e3 * tolerances.num for v in budget.values()):
+    if not all(v <= tolerances.stage_budget for v in budget.values()):
         raise SolvHullError(
             f"enveloping action residuals exceed budget: {budget}"
         )

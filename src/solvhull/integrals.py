@@ -245,17 +245,17 @@ def exp_iterated_integral_series(word, path, depth):
 def shuffle_words(a, b):
     """Multiset of interleavings of two words over hashable letters."""
     out = {}
-
-    def rec(x, y, prefix):
+    # Depth first with an explicit stack; the branch taking from b is
+    # pushed first, so interleavings that take from a come out first.
+    stack = [(tuple(a), tuple(b), ())]
+    while stack:
+        x, y, prefix = stack.pop()
         if not x and not y:
             out[prefix] = out.get(prefix, 0) + 1
-            return
-        if x:
-            rec(x[1:], y, prefix + (x[0],))
         if y:
-            rec(x, y[1:], prefix + (y[0],))
-
-    rec(tuple(a), tuple(b), ())
+            stack.append((x, y[1:], prefix + (y[0],)))
+        if x:
+            stack.append((x[1:], y, prefix + (x[0],)))
     return out
 
 

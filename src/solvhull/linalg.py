@@ -10,8 +10,6 @@ All randomness is excluded; ties are broken by lowest index so repeated runs
 produce identical output.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -88,20 +86,6 @@ def subspace_residual(vectors, basis):
     resid = np.linalg.norm(vectors - proj, axis=0)
     scale = np.maximum(1.0, np.linalg.norm(vectors, axis=0))
     return float(np.max(resid / scale))
-
-
-def subspace_intersection(a, b, tol=1e-10):
-    """Orthonormal basis of the intersection of two column spans."""
-    a = orthonormal_columns(_as_matrix(a), tol)
-    b = orthonormal_columns(_as_matrix(b), tol)
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return a[:, :0].astype(complex)
-    paired = np.hstack([a, -b]).astype(complex)
-    ker = nullspace(paired, tol)
-    if ker.shape[1] == 0:
-        return a[:, :0].astype(complex)
-    inter = a @ ker[: a.shape[1], :]
-    return orthonormal_columns(inter, tol)
 
 
 def canon_columns(v, tol=1e-12):
@@ -194,115 +178,56 @@ def cluster_scalars(values, width):
     return labels, means, counts, gap
 
 
-def invariant_subspace(a, selector):
-    """Orthonormal basis of the invariant subspace for selected eigenvalues.
+def eigen_clusters(a, cluster_scale):
+    """Eigenvalue clusters of a square matrix, means snapped to zero.
 
-    Uses an ordered Schur decomposition, so no matrix powers are formed
-    and clustered or defective eigenvalues stay well conditioned.
-    """
-    a = _as_matrix(a).astype(complex)
-    t, z, sdim = scipy.linalg.schur(a, output="complex", sort=selector)
-    return z[:, :sdim], int(sdim)
-
-
-@dataclass(frozen=True)
-class JordanDecomposition:
-    """Additive decomposition a = semisimple + nilpotent.
-
-    eigenvalues holds one snapped cluster mean per cluster,
-    multiplicities the matching algebraic multiplicities, and
-    condition the condition number of the similarity transform.
-    """
-
-    semisimple: np.ndarray
-    nilpotent: np.ndarray
-    transform: np.ndarray
-    eigenvalues: tuple
-    multiplicities: tuple
-    condition: float
-
-
-def _cluster_width(a, cluster_scale):
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a, 2))
-    if norm == 0.0:
-        return 0.0, 0.0
-    # Defective eigenvalues move like eps**(1/k) under rounding, so the
-    # width needs a floor that grows with dimension or nilpotent blocks
-    # shatter into spurious clusters.
-    width = max(cluster_scale * max(1.0, norm), 4.0 * norm * _EPS ** (1.0 / n))
-    return width, norm
-
-
-def jordan_decompose(a, cluster_scale=1e-7, ambiguity_factor=10.0):
-    """Additive Jordan decomposition of a square matrix.
-
-    Eigenvalues are clustered with a width scaled by the matrix norm,
-    cluster means are snapped to zero when indistinguishable from it,
-    and each generalized eigenspace is extracted from an ordered Schur
-    form. Raises EigenClusterAmbiguity when two cluster means are closer
-    than ambiguity_factor times the clustering width.
+    Eigenvalues are grouped by cluster_scalars within the width
+    max(cluster_scale * max(1, ||a||), 4 ||a|| eps**(1/n)). The second
+    term is a floor that grows with the dimension n: an eigenvalue of a
+    k x k Jordan block moves like eps**(1/k) under rounding, and without
+    the floor nilpotent blocks would shatter into spurious clusters.
+    Returns (means, counts, gap) in cluster_scalars order, with a mean's
+    real or imaginary part set to zero when it is below
+    cluster_scale * max(1, ||a||). The zero matrix is marked by
+    means = None, so the caller keeps its own basis for it rather than
+    a Schur basis.
     """
     a = _as_matrix(a)
     n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("jordan_decompose expects a square matrix")
-    was_real = not np.iscomplexobj(a)
-    ac = a.astype(complex)
-    width, norm = _cluster_width(ac, cluster_scale)
+    if n != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    norm = float(np.linalg.norm(a, 2))
     if norm == 0.0:
-        zero = np.zeros_like(ac) if not was_real else np.zeros(a.shape)
-        return JordanDecomposition(
-            semisimple=zero.copy(),
-            nilpotent=zero.copy(),
-            transform=np.eye(n, dtype=complex),
-            eigenvalues=(0.0 + 0.0j,),
-            multiplicities=(n,),
-            condition=1.0,
-        )
-
-    eigs = np.linalg.eigvals(ac)
-    labels, means, counts, gap = cluster_scalars(eigs, width)
-    if len(means) > 1 and gap < ambiguity_factor * width:
-        raise EigenClusterAmbiguity(gap, ambiguity_factor * width)
-
+        return None, [n], float("inf")
+    width = max(cluster_scale * max(1.0, norm), 4.0 * norm * _EPS ** (1.0 / n))
+    _, means, counts, gap = cluster_scalars(np.linalg.eigvals(a), width)
     snap = cluster_scale * max(1.0, norm)
-    snapped = []
-    for m in means:
-        re = 0.0 if abs(m.real) < snap else m.real
-        im = 0.0 if abs(m.imag) < snap else m.imag
-        snapped.append(complex(re, im))
+    means = [
+        complex(
+            0.0 if abs(m.real) < snap else m.real,
+            0.0 if abs(m.imag) < snap else m.imag,
+        )
+        for m in means
+    ]
+    return means, counts, gap
 
-    blocks = []
-    for ci, mean in enumerate(snapped):
-        def selector(x, idx=ci):
-            dists = [abs(x - mm) for mm in snapped]
-            return int(np.argmin(dists)) == idx
 
-        q, sdim = invariant_subspace(ac, selector)
-        if sdim != counts[ci]:
-            raise EigenClusterAmbiguity(gap, ambiguity_factor * width)
-        blocks.append(q)
+def cluster_subspace(a, means, idx):
+    """Orthonormal basis of the invariant subspace of cluster idx.
 
-    p = np.hstack(blocks)
-    cond = float(np.linalg.cond(p))
-    diag = np.concatenate(
-        [np.full(counts[ci], snapped[ci], dtype=complex) for ci in range(len(snapped))]
-    )
-    s = p @ np.diag(diag) @ np.linalg.inv(p)
-    if was_real and np.max(np.abs(s.imag)) <= 1e3 * _EPS * max(1.0, norm) * n:
-        s = s.real
-        nil = a.astype(float) - s
-    else:
-        nil = ac - s
-    return JordanDecomposition(
-        semisimple=s,
-        nilpotent=nil,
-        transform=p,
-        eigenvalues=tuple(snapped),
-        multiplicities=tuple(int(c) for c in counts),
-        condition=cond,
-    )
+    An eigenvalue belongs to the cluster whose mean is nearest. The
+    basis comes from an ordered Schur decomposition, so no matrix powers
+    are formed and clustered or defective eigenvalues stay well
+    conditioned. Returns (basis, dimension).
+    """
+    a = _as_matrix(a).astype(complex)
+
+    def selector(x):
+        dists = [abs(x - m) for m in means]
+        return int(np.argmin(dists)) == idx
+
+    _, z, sdim = scipy.linalg.schur(a, output="complex", sort=selector)
+    return z[:, :sdim], int(sdim)
 
 
 def nilpotency_residual(a, tol=1e-9):
@@ -389,12 +314,6 @@ def joint_eigenbasis(mats, cluster_scale=1e-7, tol=1e-8):
         err = m @ basis - basis * lam[np.newaxis, :]
         resid = max(resid, float(np.max(np.abs(err))) / max(1.0, float(np.linalg.norm(m, 2))))
     return basis, chars, resid
-
-
-def block_transform(blocks):
-    """Stack block bases into one transform and report its conditioning."""
-    p = np.hstack(blocks)
-    return p, float(np.linalg.cond(p))
 
 
 def _match_sorted(keys, sorted_keys):

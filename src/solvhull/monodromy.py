@@ -117,16 +117,18 @@ def entry_chains(form, p, q):
     """Strictly increasing index chains from p to q with live steps."""
     steps = _chain_steps(form)
     chains = []
-
-    def rec(node, acc):
+    # Depth first with an explicit stack; successors are pushed in
+    # reverse so chains come out in lexicographic order.
+    stack = [(p,)]
+    while stack:
+        chain = stack.pop()
+        node = chain[-1]
         if node == q:
-            chains.append(tuple(acc))
-            return
-        for nxt in steps[node]:
+            chains.append(chain)
+            continue
+        for nxt in reversed(steps[node]):
             if nxt <= q:
-                rec(nxt, acc + [nxt])
-
-    rec(p, [p])
+                stack.append(chain + (nxt,))
     return chains
 
 

@@ -15,6 +15,8 @@ from . import linalg
 from .algebra import (
     LieAlgebra,
     SemisimpleAdjoint,
+    _canon_basis,
+    _derivation_residual,
     lower_central_series,
     nilradical,
     semisimple_adjoint,
@@ -89,13 +91,8 @@ def build_splitting(alg, semisimple=None, nilrad=None, tolerances=DEFAULT):
 
     # Torus: canonical basis of the span of the semisimple adjoints.
     flat = np.stack([tensor[i].ravel() for i in range(n)], axis=1)
-    span = linalg.canon_columns(flat.astype(complex), tolerances.alg)
+    span = _canon_basis(flat, alg.is_complex, tolerances.alg)
     t_dim = span.shape[1]
-    if not alg.is_complex:
-        imag = float(np.max(np.abs(span.imag))) if span.size else 0.0
-        if imag > 1e-8:
-            raise SolvHullError("torus basis of a real algebra came out complex")
-        span = np.ascontiguousarray(span.real)
     torus = np.stack(
         [span[:, b].reshape(n, n) for b in range(t_dim)], axis=0
     ) if t_dim else np.zeros((0, n, n), dtype=span.dtype)
@@ -111,15 +108,7 @@ def build_splitting(alg, semisimple=None, nilrad=None, tolerances=DEFAULT):
     residuals["torus_coordinates"] = coord_resid
 
     # Each torus element must be a derivation of the shadow bracket.
-    cbar = shadow.structure
-    der = 0.0
-    for b in range(t_dim):
-        d = torus[b]
-        left = np.einsum("ab,jkb->jka", d, cbar)
-        term1 = np.einsum("bj,bkm->jkm", d, cbar)
-        term2 = np.einsum("bk,jbm->jkm", d, cbar)
-        der = max(der, float(np.max(np.abs(left - term1 - term2))))
-    residuals["torus_derivation"] = der
+    residuals["torus_derivation"] = _derivation_residual(torus, shadow.structure)
 
     # Torus must preserve every step of the shadow's lower central series.
     lcs_resid = 0.0
@@ -132,7 +121,7 @@ def build_splitting(alg, semisimple=None, nilrad=None, tolerances=DEFAULT):
     residuals["torus_preserves_series"] = lcs_resid
 
     worst = max(residuals.values()) if residuals else 0.0
-    if worst > 1e3 * tolerances.num:
+    if not worst <= tolerances.stage_budget:
         raise SolvHullError(f"splitting residual {worst:.3e} exceeds tolerance budget")
 
     return SplitAlgebra(

@@ -20,5 +20,15 @@ class Tolerances:
     integer: float = 1e-6
     cluster_scale: float = 1e-7
 
+    @property
+    def stage_budget(self):
+        """Largest residual a build stage may leave before it raises."""
+        return 1e3 * self.num
+
+    @property
+    def report_limit(self):
+        """Largest residual a verification report still counts as ok."""
+        return 100 * self.num
+
 
 DEFAULT = Tolerances()

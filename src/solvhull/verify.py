@@ -197,7 +197,7 @@ def _monodromy_section(problem, form, seed):
 
     demo = separation_demo(form, lattice)
 
-    limit = 100 * tol.num
+    limit = tol.report_limit
     ok = (
         triangular <= limit
         and relation_worst <= limit
@@ -234,7 +234,7 @@ def run_verification(problem, seed=0, depth=20):
     split = stages["splitting"]
     env = stages["envelope"]
     form = stages["form"]
-    limit = 100 * tol.num
+    limit = tol.report_limit
 
     jac = float(np.max(np.abs(_jacobi_residual(alg.structure))))
     validation = {

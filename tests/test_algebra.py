@@ -20,7 +20,14 @@ from solvhull import (
     validate_algebra,
 )
 from solvhull.algebra import restricted_structure
-from solvhull.linalg import is_nilpotent_matrix, orthonormal_columns, subspace_residual
+from solvhull.linalg import (
+    cluster_subspace,
+    eigen_clusters,
+    is_nilpotent_matrix,
+    orthonormal_columns,
+    subspace_residual,
+)
+from solvhull.tolerances import Tolerances
 
 from conftest import (
     CORPUS_SEEDS,
@@ -91,6 +98,25 @@ def test_validate_rejects_jacobi_violation():
     c[1, 2, 1], c[2, 1, 1] = 1.0, -1.0
     with pytest.raises(JacobiViolation):
         validate_algebra(c)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e160])
+def test_jacobi_violation_is_found_at_every_scale(scale):
+    # the residual is taken on the table divided by its magnitude, so a
+    # huge table neither overflows nor slips through to the solvability check
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
+    c[1, 2, 1], c[2, 1, 1] = 1.0, -1.0
+    with pytest.raises(JacobiViolation) as exc:
+        validate_algebra(scale * c)
+    assert exc.value.triple == (0, 1, 2)
+    assert exc.value.residual == 1.0
+
+
+def test_budgets_are_multiples_of_num():
+    tol = Tolerances(num=1e-6)
+    assert tol.stage_budget == 1e3 * 1e-6
+    assert tol.report_limit == 100 * 1e-6
 
 
 def test_validate_rejects_nonsolvable():
@@ -323,11 +349,16 @@ def test_semisimple_adjoint_residuals_are_small(sect4_problem):
 
 
 def test_semisimple_adjoint_parts_are_semisimple(sol_problem):
-    from solvhull import jordan_decompose
-
+    # each generalized eigenspace of a semisimple matrix is an eigenspace:
+    # (A - lambda) q = 0 on every cluster subspace
     ads = semisimple_adjoint(sol_problem.algebra)
     rng = np.random.default_rng(3)
     for _ in range(4):
         x = rng.standard_normal(3)
-        dec = jordan_decompose(ads.apply(x))
-        assert np.max(np.abs(dec.nilpotent)) < 1e-7 * max(1.0, np.linalg.norm(x))
+        a = ads.apply(x)
+        means, counts, _ = eigen_clusters(a, 1e-7)
+        assert sum(counts) == 3
+        for ci, mean in enumerate(means):
+            q, _ = cluster_subspace(a, means, ci)
+            defect = np.max(np.abs(a @ q - mean * q))
+            assert defect < 1e-7 * max(1.0, np.linalg.norm(x))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import solvhull
 import solvhull.cli as cli
 from solvhull import EndpointMismatch, SolvHullError
 
@@ -33,6 +34,11 @@ def heis_file(tmp_path):
     path = tmp_path / "heis.json"
     path.write_text(json.dumps(heis_spec_dict()))
     return str(path)
+
+
+def test_every_package_export_resolves():
+    missing = [name for name in solvhull.__all__ if not hasattr(solvhull, name)]
+    assert missing == []
 
 
 # ------------------------------------------------------------- analyze

@@ -5,6 +5,7 @@ route: hand formulas, simplex quadrature, an ODE integration, or the
 truncated series with its certified tail bound.
 """
 
+import gc
 from math import factorial
 
 import numpy as np
@@ -422,3 +423,40 @@ def test_phi1_apply_singular_matrix():
     # m = 0 integrates to z itself
     z = np.array([1.0, -2.0])
     assert np.allclose(phi1_apply(np.zeros((2, 2)), z), z)
+
+
+def _recursive_shuffles(a, b):
+    """Reference: interleavings in the order of a recursive walk, a first."""
+    out = {}
+
+    def rec(x, y, prefix):
+        if not x and not y:
+            out[prefix] = out.get(prefix, 0) + 1
+            return
+        if x:
+            rec(x[1:], y, prefix + (x[0],))
+        if y:
+            rec(x, y[1:], prefix + (y[0],))
+
+    rec(tuple(a), tuple(b), ())
+    return out
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [((), ()), ((0,), ()), ((), (1, 1)), ((0, 1, 2), (3, 4)), ((0, 1, 0), (1, 0, 1, 1))],
+)
+def test_shuffle_words_match_recursive_walk(a, b):
+    assert list(shuffle_words(a, b).items()) == list(_recursive_shuffles(a, b).items())
+
+
+def test_shuffle_words_leave_no_reference_cycles():
+    """Interleavings are enumerated without a self-referencing closure."""
+    gc.collect()
+    gc.disable()
+    try:
+        words = shuffle_words((1, 2), (3,))
+        assert list(words.items()) == [((1, 2, 3), 1), ((1, 3, 2), 1), ((3, 1, 2), 1)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

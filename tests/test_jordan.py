@@ -1,24 +1,25 @@
 """Numerical linear algebra layer.
 
-The Jordan decomposition tests build matrices from a known semisimple
-plus nilpotent pair and check the computed parts against that oracle,
-not just against each other.
+The Jordan decomposition tests assemble the semisimple part from the
+cluster means and cluster subspaces that eigen_clusters and
+cluster_subspace return, and check both parts against a known
+semisimple plus nilpotent pair, not just against each other.
 """
 
 import numpy as np
 import pytest
 
-from solvhull import EigenClusterAmbiguity, jordan_decompose
+from solvhull import EigenClusterAmbiguity
 from solvhull.linalg import (
     canon_columns,
     cluster_scalars,
-    invariant_subspace,
+    cluster_subspace,
+    eigen_clusters,
     is_nilpotent_matrix,
     joint_eigenbasis,
     nullspace,
     orthonormal_columns,
     real_nullspace,
-    subspace_intersection,
     subspace_residual,
 )
 
@@ -71,14 +72,6 @@ def test_subspace_residual_contained_and_orthogonal():
     assert subspace_residual(outside, basis) == pytest.approx(1.0)
 
 
-def test_subspace_intersection_of_two_planes():
-    a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])  # xy plane
-    b = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # yz plane
-    inter = subspace_intersection(a, b)
-    assert inter.shape[1] == 1
-    assert abs(abs(inter[1, 0]) - 1.0) < 1e-12
-
-
 def test_canon_columns_is_basis_independent():
     rng = np.random.default_rng(11)
     q = random_unitary(rng, 5)[:, :3]
@@ -113,16 +106,75 @@ def test_cluster_scalars_complex_ordering():
     assert means == [-1j, 0.0 + 0.0j, 1j]
 
 
-def test_invariant_subspace_splits_spectrum():
+def test_cluster_subspace_splits_spectrum():
     rng = np.random.default_rng(3)
     p = random_unitary(rng, 4)
     a = p @ np.diag([1.0, 1.0, 3.0, 3.0]) @ p.conj().T
-    q, sdim = invariant_subspace(a, lambda x: x.real < 2.0)
+    q, sdim = cluster_subspace(a, [1.0, 3.0], 0)
     assert sdim == 2
     assert subspace_residual(a @ q, q) < 1e-10
 
 
+def test_eigen_clusters_snaps_and_orders_complex_means():
+    # a rotation block has eigenvalues +-i; rounding noise in the real
+    # parts is snapped to zero and the means come out ordered
+    a = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    means, counts, gap = eigen_clusters(a, 1e-7)
+    assert means == [-1j, 0.0 + 0.0j, 1j]
+    assert counts == [1, 1, 1]
+    assert gap == pytest.approx(1.0)
+
+
+def test_eigen_clusters_reports_the_gap_between_close_clusters():
+    # a gap of 3e-7 sits between the width and ten times the width, so a
+    # caller can tell the two clusters apart only unreliably
+    means, counts, gap = eigen_clusters(np.diag([1.0, 1.0 + 3e-7]), 1e-7)
+    assert counts == [1, 1]
+    assert gap == pytest.approx(3e-7, rel=1e-6)
+
+
+def test_eigen_clusters_marks_only_the_zero_matrix():
+    assert eigen_clusters(np.zeros((3, 3)), 1e-7) == (None, [3], float("inf"))
+    # a tiny but nonzero matrix is one snapped cluster, not the zero mark
+    means, counts, _ = eigen_clusters(1e-300 * np.eye(3), 1e-7)
+    assert means == [0.0 + 0.0j]
+    assert counts == [3]
+
+
+def test_cluster_subspace_of_one_cluster_is_a_schur_basis():
+    # one cluster still gets its Schur vectors, not the incoming basis
+    rng = np.random.default_rng(5)
+    u = random_unitary(rng, 4)
+    a = u @ (2.0 * np.eye(4) + np.diag([1.0, 1.0, 1.0], 1)) @ u.conj().T
+    means, counts, _ = eigen_clusters(a, 1e-7)
+    assert counts == [4]
+    q, sdim = cluster_subspace(a, means, 0)
+    assert sdim == 4
+    assert np.max(np.abs(q.conj().T @ q - np.eye(4))) < 1e-12
+    assert np.max(np.abs(np.tril(q.conj().T @ a @ q, -1))) < 1e-10
+    assert np.max(np.abs(q - np.eye(4))) > 0.1
+
+
 # ---------------------------------------------------------------- jordan
+
+
+def jordan_parts(a, cluster_scale=1e-7):
+    """Semisimple and nilpotent parts of a from its cluster subspaces.
+
+    Returns (semisimple, nilpotent, means, counts).
+    """
+    a = np.asarray(a)
+    means, counts, _ = eigen_clusters(a, cluster_scale)
+    if means is None:
+        return np.zeros_like(a), np.zeros_like(a), means, counts
+    blocks = []
+    for ci in range(len(means)):
+        q, sdim = cluster_subspace(a, means, ci)
+        assert sdim == counts[ci]
+        blocks.append(q)
+    p = np.hstack(blocks)
+    s = p @ np.diag(np.repeat(means, counts)) @ np.linalg.inv(p)
+    return s, a - s, means, counts
 
 
 def test_jordan_decompose_diagonalizable_matrix():
@@ -130,20 +182,20 @@ def test_jordan_decompose_diagonalizable_matrix():
     p = rng.standard_normal((4, 4))
     d = np.diag([1.0, 2.0, 2.0, -3.0])
     a = p @ d @ np.linalg.inv(p)
-    dec = jordan_decompose(a)
-    assert np.max(np.abs(dec.nilpotent)) < 1e-8
-    assert np.allclose(dec.semisimple, a, atol=1e-8)
-    assert sorted(dec.multiplicities) == [1, 1, 2]
+    s, n, _, counts = jordan_parts(a)
+    assert np.max(np.abs(n)) < 1e-8
+    assert np.allclose(s, a, atol=1e-8)
+    assert sorted(counts) == [1, 1, 2]
 
 
 def test_jordan_decompose_single_defective_block():
     # one Jordan block with eigenvalue 2
     a = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
-    dec = jordan_decompose(a)
-    assert np.allclose(dec.semisimple, 2.0 * np.eye(3), atol=1e-7)
-    assert np.allclose(dec.nilpotent, a - 2.0 * np.eye(3), atol=1e-7)
-    assert dec.eigenvalues == (2.0 + 0.0j,)
-    assert dec.multiplicities == (3,)
+    s, n, means, counts = jordan_parts(a)
+    assert np.allclose(s, 2.0 * np.eye(3), atol=1e-7)
+    assert np.allclose(n, a - 2.0 * np.eye(3), atol=1e-7)
+    assert means == [2.0 + 0.0j]
+    assert counts == [3]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -159,17 +211,16 @@ def test_jordan_decompose_against_constructed_oracle(seed):
     pinv = np.linalg.inv(p)
     s_true = p @ j @ pinv
     n_true = p @ nil @ pinv
-    dec = jordan_decompose(s_true + n_true)
+    s, n, _, _ = jordan_parts(s_true + n_true)
     scale = np.linalg.norm(s_true + n_true)
-    assert np.max(np.abs(dec.semisimple - s_true)) < 1e-7 * scale
-    assert np.max(np.abs(dec.nilpotent - n_true)) < 1e-7 * scale
+    assert np.max(np.abs(s - s_true)) < 1e-7 * scale
+    assert np.max(np.abs(n - n_true)) < 1e-7 * scale
 
 
 def test_jordan_parts_commute_and_sum():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 6))
-    dec = jordan_decompose(a)
-    s, n = dec.semisimple, dec.nilpotent
+    s, n, _, _ = jordan_parts(a)
     assert np.max(np.abs(s + n - a)) < 1e-10
     comm = s @ n - n @ s
     assert np.max(np.abs(comm)) < 1e-7 * max(1.0, np.linalg.norm(a)) ** 2
@@ -178,31 +229,27 @@ def test_jordan_parts_commute_and_sum():
 
 def test_jordan_decompose_real_input_with_real_spectrum_stays_real():
     a = np.array([[3.0, 1.0], [0.0, 3.0]])
-    dec = jordan_decompose(a)
-    assert not np.iscomplexobj(dec.semisimple)
+    s, _, means, _ = jordan_parts(a)
+    assert all(m.imag == 0.0 for m in means)
+    assert np.max(np.abs(s.imag)) < 1e-12
 
 
 def test_jordan_decompose_zero_matrix():
-    dec = jordan_decompose(np.zeros((3, 3)))
-    assert np.all(dec.semisimple == 0)
-    assert np.all(dec.nilpotent == 0)
-    assert dec.multiplicities == (3,)
+    s, n, means, counts = jordan_parts(np.zeros((3, 3)))
+    assert np.all(s == 0)
+    assert np.all(n == 0)
+    assert means is None
+    assert counts == [3]
 
 
 def test_jordan_decompose_rejects_nonsquare():
     with pytest.raises(ValueError):
-        jordan_decompose(np.zeros((2, 3)))
-
-
-def test_jordan_decompose_flags_ambiguous_clusters():
-    # gap of 3e-7 sits between the width and ten times the width
-    with pytest.raises(EigenClusterAmbiguity):
-        jordan_decompose(np.diag([1.0, 1.0 + 3e-7]))
+        eigen_clusters(np.zeros((2, 3)), 1e-7)
 
 
 def test_jordan_decompose_merges_indistinguishable_eigenvalues():
-    dec = jordan_decompose(np.diag([1.0, 1.0 + 1e-12]))
-    assert dec.multiplicities == (2,)
+    _, _, _, counts = jordan_parts(np.diag([1.0, 1.0 + 1e-12]))
+    assert counts == [2]
 
 
 # ---------------------------------------------------------------- nilpotency

@@ -1,5 +1,6 @@
 """Monodromy representation and chain decompositions of its entries."""
 
+import gc
 import importlib
 
 import numpy as np
@@ -344,3 +345,43 @@ def test_zero_displacement_means_no_depth_one_separation(sol_stages, sol_problem
     for _ in range(5):
         f = rng.standard_normal(3)
         assert abs(iterated_integral([f], path)) < 1e-12
+
+
+def _recursive_chains(form, p, q):
+    """Reference: the chains in the order of a recursive depth-first walk."""
+    steps = _chain_steps(form)
+    chains = []
+
+    def rec(node, acc):
+        if node == q:
+            chains.append(tuple(acc))
+            return
+        for nxt in steps[node]:
+            if nxt <= q:
+                rec(nxt, acc + [nxt])
+
+    rec(p, [p])
+    return chains
+
+
+def test_entry_chains_match_recursive_walk(sect4_stages, filiform_forms):
+    form = sect4_stages["form"]
+    for p in range(form.r):
+        for q in range(form.r):
+            assert entry_chains(form, p, q) == _recursive_chains(form, p, q)
+    form = filiform_forms[6]
+    for p in range(form.r):
+        assert entry_chains(form, p, form.r - 1) == _recursive_chains(form, p, form.r - 1)
+
+
+def test_entry_chains_leave_no_reference_cycles(sect4_stages):
+    """Chains are enumerated without a self-referencing closure."""
+    form = sect4_stages["form"]
+    entry_chains(form, 0, form.r - 1)
+    gc.collect()
+    gc.disable()
+    try:
+        assert entry_chains(form, 0, form.r - 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
