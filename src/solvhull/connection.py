@@ -13,13 +13,20 @@ over the integers so every diagonal character gets integer coordinates.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 import numpy as np
 
 from . import linalg
 from .errors import NotInLattice, SolvHullError
+from .integrals import closure_pattern
 from .tolerances import DEFAULT
+
+
+def _live_adjacency(psi_tensor):
+    """Strictly upper entries nonzero for some basis element, in one reduction."""
+    return np.triu(np.max(np.abs(psi_tensor), axis=0) > 0.0, 1)
 
 
 def _real_stack(vectors):
@@ -202,6 +209,21 @@ class ConnectionForm:
     @property
     def words(self):
         return self.envelope.words
+
+    @cached_property
+    def live(self):
+        """Boolean r by r mask of the strictly upper entries ever nonzero."""
+        return _live_adjacency(self.psi_tensor)
+
+    @cached_property
+    def chain_steps(self):
+        """steps[p] lists, in increasing order, every live q > p."""
+        return [row.nonzero()[0].tolist() for row in self.live]
+
+    @cached_property
+    def closure(self):
+        """Closure of live under products; every product of psi(x) lies on it."""
+        return closure_pattern(self.live)
 
     def psi(self, x):
         """Connection matrix of an algebra element."""

@@ -5,6 +5,8 @@ each segment; crossing segments composes by splitting the word, which
 the dynamic programs below exploit. Exponential iterated integrals are
 evaluated as one entry of the transport of a small upper bidiagonal
 connection, so the same segment-by-segment product applies to them.
+Truncated transport series run on a sparse pattern closed under
+products, which holds every generator and every product of them.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ from math import factorial
 
 import numpy as np
 
-from .matfuncs import expm, expm_upper_bidiagonal
+from .matfuncs import exp_chain_sum, expm
 from .paths import PathWord
 
 _EPS = float(np.finfo(float).eps)
@@ -105,28 +107,86 @@ class SeriesResult:
     growth: float
 
 
-def _product_series(matrices, depth):
-    """Sum of products of the matrix exponentials, graded by total order.
+@dataclass(frozen=True)
+class Pattern:
+    """Entries of a square matrix pattern that is closed under products.
 
-    coeff[l] collects every product of l factors drawn from consecutive
-    segments, which is the depth l part of the iterated integral series
-    of the transport.
+    A matrix on the pattern is the vector of its values at (rows, cols);
+    index[i, j] is the position of entry (i, j). A product sums
+    left[t] times right[t] values over the triples t = (i, k, j) grouped
+    by their entry (i, j), whose group begins at starts[e]. Transitivity
+    keeps every product on the pattern, so products are exact.
     """
-    if not matrices:
-        return [np.eye(1, dtype=complex)]
-    r = matrices[0].shape[0]
-    coeff = [np.zeros((r, r), dtype=complex) for _ in range(depth + 1)]
-    coeff[0] = np.eye(r, dtype=complex)
+
+    size: int
+    rows: np.ndarray
+    cols: np.ndarray
+    index: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    starts: np.ndarray
+
+    def gather(self, dense):
+        return dense[..., self.rows, self.cols]
+
+    def scatter(self, values):
+        out = np.zeros(values.shape[:-1] + (self.size, self.size), dtype=complex)
+        out[..., self.rows, self.cols] = values
+        return out
+
+
+def closure_pattern(live):
+    """Pattern of the reflexive-transitive closure of an upper adjacency.
+
+    live is a strictly upper triangular boolean matrix; rows are closed
+    from the bottom up, so each row's successors are final when read.
+    """
+    size = live.shape[0]
+    reach = live | np.eye(size, dtype=bool)
+    for i in range(size - 1, -1, -1):
+        reach[i] |= reach[live[i]].any(axis=0)
+    rows, cols = np.nonzero(reach)
+    index = np.zeros((size, size), dtype=int)
+    index[rows, cols] = np.arange(rows.size)
+    row_start = np.searchsorted(rows, np.arange(size + 1))
+    # Triple (i, k, j): entry (i, k) times every entry (k, j) of row k.
+    counts = row_start[cols + 1] - row_start[cols]
+    left = np.repeat(np.arange(rows.size), counts)
+    offset = np.arange(left.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    right = np.repeat(row_start[cols], counts) + offset
+    out = index[rows[left], cols[right]]
+    order = np.argsort(out, kind="stable")
+    starts = np.searchsorted(out[order], np.arange(rows.size))
+    return Pattern(size, rows, cols, index, left[order], right[order], starts)
+
+
+def _pattern_series(pattern, matrices, depth):
+    """Sum through the given depth of the graded product series.
+
+    matrices holds each segment's generator on the pattern. coeff[l]
+    collects every product of l factors drawn from consecutive segments,
+    which is the depth l part of the iterated integral series of the
+    transport. Each segment's terms a^k/k! take one product each; the
+    graded Cauchy product with coeff is then gathered, multiplied and
+    summed over the triples in one pass.
+    """
+    terms = depth + 1
+    coeff = np.zeros((terms, pattern.rows.size), dtype=complex)
+    coeff[0] = pattern.rows == pattern.cols
     for a in matrices:
-        powers = [np.eye(r, dtype=complex)]
-        for _ in range(depth):
-            powers.append(powers[-1] @ a)
-        new = [np.zeros((r, r), dtype=complex) for _ in range(depth + 1)]
-        for lo in range(depth + 1):
-            for k in range(depth + 1 - lo):
-                new[lo + k] += coeff[lo] @ powers[k] / factorial(k)
-        coeff = new
-    return coeff
+        powers = np.empty_like(coeff)
+        powers[0] = pattern.rows == pattern.cols
+        for k in range(1, terms):
+            prods = powers[k - 1, pattern.left] * a[pattern.right]
+            powers[k] = np.add.reduceat(prods, pattern.starts) / k
+        # np.take keeps the gathered rows contiguous for the loop below.
+        lhs = np.take(coeff, pattern.left, axis=1)
+        rhs = np.take(powers, pattern.right, axis=1)
+        prods = lhs[0] * rhs
+        for lo in range(1, terms):
+            prods[lo:] += lhs[lo] * rhs[: terms - lo]
+        coeff = np.add.reduceat(prods, pattern.starts, axis=-1)
+    return coeff.sum(axis=0)
 
 
 def transport_series(form, path, depth):
@@ -134,17 +194,16 @@ def transport_series(form, path, depth):
 
     Returns the sum through the given depth together with a bound on the
     discarded tail, driven by the accumulated one norm of the segment
-    generators.
+    generators. The series runs on the form's closure pattern.
     """
     mats = [seg.duration * form.psi(seg.vector) for seg in path]
     growth = sum(float(np.linalg.norm(m, "fro")) for m in mats)
-    coeff = _product_series(mats, depth)
-    r = coeff[0].shape[0]
-    total = np.zeros((r, r), dtype=complex)
-    for c in coeff:
-        total += c
+    pattern = form.closure
+    total = _pattern_series(pattern, [pattern.gather(m) for m in mats], depth)
     tail = _tail_bound(growth, depth)
-    return SeriesResult(value=total, tail_bound=tail, depth=depth, growth=growth)
+    return SeriesResult(
+        value=pattern.scatter(total), tail_bound=tail, depth=depth, growth=growth
+    )
 
 
 def _tail_bound(x, depth):
@@ -203,20 +262,16 @@ class IntegralWord:
 def exp_iterated_integral(word, path):
     """Closed form evaluation of an exponential iterated integral.
 
-    Each segment contributes the exact exponential of its bidiagonal
-    generator; sizes one and two use explicit formulas with a stable
-    divided difference, larger sizes the dense exponential.
+    The word is a single chain for the bidiagonal kernel
+    matfuncs.exp_chain_sum, which carries the top row through the exact
+    exponential of every segment's generator.
     """
     n = word.size
-    out = np.eye(n, dtype=complex)
-    for seg in path:
-        m = word.segment_matrix(seg.vector) * seg.duration
-        if n <= 2:
-            e = expm_upper_bidiagonal(np.diag(m), np.diag(m, 1) if n == 2 else [])
-        else:
-            e = expm(m)
-        out = out @ e
-    return complex(out[0, n - 1])
+    mats = [word.segment_matrix(seg.vector) * seg.duration for seg in path]
+    steps = len(mats)
+    diag = np.array([np.diag(m) for m in mats], dtype=complex).reshape(steps, 1, n)
+    sup = np.array([np.diag(m, 1) for m in mats], dtype=complex).reshape(steps, 1, n - 1)
+    return complex(exp_chain_sum(diag, sup, [0]))
 
 
 def exp_iterated_integral_series(word, path, depth):
@@ -226,19 +281,17 @@ def exp_iterated_integral_series(word, path, depth):
     number of diagonal factors is at most depth. Reaching the top right
     corner consumes the off diagonal once per step, so the cut happens
     at total order depth plus size minus one. The tail bound covers the
-    dropped orders.
+    dropped orders. The series runs on the upper triangle, the closure
+    of the bidiagonal pattern.
     """
     n = word.size
     mats = [word.segment_matrix(seg.vector) * seg.duration for seg in path]
     growth = sum(float(np.linalg.norm(m, "fro")) for m in mats)
-    order = depth + n - 1
-    coeff = _product_series(mats, order)
-    total = np.zeros((n, n), dtype=complex)
-    for c in coeff:
-        total += c
+    pattern = closure_pattern(np.eye(n, k=1, dtype=bool))
+    total = _pattern_series(pattern, [pattern.gather(m) for m in mats], depth + n - 1)
     tail = _tail_bound(growth, depth)
     return SeriesResult(
-        value=complex(total[0, n - 1]), tail_bound=tail, depth=depth, growth=growth
+        value=complex(total[pattern.index[0, n - 1]]), tail_bound=tail, depth=depth, growth=growth
     )
 
 

@@ -1,13 +1,19 @@
 """Matrix exponential helpers.
 
 Dense exponentials go through scipy (Pade approximation with scaling and
-squaring). The small closed forms below exist because the bidiagonal
-transport kernels call them in tight loops and because the divided
-difference (e^a - e^b)/(a - b) needs a series branch near a == b.
+squaring). Exponential iterated integrals only need exponentials of
+upper bidiagonal matrices, which have a closed form entry by entry:
+entry (i, j) is s_i ... s_(j-1) times the divided difference of exp at
+the diagonal nodes z_i, ..., z_j (McCurdy, Ng & Parlett, Math. Comp. 43,
+1984; Higham, Functions of Matrices, 2008, ch. 10).
 """
 
 import numpy as np
 import scipy.linalg
+
+_EPS = float(np.finfo(float).eps)
+# Entries whose end nodes are closer than this take the Taylor branch.
+_TAYLOR_GAP = 1.0
 
 
 def expm(a):
@@ -15,50 +21,65 @@ def expm(a):
     return scipy.linalg.expm(np.asarray(a, dtype=complex))
 
 
-def phi_difference(a, b):
-    """Stable (e^a - e^b)/(a - b), the first divided difference of exp.
-
-    Evaluated as e^((a+b)/2) * sinh(h)/h with h = (a-b)/2, taking
-    sinh(h)/h from its series when h is small, which also covers a == b.
-    Direct subtraction loses about eps/|a - b| relative accuracy at small
-    gaps; this form loses a few ulps at most. When the real parts differ
-    by more than 2, e^a and e^b differ in size by e^2 or more, so the
-    direct quotient has no cancellation, and it stays finite wherever
-    the result is, while e^((a+b)/2) and sinh(h) separately may not.
-    """
-    a = complex(a)
-    b = complex(b)
-    h = (a - b) / 2.0
-    if abs(h.real) > 1.0:
-        return (np.exp(a) - np.exp(b)) / (a - b)
-    if abs(h) < 1e-3:
-        h2 = h * h
-        # Relative truncation error below |h|^8/9!, under 1e-29 here.
-        sinhc = 1.0 + h2 / 6.0 + h2 * h2 / 120.0 + h2 * h2 * h2 / 5040.0
-    else:
-        sinhc = np.sinh(h) / h
-    return np.exp((a + b) / 2.0) * sinhc
+def _taylor_degree(radius):
+    """Degree past which the Taylor tail of exp at radius is below eps."""
+    degree, term = 0, 1.0
+    while term * radius > _EPS / 8.0 * (degree + 1):
+        degree += 1
+        term *= radius / degree
+    return degree
 
 
-def expm_upper_bidiagonal(diag, super_diag):
-    """exp of an upper bidiagonal matrix, closed form for sizes 1 and 2.
+def exp_chain_sum(diag, sup, start):
+    """Summed top right entries of ordered products of bidiagonal exponentials.
 
-    Larger sizes fall back to the dense exponential. diag has length n,
-    super_diag length n - 1.
+    diag (..., segments, chains, n) and sup (..., segments, chains, n - 1)
+    hold every chain's bidiagonal generator B on every segment, chains
+    right aligned, chain c starting at slot start[c]. The row e_start
+    exp(B) is carried across the segments and its last slot summed over
+    the chains, one value per leading index; zero generators pad.
+
+    Entry (i, j) of exp(B) follows Newton's recurrence
+    F[i, j] = (s_i F[i+1, j] - s_(j-1) F[i, j-1]) / (z_j - z_i)
+    when |z_j - z_i| >= _TAYLOR_GAP, else the Taylor series of row i of
+    e^(z_i) exp(B - z_i); right multiplication keeps rows apart, so one
+    flattened Horner loop, with the superdiagonal a shift by one place,
+    centres each row on its node. Its degree covers the widest Taylor
+    entry, which only exceeds _TAYLOR_GAP where nodes leave and come
+    back, losing e^radius ulps.
     """
     diag = np.asarray(diag, dtype=complex)
-    sup = np.asarray(super_diag, dtype=complex)
-    n = diag.size
-    if n == 1:
-        return np.array([[np.exp(diag[0])]], dtype=complex)
-    if n == 2:
-        out = np.zeros((2, 2), dtype=complex)
-        out[0, 0] = np.exp(diag[0])
-        out[1, 1] = np.exp(diag[1])
-        out[0, 1] = sup[0] * phi_difference(diag[0], diag[1])
-        return out
-    m = np.diag(diag) + np.diag(sup, 1)
-    return expm(m)
+    sup = np.asarray(sup, dtype=complex)
+    n = diag.shape[-1]
+    w = diag[..., None, :] - diag[..., :, None]
+    radius = np.maximum.accumulate(np.triu(np.abs(w)), axis=-1)
+    degree = _taylor_degree(np.max(radius, where=np.abs(w) < _TAYLOR_GAP, initial=0.0))
+    links = np.zeros(w.shape, dtype=complex)
+    links[..., :, 1:] = sup[..., None, :]
+    links, flat_w = links.ravel()[1:], w.ravel()
+    eye = np.broadcast_to(np.eye(n, dtype=complex), w.shape).ravel()
+    acc, step, shifted = eye.copy(), np.empty_like(eye), np.empty_like(links)
+    for m in range(degree + n - 1, 0, -1):
+        np.multiply(acc, flat_w, out=step)
+        step[1:] += np.multiply(acc[:-1], links, out=shifted)
+        step *= 1.0 / m
+        step += eye
+        acc, step = step, acc
+    exps = acc.reshape(w.shape) * np.exp(diag)[..., :, None]
+    flat = exps.reshape(diag.shape[:-1] + (n * n,))
+    prev = flat[..., :: n + 1]
+    for k in range(1, n):
+        gap = diag[..., k:] - diag[..., :-k]
+        taylor = np.abs(gap) < _TAYLOR_GAP
+        newton = sup[..., : n - k] * prev[..., 1:] - sup[..., k - 1 :] * prev[..., :-1]
+        newton /= np.where(taylor, 1.0, gap)
+        prev = np.where(taylor, flat[..., k :: n + 1][..., : n - k], newton)
+        flat[..., k :: n + 1][..., : n - k] = prev
+    x = np.zeros(diag.shape[:-3] + diag.shape[-2:], dtype=complex)
+    x[..., np.arange(len(start)), start] = 1.0
+    for s in range(diag.shape[-3]):
+        x = (x[..., None, :] @ exps[..., s, :, :, :])[..., 0, :]
+    return x[..., n - 1].sum(axis=-1)
 
 
 def phi1_apply(m, z):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrals import transport
-from .matfuncs import expm
+from .matfuncs import exp_chain_sum
 from .paths import PathWord
 
 
@@ -102,20 +102,9 @@ def path_independence_residual(form, model, target, seed=0, trials=4):
     return worst
 
 
-def _chain_steps(form, tol=0.0):
-    """Adjacency of the strictly upper entries that can ever be nonzero.
-
-    steps[p] lists, in increasing order, every q > p whose entry
-    functional has a coefficient above tol; one reduction over the
-    whole tensor finds them all.
-    """
-    live = np.triu(np.max(np.abs(form.psi_tensor), axis=0) > tol, 1)
-    return [row.nonzero()[0].tolist() for row in live]
-
-
 def entry_chains(form, p, q):
     """Strictly increasing index chains from p to q with live steps."""
-    steps = _chain_steps(form)
+    steps = form.chain_steps
     chains = []
     # Depth first with an explicit stack; successors are pushed in
     # reverse so chains come out in lexicographic order.
@@ -132,52 +121,38 @@ def entry_chains(form, p, q):
     return chains
 
 
-def _segment_data(form, path):
-    """Diagonal characters and connection matrix of every segment.
+def _segment_data(form, paths):
+    """Duration-scaled diagonal characters and live connection entries.
 
-    Both are scaled by the segment's duration, so a chain's bidiagonal
-    generator on that segment is read off by indexing.
+    One row per path, zero padded to the longest; connection entries are
+    kept on the form's closure pattern, so a chain's bidiagonal
+    generator on a segment is read off by indexing.
     """
-    return [
-        (
-            seg.duration * form.diagonal_characters(seg.vector),
-            seg.duration * form.psi(seg.vector),
-        )
-        for seg in path
-    ]
+    longest = max((len(path) for path in paths), default=0)
+    vectors = np.zeros((len(paths), longest, form.dim), dtype=complex)
+    durations = np.zeros((len(paths), longest, 1))
+    for v, path in enumerate(paths):
+        for s, seg in enumerate(path):
+            vectors[v, s], durations[v, s] = seg.vector, seg.duration
+    pattern = form.closure
+    diag = durations * (vectors @ form.omega.T)
+    links = durations * (vectors @ form.psi_tensor[:, pattern.rows, pattern.cols])
+    return diag, links
 
 
-def _chain_groups(chains):
-    """Chains stacked into one index array per chain length."""
-    by_size = {}
-    for chain in chains:
-        by_size.setdefault(len(chain), []).append(chain)
-    return [np.array(group) for _, group in sorted(by_size.items())]
+def _chain_sum(form, chains, diag, links):
+    """Sum of the chains' exponential integrals on every path, in one kernel call.
 
-
-def _chain_sum(groups, segments):
-    """Sum of the chains' exponential iterated integrals along one path.
-
-    Each group's generators are stacked per segment and exponentiated
-    in one call; the segment exponentials multiply as a batch and the
-    top right corners are summed.
+    Chains are right aligned and the slots in front of a chain repeat
+    its first node; the carried row starts at the chain's first slot,
+    so they never contribute.
     """
-    total = 0.0 + 0.0j
-    for chains in groups:
-        count, size = chains.shape
-        if not segments:
-            total += count if size == 1 else 0.0
-            continue
-        diag = np.arange(size)
-        out = None
-        for d, s in segments:
-            gen = np.zeros((count, size, size), dtype=complex)
-            gen[:, diag, diag] = d[chains]
-            gen[:, diag[:-1], diag[1:]] = s[chains[:, :-1], chains[:, 1:]]
-            e = expm(gen)
-            out = e if out is None else out @ e
-        total += out[:, 0, size - 1].sum()
-    return complex(total)
+    size = max((len(c) for c in chains), default=1)
+    nodes = np.array([(c[0],) * (size - len(c)) + c for c in chains], dtype=int)
+    nodes = nodes.reshape(-1, size)
+    start = size - np.array([len(c) for c in chains], dtype=int)
+    steps = form.closure.index[nodes[:, :-1], nodes[:, 1:]]
+    return exp_chain_sum(diag[..., nodes], links[..., steps], start)
 
 
 def entry_chain_value(form, path, p, q):
@@ -187,19 +162,15 @@ def entry_chain_value(form, path, p, q):
     expands each entry over strictly increasing chains; every chain
     contributes one exponential iterated integral whose exponents are
     the diagonal characters along the chain and whose factors are the
-    off diagonal entry functionals of the steps.
-
-    Each call reduces the adjacency once, enumerates the entry's chains
-    once and groups them by length, and computes every segment's scaled
-    characters and connection matrix once. On each segment the chains of
-    one length then share one stacked exponential of their bidiagonal
-    generators, and the products across segments run as one batch. The
-    dense r by r exponential is never formed, so the sum stays a
-    certificate independent of transport.
+    off diagonal entry functionals of the steps. All of them go through
+    one call of matfuncs.exp_chain_sum, and the dense r by r exponential
+    is never formed, so the sum stays a certificate independent of
+    transport.
     """
     if p > q:
         return 0.0 + 0.0j
-    return _chain_sum(_chain_groups(entry_chains(form, p, q)), _segment_data(form, path))
+    diag, links = _segment_data(form, [path])
+    return complex(_chain_sum(form, entry_chains(form, p, q), diag, links)[0])
 
 
 def closedness_residual(form, model, target, seed=0, entries=None, trials=3):
@@ -207,28 +178,23 @@ def closedness_residual(form, model, target, seed=0, entries=None, trials=3):
 
     Every selected entry is evaluated through its chain decomposition on
     several endpoint equal paths and compared against the transport.
-    The scaled characters and connection matrices of each path are
-    computed once for all entries, and each entry's chains are
-    enumerated and grouped once for all paths; the sums themselves are
-    the batched ones of entry_chain_value. Returns the worst spread
-    across paths and the worst disagreement with the transport entries.
+    Segment data is computed once for all paths, and each entry takes
+    one kernel call for all of them. Returns the worst spread across
+    paths and the worst disagreement with the transport entries.
     """
     variants = path_variants(model, target, seed=seed, trials=trials)
     base = transport(form, variants[0])
     scale = max(1.0, float(np.max(np.abs(base))))
-    segments = [_segment_data(form, path) for path in variants]
+    diag, links = _segment_data(form, variants)
     r = form.r
     if entries is None:
         entries = [(p, q) for p in range(r) for q in range(p, r)]
     spread = 0.0
     mismatch = 0.0
     for p, q in entries:
-        groups = _chain_groups(entry_chains(form, p, q))
-        values = [_chain_sum(groups, segs) for segs in segments]
-        for v in values:
-            mismatch = max(mismatch, abs(v - base[p, q]) / scale)
-        for v in values[1:]:
-            spread = max(spread, abs(v - values[0]) / scale)
+        values = _chain_sum(form, entry_chains(form, p, q), diag, links)
+        mismatch = max(mismatch, float(np.max(np.abs(values - base[p, q]))) / scale)
+        spread = max(spread, float(np.max(np.abs(values[1:] - values[0]))) / scale)
     return spread, mismatch
 
 

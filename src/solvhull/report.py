@@ -24,7 +24,7 @@ def _fmt_float(x):
 def _emit(obj, out):
     if obj is None:
         out.append("null")
-    elif isinstance(obj, bool):
+    elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))

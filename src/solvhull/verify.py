@@ -24,7 +24,6 @@ from .integrals import (
     transport_series,
 )
 from .monodromy import (
-    _chain_steps,
     build_monodromy_rep,
     closedness_residual,
     path_independence_residual,
@@ -109,7 +108,7 @@ def _integral_section(problem, form, seed, depth):
     # Exponential integral: diagonal characters of the ends of the first
     # live step in row-major order with its entry functional, when one
     # exists.
-    steps = _chain_steps(form)
+    steps = form.chain_steps
     p = next((p for p, row in enumerate(steps) if row), None)
     if p is None:
         word = IntegralWord((form.omega[0, :],), ())

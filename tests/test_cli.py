@@ -190,6 +190,22 @@ def test_verify_out_file(tmp_path):
     assert report["ok"] is True
 
 
+def test_verify_reports_a_failed_check_as_not_ok(monkeypatch, capsys):
+    """A residual above its limit, as a numpy float, fails the report."""
+    import numpy as np
+
+    import solvhull.verify as verify
+
+    monkeypatch.setattr(
+        verify, "closedness_residual", lambda *args, **kwargs: (0.0, np.float64(1.0))
+    )
+    code = cli.main(["verify", "--example", "sol"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["ok"] is False
+    assert report["sections"]["monodromy"]["ok"] is False
+
+
 # ------------------------------------------------------------- exit codes
 
 

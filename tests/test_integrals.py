@@ -28,7 +28,7 @@ from solvhull import (
     transport_series,
     validate_algebra,
 )
-from solvhull.matfuncs import expm_upper_bidiagonal, phi1_apply, phi_difference
+from solvhull.matfuncs import phi1_apply
 
 from conftest import graded_filiform_structure
 
@@ -241,6 +241,72 @@ def test_transport_series_reports_growth(sol_stages):
     assert res.depth == 8
 
 
+def dense_product_series(matrices, depth):
+    """Oracle: the graded product series with dense matrix products."""
+    r = matrices[0].shape[0]
+    coeff = [np.eye(r, dtype=complex)] + [np.zeros((r, r), dtype=complex)] * depth
+    for a in matrices:
+        powers = [np.eye(r, dtype=complex)]
+        for _ in range(depth):
+            powers.append(powers[-1] @ a)
+        new = [np.zeros((r, r), dtype=complex) for _ in range(depth + 1)]
+        for lo in range(depth + 1):
+            for k in range(depth + 1 - lo):
+                new[lo + k] += coeff[lo] @ powers[k] / factorial(k)
+        coeff = new
+    return sum(coeff)
+
+
+SERIES_FORMS = [f"corpus-{seed}" for seed in range(25)] + [
+    "sol", "sect4", "filiform-4", "filiform-5", "filiform-6", "filiform-7",
+]
+
+
+@pytest.fixture(scope="module")
+def filiform7_form():
+    split = build_splitting(validate_algebra(graded_filiform_structure(7)))
+    return build_connection_form(build_enveloping_rep(split))
+
+
+@pytest.mark.parametrize("name", SERIES_FORMS)
+def test_pattern_series_matches_dense_series(name, request):
+    """The closure pattern series is the dense graded product series."""
+    kind, _, arg = name.partition("-")
+    if kind == "corpus":
+        split = request.getfixturevalue("corpus_splittings")[int(arg)]
+        form = build_connection_form(build_enveloping_rep(split))
+    elif kind == "filiform":
+        forms = request.getfixturevalue("filiform_forms")
+        form = forms[int(arg)] if int(arg) in forms else request.getfixturevalue("filiform7_form")
+    else:
+        form = request.getfixturevalue(f"{name}_stages")["form"]
+    rng = np.random.default_rng(100 + len(name))
+    segments = 2 if form.r > 100 else 4
+    pairs = [
+        (rng.standard_normal(form.dim), float(rng.uniform(0.2, 0.8))) for _ in range(segments)
+    ]
+    growth = sum(t * float(np.linalg.norm(form.psi(v), "fro")) for v, t in pairs)
+    path = path_from_pairs([(v, t * min(1.0, 3.0 / growth)) for v, t in pairs])
+    mats = [seg.duration * form.psi(seg.vector) for seg in path]
+    for depth in (0, 1, 20):
+        dense = dense_product_series(mats, depth)
+        value = transport_series(form, path, depth).value
+        scale = max(1.0, float(np.max(np.abs(dense))))
+        assert np.max(np.abs(value - dense)) <= 1e-14 * scale, depth
+
+
+def test_series_on_the_empty_path_is_the_identity(sect4_stages):
+    form = sect4_stages["form"]
+    empty = path_from_pairs([])
+    for depth in (0, 1, 20):
+        res = transport_series(form, empty, depth)
+        assert np.array_equal(res.value, np.eye(form.r))
+        assert res.growth == 0.0
+    for size in (1, 3):
+        word = IntegralWord(exponents=((1.0,),) * size, factors=((1.0,),) * (size - 1))
+        assert exp_iterated_integral_series(word, empty, 5).value == (size == 1)
+
+
 # ----------------------------------------------------- exponential words
 
 
@@ -349,15 +415,19 @@ def test_exp_integral_multiplicative_over_concat_for_size_one():
 # ------------------------------------------------------------- matfuncs
 
 
-def test_phi_difference_far_and_near():
-    assert phi_difference(1.0, 0.0) == pytest.approx(np.e - 1.0)
-    # series branch agrees with the direct quotient at moderate gap
-    direct = (np.exp(0.5) - np.exp(0.5 - 1e-5)) / 1e-5
-    assert phi_difference(0.5, 0.5 - 1e-5) == pytest.approx(direct, rel=1e-9)
-    assert phi_difference(0.7, 0.7) == pytest.approx(np.exp(0.7))
+def unit_segment_value(diag, sup):
+    """Top right entry of exp of an upper bidiagonal matrix.
+
+    A word over one dimensional functionals, on one unit segment, has
+    exactly that matrix as its generator.
+    """
+    word = IntegralWord(
+        exponents=tuple((z,) for z in diag), factors=tuple((s,) for s in sup)
+    )
+    return exp_iterated_integral(word, path_from_pairs([((1.0,), 1.0)]))
 
 
-def mp_phi_difference(mpmath, a, b):
+def mp_exp_difference(mpmath, a, b):
     with mpmath.workdps(40):
         a, b = mpmath.mpc(a), mpmath.mpc(b)
         if a == b:
@@ -365,12 +435,20 @@ def mp_phi_difference(mpmath, a, b):
         return (mpmath.exp(a) - mpmath.exp(b)) / (a - b)
 
 
-def test_phi_difference_matches_mpmath_on_a_close_filiform_chain():
+def test_length_two_word_far_and_near():
+    assert unit_segment_value((1.0, 0.0), (1.0,)) == pytest.approx(np.e - 1.0)
+    # series branch agrees with the direct quotient at moderate gap
+    direct = (np.exp(0.5) - np.exp(0.5 - 1e-5)) / 1e-5
+    assert unit_segment_value((0.5, 0.5 - 1e-5), (1.0,)) == pytest.approx(direct, rel=1e-9)
+    assert unit_segment_value((0.7, 0.7), (1.0,)) == pytest.approx(np.exp(0.7))
+
+
+def test_length_two_word_matches_mpmath_on_a_close_filiform_chain():
     """Chain (93, 95) of the rank 6 graded filiform form at gap 9.3e-5.
 
     Monomial 93 carries the grading character and monomial 95 (the unit)
     none, so on a segment whose grading coordinate is 9.3e-5 the
-    length-2 exponential integral needs phi_difference at that gap.
+    length-2 exponential integral is a divided difference at that gap.
     """
     mpmath = pytest.importorskip("mpmath")
     split = build_splitting(validate_algebra(graded_filiform_structure(6)))
@@ -380,30 +458,35 @@ def test_phi_difference_matches_mpmath_on_a_close_filiform_chain():
     x[1:] = np.random.default_rng(3).standard_normal(form.dim - 1)
     a, b = form.diagonal_characters(x)[[93, 95]]
     assert abs(a - b) == pytest.approx(9.3e-5, rel=1e-2)
-    assert abs(phi_difference(a, b) - mp_phi_difference(mpmath, a, b)) <= 1e-16
+    value = unit_segment_value((a, b), (1.0,))
+    assert abs(value - mp_exp_difference(mpmath, a, b)) <= 1e-16
 
 
-def test_phi_difference_is_accurate_at_every_gap():
+def test_length_two_word_is_accurate_at_every_gap():
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(31)
     for _ in range(400):
         centre = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         gap = 10 ** rng.uniform(-12, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         a, b = centre + gap / 2, centre - gap / 2
-        exact = mp_phi_difference(mpmath, a, b)
-        assert abs(phi_difference(a, b) - exact) <= 1e-14 * abs(exact), (a, b)
+        exact = mp_exp_difference(mpmath, a, b)
+        value = unit_segment_value((a, b), (1.0,))
+        assert abs(value - exact) <= 1e-14 * abs(exact), (a, b)
 
 
-def test_expm_upper_bidiagonal_matches_dense():
+def test_bidiagonal_words_match_dense_exponential():
+    """Every entry (i, j) of exp(B) is the word over slots i to j."""
     import scipy.linalg
 
     rng = np.random.default_rng(8)
-    for n in (1, 2, 3):
+    for n in range(1, 8):
         diag = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         sup = rng.standard_normal(n - 1)
-        m = np.diag(diag) + np.diag(sup, 1) if n > 1 else np.diag(diag)
-        out = expm_upper_bidiagonal(diag, sup)
-        assert np.max(np.abs(out - scipy.linalg.expm(m))) < 1e-12
+        dense = scipy.linalg.expm(np.diag(diag) + np.diag(sup, 1))
+        for i in range(n):
+            for j in range(i, n):
+                value = unit_segment_value(diag[i : j + 1], sup[i:j])
+                assert abs(value - dense[i, j]) < 1e-12, (n, i, j)
 
 
 def test_phi1_apply_matches_quadrature():

@@ -1,5 +1,6 @@
 """Monodromy representation and chain decompositions of its entries."""
 
+import dataclasses
 import gc
 import importlib
 
@@ -21,9 +22,9 @@ from solvhull import (
     path_independence_residual,
     path_variants,
     separation_demo,
+    transport_series,
     word_monodromy,
 )
-from solvhull.monodromy import _chain_steps
 
 from conftest import CORPUS_SEEDS
 
@@ -222,14 +223,14 @@ def test_chain_decomposition_reproduces_transport(seed, sol_stages, sect4_stages
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)
 def test_chain_steps_match_pairwise_scan_on_corpus(seed, corpus_splittings):
     form = build_connection_form(build_enveloping_rep(corpus_splittings[seed]))
-    assert _chain_steps(form) == pairwise_chain_steps(form)
+    assert form.chain_steps == pairwise_chain_steps(form)
 
 
 def test_chain_steps_match_pairwise_scan_on_builtins_and_filiform(
     sol_stages, sect4_stages, filiform_forms
 ):
     for form in (sol_stages["form"], sect4_stages["form"], *filiform_forms.values()):
-        assert _chain_steps(form) == pairwise_chain_steps(form)
+        assert form.chain_steps == pairwise_chain_steps(form)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -263,28 +264,107 @@ def test_batched_chain_value_on_empty_path(sect4_stages):
             assert per_chain_value(form, path, p, q) == expected
 
 
-def test_chain_value_takes_one_expm_per_length_and_segment(filiform_forms, monkeypatch):
-    """Chains of one length share a stacked exponential on each segment."""
+def counting_kernel(monkeypatch):
+    """Record the shapes of every bidiagonal kernel call from monodromy."""
+    calls = []
+    kernel = monodromy_module.exp_chain_sum
+
+    def counted(diag, sup, start):
+        calls.append(np.shape(diag))
+        return kernel(diag, sup, start)
+
+    monkeypatch.setattr(monodromy_module, "exp_chain_sum", counted)
+    return calls
+
+
+def test_chain_value_takes_one_kernel_call_per_entry(filiform_forms, monkeypatch):
+    """All chains of an entry, of every length, share one kernel call."""
     form = filiform_forms[6]
     last = form.r - 1
     path = capped_path(np.random.default_rng(12), form, 4)
-    # The entry (0, last) has a single chain; the busiest entry of the
-    # last column tells batching from a per chain loop.
     p = max(range(form.r), key=lambda p: len(entry_chains(form, p, last)))
     chains = entry_chains(form, p, last)
-    budget = len({len(c) for c in chains}) * len(path)
-    assert len(chains) * len(path) > budget
+    assert len({len(c) for c in chains}) > 1
 
-    calls = []
-    expm = monodromy_module.expm
-
-    def counting_expm(a):
-        calls.append(np.shape(a))
-        return expm(a)
-
-    monkeypatch.setattr(monodromy_module, "expm", counting_expm)
+    calls = counting_kernel(monkeypatch)
     entry_chain_value(form, path, p, last)
-    assert 0 < len(calls) <= budget
+    assert calls == [(1, len(path), len(chains), max(len(c) for c in chains))]
+
+
+def test_closedness_takes_one_kernel_call_per_entry(sect4_stages, sect4_problem, monkeypatch):
+    """Every path variant of an entry goes through the same kernel call."""
+    form = sect4_stages["form"]
+    model = sect4_problem.model
+    target = sect4_problem.lattice.generator("c")
+    variants = path_variants(model, target, seed=2, trials=2)
+    assert len({len(path) for path in variants}) > 1
+    entries = [(0, form.r - 1), (1, 1), (2, 5)]
+
+    calls = counting_kernel(monkeypatch)
+    closedness_residual(form, model, target, seed=2, entries=entries, trials=2)
+    assert len(calls) == len(entries)
+    assert all(shape[:2] == (len(variants), max(map(len, variants))) for shape in calls)
+
+
+def test_live_pattern_is_computed_once_per_form(filiform_forms, monkeypatch):
+    """A full last column reduces psi_tensor once, however many entries."""
+    connection_module = importlib.import_module("solvhull.connection")
+    calls = []
+    live = connection_module._live_adjacency
+
+    def counted(tensor):
+        calls.append(tensor.shape)
+        return live(tensor)
+
+    monkeypatch.setattr(connection_module, "_live_adjacency", counted)
+    form = dataclasses.replace(filiform_forms[6])
+    last = form.r - 1
+    path = capped_path(np.random.default_rng(13), form, 4)
+    for p in range(form.r):
+        entry_chain_value(form, path, p, last)
+    transport_series(form, path, 3)
+    assert calls == [form.psi_tensor.shape]
+    assert form.chain_steps == pairwise_chain_steps(form)
+
+
+def mp_last_column(form, path, dps=40):
+    """Last column of the transport in mpmath, one sparse Taylor series per segment.
+
+    Products apply right to left: the last segment acts on e_last first.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        column = [mpmath.mpc(0)] * form.r
+        column[-1] = mpmath.mpc(1)
+        for seg in reversed(list(path)):
+            m = seg.duration * form.psi(seg.vector)
+            entries = [
+                (i, j, mpmath.mpc(complex(m[i, j]))) for i, j in zip(*np.nonzero(m))
+            ]
+            term, total, k = column, list(column), 0
+            while True:
+                k += 1
+                nxt = [mpmath.mpc(0)] * form.r
+                for i, j, v in entries:
+                    nxt[i] += v * term[j]
+                term = [t / k for t in nxt]
+                total = [a + b for a, b in zip(total, term)]
+                if max(abs(t) for t in term) < mpmath.mpf(10) ** (-dps):
+                    break
+            column = total
+        return np.array([complex(z) for z in column])
+
+
+def test_last_column_matches_mpmath_to_a_few_ulps(filiform_forms):
+    """Rank 6 last column, (93, 95) and the 6-step chains included."""
+    form = filiform_forms[6]
+    last = form.r - 1
+    path = capped_path(np.random.default_rng(11), form, 4)
+    exact = mp_last_column(form, path)
+    values = np.array([entry_chain_value(form, path, p, last) for p in range(form.r)])
+    scale = max(1.0, float(np.max(np.abs(exact))))
+    assert np.max(np.abs(values - exact)) <= 4 * np.finfo(float).eps * scale
+    assert abs(values[93] - exact[93]) <= 4 * np.finfo(float).eps * scale
 
 
 def test_closedness_residual_on_lattice_targets(sol_stages, sol_problem):
@@ -349,7 +429,7 @@ def test_zero_displacement_means_no_depth_one_separation(sol_stages, sol_problem
 
 def _recursive_chains(form, p, q):
     """Reference: the chains in the order of a recursive depth-first walk."""
-    steps = _chain_steps(form)
+    steps = form.chain_steps
     chains = []
 
     def rec(node, acc):

@@ -80,3 +80,8 @@ def test_digest_is_stable_sha256():
     assert digest(text) == digest(text)
     assert len(digest(text)) == 64
     assert digest(text) != digest(text + " ")
+
+
+def test_numpy_bool_is_emitted_as_bool():
+    assert canonical_json({"ok": np.False_}) == '{"ok":false}'
+    assert canonical_json([np.True_, np.bool_(False)]) == "[true,false]"
