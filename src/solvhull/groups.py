@@ -5,8 +5,19 @@ commuting matrices: (t1, v1)(t2, v2) = (t1 + t2, v1 + phi(t1) v2) with
 phi(t) the exponential of the t-weighted sum of the action matrices.
 Algebra coordinates list the translation directions first and the fiber
 directions after them, matching the structure tables of the builtins.
+
+Lattice words revisit a few translation vectors and arcs many times
+(sol's verify makes about 200 phi calls on 16 distinct vectors), so each
+model memoizes phi(t) on the bytes of t and exp(x, duration) on the bytes
+of x and of the duration, each in its own least recently used memo of
+_MEMO_SIZE = 256 entries. The memo is exact: a hit returns the result a
+miss would compute, since the key holds every bit the computation reads
+and the result cannot be changed in place (phi's array is read-only,
+GroupElement is frozen). exp still validates its direction on every
+call, and every endpoint check still runs.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +27,8 @@ from .linalg import bracket_residual
 from .matfuncs import expm, phi1_apply
 from .paths import PathWord
 from .tolerances import DEFAULT
+
+_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -61,6 +74,14 @@ class SemidirectModel:
         self.k = k
         self.m = m_dim
         self.tolerances = tolerances
+        # The memos close over the matrices, not the model, so a model
+        # holds no reference cycle.
+        self._phi_memo = functools.lru_cache(maxsize=_MEMO_SIZE)(
+            functools.partial(_phi_of_bytes, mats)
+        )
+        self._exp_memo = functools.lru_cache(maxsize=_MEMO_SIZE)(
+            functools.partial(_exp_of_bytes, mats)
+        )
 
     @property
     def dim(self):
@@ -71,15 +92,11 @@ class SemidirectModel:
 
     def action_generator(self, t):
         """Fiber derivative of the action along a translation direction."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros((self.m, self.m), dtype=complex)
-        for a in range(self.k):
-            out += t[a] * self.mats[a]
-        return out
+        return _action_generator(self.mats, np.asarray(t, dtype=float))
 
     def phi(self, t):
-        """Holonomy of the translation part on the fiber."""
-        return expm(self.action_generator(t))
+        """Holonomy of the translation part on the fiber, read-only."""
+        return self._phi_memo(np.asarray(t, dtype=float).tobytes())
 
     def multiply(self, g, h):
         return GroupElement(
@@ -115,11 +132,9 @@ class SemidirectModel:
 
     def exp(self, x, duration=1.0):
         """Endpoint of the exponential arc of x run for the given time."""
-        t, z = self.split_direction(x)
-        s = float(duration)
-        gen = self.action_generator(t)
-        fiber = phi1_apply(s * gen, s * z)
-        return GroupElement(tuple(s * t), tuple(fiber))
+        self.split_direction(x)
+        key = np.asarray(x, dtype=complex).tobytes()
+        return self._exp_memo(key, np.float64(duration).tobytes())
 
     def endpoint(self, path):
         """Fold a path word into its group endpoint from the identity."""
@@ -175,6 +190,27 @@ class SemidirectModel:
         return c
 
 
+def _action_generator(mats, t):
+    out = np.zeros(mats[0].shape, dtype=complex)
+    for a in range(len(mats)):
+        out += t[a] * mats[a]
+    return out
+
+
+def _phi_of_bytes(mats, key):
+    out = expm(_action_generator(mats, np.frombuffer(key, dtype=float)))
+    out.flags.writeable = False
+    return out
+
+
+def _exp_of_bytes(mats, key, duration):
+    x = np.frombuffer(key, dtype=complex)
+    s = float(np.frombuffer(duration, dtype=float)[0])
+    t, z = x[: len(mats)].real, x[len(mats) :]
+    fiber = phi1_apply(s * _action_generator(mats, t), s * z)
+    return GroupElement(tuple(s * t), tuple(fiber))
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Named lattice generators in a semidirect model, plus word helpers."""
@@ -203,15 +239,19 @@ class Lattice:
         """Concatenated canonical loops for a lattice word.
 
         Each letter contributes the loop of its generator (or inverse),
-        repeated for the exponent; the whole path runs from the identity
-        to the word's group element.
+        repeated for the exponent and built once per name and sign; the
+        whole path runs from the identity to the word's group element.
         """
         segments = []
+        loops = {}
         for name, exp in word:
             g = self.generator(name)
-            step = g if exp >= 0 else self.model.inverse(g)
-            for _ in range(abs(int(exp))):
-                segments.extend(self.model.loop_of(step, check=False).segments)
+            reps = abs(int(exp))
+            key = (name, exp >= 0)
+            if reps and key not in loops:
+                step = g if exp >= 0 else self.model.inverse(g)
+                loops[key] = self.model.loop_of(step, check=False).segments
+            segments.extend(loops.get(key, ()) * reps)
         path = PathWord(segments)
         if check and segments:
             reached = self.model.endpoint(path)

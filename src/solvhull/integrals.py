@@ -58,7 +58,14 @@ def iterated_integral_quadrature(functionals, path, points=10000):
 
     The grid is aligned with segment boundaries and the sum runs over the
     strictly lower simplex, so the error is of order one over the number
-    of points. Serves as an independent slow oracle.
+    of points. Serves as an independent oracle.
+
+    On a segment, level k after step u + 1 is level k after step u plus
+    a[k-1] (level k-1 after step u) h, so each level is one cumulative
+    sum, strictly left to right, over the trajectory of the level below.
+    The products are written out in real and imaginary parts, h as the
+    complex number h + 0j, exactly as a scalar complex multiply rounds
+    them; a vectorized complex multiply may round differently.
     """
     word = [np.asarray(f, dtype=complex) for f in functionals]
     n = len(word)
@@ -71,9 +78,17 @@ def iterated_integral_quadrature(functionals, path, points=10000):
         steps = max(1, int(round(points * seg.duration / max(total_time, 1e-300))))
         h = seg.duration / steps
         a = [_functional_value(f, seg.vector) for f in word]
-        for _ in range(steps):
-            for k in range(n, 0, -1):
-                cum[k] = cum[k] + a[k - 1] * cum[k - 1] * h
+        below = np.full(steps + 1, cum[0])
+        for k, c in enumerate(a, start=1):
+            re, im = below.real[:-1], below.imag[:-1]
+            pr = c.real * re - c.imag * im
+            pi = c.real * im + c.imag * re
+            level = np.empty(steps + 1, dtype=complex)
+            level[0] = cum[k]
+            level.real[1:] = pr * h - pi * 0.0
+            level.imag[1:] = pr * 0.0 + pi * h
+            below = np.cumsum(level)
+            cum[k] = below[-1]
     return complex(cum[n])
 
 

@@ -93,7 +93,11 @@ def path_variants(model, target, seed=0, trials=4):
 def path_independence_residual(form, model, target, seed=0, trials=4):
     """Largest transport deviation across endpoint equal paths."""
     variants = path_variants(model, target, seed=seed, trials=trials)
-    base = transport(form, variants[0])
+    return _transport_spread(form, variants, transport(form, variants[0]))
+
+
+def _transport_spread(form, variants, base):
+    """Largest deviation of the variants' transports from base, the first's."""
     scale = max(1.0, float(np.max(np.abs(base))))
     worst = 0.0
     for path in variants[1:]:
@@ -183,7 +187,15 @@ def closedness_residual(form, model, target, seed=0, entries=None, trials=3):
     paths and the worst disagreement with the transport entries.
     """
     variants = path_variants(model, target, seed=seed, trials=trials)
-    base = transport(form, variants[0])
+    return _chain_closedness(form, variants, transport(form, variants[0]), entries)
+
+
+def _chain_closedness(form, variants, base, entries=None):
+    """Chain sum spread across the variants and mismatch against base.
+
+    base is the transport along the first variant; entries default to
+    the whole upper triangle.
+    """
     scale = max(1.0, float(np.max(np.abs(base))))
     diag, links = _segment_data(form, variants)
     r = form.r

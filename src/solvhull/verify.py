@@ -24,9 +24,11 @@ from .integrals import (
     transport_series,
 )
 from .monodromy import (
+    _chain_closedness,
+    _transport_spread,
     build_monodromy_rep,
-    closedness_residual,
     path_independence_residual,
+    path_variants,
     separation_demo,
     word_monodromy,
 )
@@ -184,15 +186,18 @@ def _monodromy_section(problem, form, seed):
             pi_worst,
             path_independence_residual(form, model, lattice.generator(name), seed=seed),
         )
+    # The target's paths and base transport serve both checks: four
+    # detours for path independence, and the first three of them, which
+    # path_variants draws first, for closedness.
     target = lattice.element_of(test_words[0])
-    pi_worst = max(pi_worst, path_independence_residual(form, model, target, seed=seed))
+    variants = path_variants(model, target, seed=seed, trials=4)
+    base = transport(form, variants[0])
+    pi_worst = max(pi_worst, _transport_spread(form, variants, base))
 
     r = form.r
     entries = [(0, q) for q in range(r)] + [(p, p) for p in range(1, r)]
     entries += [(p, r - 1) for p in range(1, r - 1)]
-    spread, mismatch = closedness_residual(
-        form, model, target, seed=seed, entries=entries
-    )
+    spread, mismatch = _chain_closedness(form, variants[:-1], base, entries)
 
     demo = separation_demo(form, lattice)
 

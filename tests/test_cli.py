@@ -197,7 +197,7 @@ def test_verify_reports_a_failed_check_as_not_ok(monkeypatch, capsys):
     import solvhull.verify as verify
 
     monkeypatch.setattr(
-        verify, "closedness_residual", lambda *args, **kwargs: (0.0, np.float64(1.0))
+        verify, "_chain_closedness", lambda *args, **kwargs: (0.0, np.float64(1.0))
     )
     code = cli.main(["verify", "--example", "sol"])
     report = json.loads(capsys.readouterr().out)

@@ -1,5 +1,7 @@
 """Semidirect product group model, exponential arcs, lattice words."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,10 @@ from solvhull import (
     SemidirectModel,
     Tolerances,
     ValidationError,
+    builtin_problem,
+    cli,
+    groups,
+    matfuncs,
     parse_word,
     path_from_pairs,
 )
@@ -118,6 +124,47 @@ def test_phi_is_a_one_parameter_group(sol_model):
     lhs = sol_model.phi(t1 + t2)
     rhs = sol_model.phi(t1) @ sol_model.phi(t2)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_phi_memo_returns_the_exponential_read_only(sect4_model):
+    t = np.array([0.3, -1.7])
+    first = sect4_model.phi(t)
+    assert np.array_equal(first, matfuncs.expm(sect4_model.action_generator(t)))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    assert sect4_model.phi(t.copy()) is first
+
+
+def test_models_do_not_share_memo_entries(sol_problem):
+    other = builtin_problem("sol").model
+    t = np.array([0.4])
+    mine = sol_problem.model.phi(t)
+    assert other._phi_memo.cache_info().currsize == 0
+    assert other.phi(t) is not mine
+    x = sol_problem.model.direction_of([0.2], [1.0, -1.0])
+    sol_problem.model.exp(x, 0.5)
+    assert other._exp_memo.cache_info().currsize == 0
+
+
+def test_memo_stays_within_its_bound(sol_model):
+    for i in range(3 * groups._MEMO_SIZE):
+        sol_model.phi(np.array([i / 7.0]))
+        sol_model.exp(sol_model.direction_of([0.1], [1.0, 0.0]), i / 11.0)
+    assert sol_model._phi_memo.cache_info().currsize == groups._MEMO_SIZE
+    assert sol_model._exp_memo.cache_info().currsize == groups._MEMO_SIZE
+    assert sol_model._phi_memo.cache_info().maxsize == groups._MEMO_SIZE
+
+
+def test_exp_validates_on_a_memo_hit(sol_model):
+    x = sol_model.direction_of([0.5], [1.0, 2.0])
+    sol_model.exp(x, 1.0)
+    bad = x.copy()
+    bad[0] += 1e-3j
+    with pytest.raises(ValidationError):
+        sol_model.exp(bad, 1.0)
+    with pytest.raises(ValidationError):
+        sol_model.exp(x[:-1], 1.0)
 
 
 # ------------------------------------------------------------ exponentials
@@ -263,6 +310,21 @@ def test_path_of_exponent_repeats_loops(sol_problem):
     assert len(three) == 3 * len(one)
 
 
+@pytest.mark.parametrize("problem_name", ["sol", "sect4"])
+def test_path_of_equals_one_loop_per_repetition(problem_name, sol_problem, sect4_problem):
+    problem = {"sol": sol_problem, "sect4": sect4_problem}[problem_name]
+    lat, model = problem.lattice, problem.model
+    names = lat.names
+    word = ((names[0], 2), (names[-1], -3), (names[0], 0), (names[0], -1), (names[-1], 1))
+    segments = []
+    for name, exp in word:
+        g = lat.generator(name)
+        step = g if exp >= 0 else model.inverse(g)
+        for _ in range(abs(exp)):
+            segments.extend(model.loop_of(step, check=False).segments)
+    assert lat.path_of(word) == path_from_pairs(segments)
+
+
 def test_path_of_empty_word(sol_problem):
     path = sol_problem.lattice.path_of(())
     assert len(path) == 0
@@ -288,3 +350,43 @@ def test_parse_word_bad_exponent():
 def test_parse_word_missing_name():
     with pytest.raises(ValidationError):
         parse_word("^2")
+
+
+# ------------------------------------------------------------ memo in verify
+
+
+def verify_stdout(capsys, example, seed):
+    code = cli.main(["verify", "--example", example, "--seed", str(seed)])
+    assert code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("example", ["sol", "sect4"])
+def test_memo_changes_no_verify_output(example, monkeypatch, capsys):
+    memoized = {seed: verify_stdout(capsys, example, seed) for seed in (0, 1, 7)}
+    # A memo of size zero misses on every call.
+    monkeypatch.setattr(groups, "_MEMO_SIZE", 0)
+    for seed, text in memoized.items():
+        assert verify_stdout(capsys, example, seed) == text
+
+
+# Measured on sol and sect4 after phi and exp were memoized (372 and 443
+# before); the count does not depend on the seed.
+EXPM_CALLS = {"sol": 121, "sect4": 134}
+
+
+@pytest.mark.parametrize("example", ["sol", "sect4"])
+def test_verify_expm_call_count(example, monkeypatch, capsys):
+    expm = matfuncs.expm
+    calls = []
+
+    def counted(a):
+        calls.append(1)
+        return expm(a)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("solvhull") and getattr(module, "expm", None) is expm:
+            monkeypatch.setattr(module, "expm", counted)
+    verify_stdout(capsys, example, 0)
+    assert 0 < len(calls) <= EXPM_CALLS[example]

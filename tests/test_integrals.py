@@ -126,6 +126,70 @@ def test_quadrature_error_shrinks_linearly():
     assert e2 < e1 / 3.0
 
 
+def scalar_quadrature(functionals, path, points):
+    """The per-step loop iterated_integral_quadrature replaced, kept as its oracle."""
+    word = [np.asarray(f, dtype=complex) for f in functionals]
+    n = len(word)
+    total_time = path.total_duration
+    cum = np.zeros(n + 1, dtype=complex)
+    cum[0] = 1.0
+    for seg in path:
+        if seg.duration == 0.0:
+            continue
+        steps = max(1, int(round(points * seg.duration / max(total_time, 1e-300))))
+        h = seg.duration / steps
+        a = [complex(np.dot(f, seg.vector)) for f in word]
+        for _ in range(steps):
+            for k in range(n, 0, -1):
+                cum[k] = cum[k] + a[k - 1] * cum[k - 1] * h
+    return complex(cum[n])
+
+
+def same_bits(x, y):
+    return x == y and all(
+        np.signbit(u) == np.signbit(v) for u, v in ((x.real, y.real), (x.imag, y.imag))
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_quadrature_is_bit_identical_to_the_scalar_loop(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        dim = int(rng.integers(2, 6))
+        complex_word = bool(rng.integers(2))
+        word = []
+        for _ in range(int(rng.integers(1, 5))):
+            f = rng.standard_normal(dim)
+            word.append(f + 1j * rng.standard_normal(dim) if complex_word else f)
+        pairs = []
+        for _ in range(int(rng.integers(1, 5))):
+            v = rng.standard_normal(dim)
+            if rng.integers(2):
+                v = v + 1j * rng.standard_normal(dim)
+            duration = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.05, 1.5))
+            pairs.append((v, duration))
+        path = path_from_pairs(pairs)
+        for points in (1, 7, 100, 4000, 10000):
+            fast = iterated_integral_quadrature(word, path, points=points)
+            assert same_bits(fast, scalar_quadrature(word, path, points)), points
+
+
+def test_quadrature_of_the_empty_path_and_empty_word():
+    rng = np.random.default_rng(3)
+    word = [rng.standard_normal(3) for _ in range(2)]
+    empty = path_from_pairs([])
+    path = random_path(rng, 3, 2)
+    for points in (1, 7, 100):
+        assert same_bits(
+            iterated_integral_quadrature(word, empty, points), scalar_quadrature(word, empty, points)
+        )
+        assert iterated_integral_quadrature([], path, points) == 1.0
+    idle = path_from_pairs([(rng.standard_normal(3), 0.0)] * 2)
+    assert same_bits(
+        iterated_integral_quadrature(word, idle, 7), scalar_quadrature(word, idle, 7)
+    )
+
+
 # ------------------------------------------------------------- shuffles
 
 

@@ -169,6 +169,15 @@ def test_path_variants_share_the_endpoint(sol_problem):
         assert model.distance(model.endpoint(path), target) < 1e-8
 
 
+@pytest.mark.parametrize("problem_name", ["sol", "sect4"])
+def test_fewer_trials_give_a_prefix_of_the_variants(problem_name, sol_problem, sect4_problem):
+    """verify reuses the trials=4 variants, less the last, for closedness."""
+    problem = {"sol": sol_problem, "sect4": sect4_problem}[problem_name]
+    target = problem.lattice.element_of(parse_word("a b1" if problem_name == "sol" else "c g1"))
+    four = path_variants(problem.model, target, seed=5, trials=4)
+    assert four[:-1] == path_variants(problem.model, target, seed=5, trials=3)
+
+
 @pytest.mark.parametrize("gen", ["a", "b1", "b2"])
 def test_path_independence_for_sol_generators(gen, sol_stages, sol_problem):
     resid = path_independence_residual(
