@@ -522,7 +522,9 @@ def _semisimple_residuals(alg, tensor, nil_basis, tolerances):
     c = alg.structure
     scale = max(1.0, float(np.max(np.abs(tensor))))
 
-    commute = linalg.bracket_residual(tensor, np.zeros((n, n, n)))
+    commute = linalg.bracket_residual(
+        linalg.SparseStack.from_dense(tensor), np.zeros((n, n, n))
+    )
 
     on_brackets = float(np.max(np.abs(np.einsum("ijk,kab->ijab", c, tensor)))) if n else 0.0
 

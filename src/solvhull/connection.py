@@ -6,6 +6,12 @@ upper part is left multiplication in the module. The assignment is a Lie
 homomorphism by construction, which is exactly flatness of the induced
 connection, so parallel transport along loops is path independent.
 
+The form is stored as its nonzero entries (a linalg.SparseStack): the
+entries of the letter action recombined into the algebra's basis, plus the
+diagonal characters. Flatness is checked on them, and the live pattern,
+its product closure and psi restricted to that closure are read off them;
+the dense (dim, r, r) tensor is assembled only when asked for.
+
 The diagonal entries, viewed as linear functionals on the algebra, span
 a finitely generated additive group. A basis of that group is computed
 over the integers so every diagonal character gets integer coordinates.
@@ -22,11 +28,6 @@ from . import linalg
 from .errors import NotInLattice, SolvHullError
 from .integrals import closure_pattern
 from .tolerances import DEFAULT
-
-
-def _live_adjacency(psi_tensor):
-    """Strictly upper entries nonzero for some basis element, in one reduction."""
-    return np.triu(np.max(np.abs(psi_tensor), axis=0) > 0.0, 1)
 
 
 def _real_stack(vectors):
@@ -184,14 +185,16 @@ def _canonical_basis(basis, tol):
 class ConnectionForm:
     """Upper triangular matrix-valued one form with diagonal characters.
 
-    psi_tensor[i] is the matrix attached to basis vector i; omega[w, i]
-    the diagonal character of monomial w evaluated there. char_basis
-    generates the additive group of all diagonal characters and
-    char_coeffs gives each monomial's integer coordinates in it.
+    psi_entries holds the matrix attached to each basis vector as the
+    nonzero entries of a stack; psi_tensor[i] is that matrix written out
+    densely. omega[w, i] is the diagonal character of monomial w
+    evaluated at basis vector i. char_basis generates the additive group
+    of all diagonal characters and char_coeffs gives each monomial's
+    integer coordinates in it.
     """
 
     envelope: object
-    psi_tensor: np.ndarray = field(repr=False)
+    psi_entries: linalg.SparseStack = field(repr=False)
     omega: np.ndarray = field(repr=False)
     char_basis: tuple
     char_coeffs: np.ndarray = field(repr=False)
@@ -200,20 +203,25 @@ class ConnectionForm:
 
     @property
     def r(self):
-        return self.psi_tensor.shape[1]
+        return self.psi_entries.size
 
     @property
     def dim(self):
-        return self.psi_tensor.shape[0]
+        return self.psi_entries.n
 
     @property
     def words(self):
         return self.envelope.words
 
     @cached_property
+    def psi_tensor(self):
+        """Dense (dim, r, r) stack: psi_tensor[i] is basis vector i's matrix."""
+        return self.psi_entries.dense()
+
+    @cached_property
     def live(self):
         """Boolean r by r mask of the strictly upper entries ever nonzero."""
-        return _live_adjacency(self.psi_tensor)
+        return self.psi_entries.strict_upper_support()
 
     @cached_property
     def chain_steps(self):
@@ -225,36 +233,43 @@ class ConnectionForm:
         """Closure of live under products; every product of psi(x) lies on it."""
         return closure_pattern(self.live)
 
+    @cached_property
+    def closure_psi(self):
+        """psi on the closure pattern: psi(x) has values x @ closure_psi there."""
+        stack, pattern = self.psi_entries, self.closure
+        out = np.zeros((self.dim, pattern.rows.size), dtype=complex)
+        out[:, pattern.index[stack.rows, stack.cols]] = stack.values
+        return out
+
     def psi(self, x):
         """Connection matrix of an algebra element."""
-        flat = np.asarray(x, dtype=complex) @ self.psi_tensor.reshape(self.dim, -1)
-        return flat.reshape(self.r, self.r)
-
-    def diagonal_characters(self, x):
-        """Diagonal of psi(x), one character value per monomial."""
-        return self.omega @ np.asarray(x, dtype=complex)
+        return self.psi_entries.apply(x)
 
     def entry_functional(self, p, q):
         """The (p, q) matrix entry of psi as a functional on the algebra."""
-        return np.ascontiguousarray(self.psi_tensor[:, p, q])
+        return self.psi_entries.entry(p, q)
 
 
 def build_connection_form(env, tolerances=DEFAULT):
     """Assemble the connection form from a truncated enveloping module."""
     split = env.split
     alg = split.base
-    n = alg.dim
     r = env.r
 
     omega = env.word_chars @ split.torus_coords.astype(complex)
 
-    psi = np.zeros((n, r, r), dtype=complex)
-    for i in range(n):
-        coords = env.generator_inverse[:, i]
-        psi[i] = env.letter_action(coords)
-        psi[i][np.diag_indices(r)] += omega[:, i]
+    # Basis vector i acts as sum_a ginv[a, i] (letter a) plus its diagonal
+    # characters; the letters are strictly upper, so the two parts sit on
+    # disjoint positions.
+    letters = env.letter_entries
+    psi = linalg.SparseStack.from_values(
+        r,
+        np.concatenate([letters.rows, np.arange(r)]),
+        np.concatenate([letters.cols, np.arange(r)]),
+        np.concatenate([env.generator_inverse.T @ letters.values, omega.T], axis=1),
+    )
 
-    scale = max(1.0, float(np.max(np.abs(psi))))
+    scale = max(1.0, float(np.max(np.abs(psi.values), initial=0.0)))
     flat = linalg.bracket_residual(psi, alg.structure.astype(complex)) / scale
     if not flat <= tolerances.stage_budget:
         raise SolvHullError(f"connection form is not flat: residual {flat:.3e}")
@@ -281,7 +296,7 @@ def build_connection_form(env, tolerances=DEFAULT):
 
     return ConnectionForm(
         envelope=env,
-        psi_tensor=psi,
+        psi_entries=psi,
         omega=omega,
         char_basis=tuple(basis),
         char_coeffs=coeffs,

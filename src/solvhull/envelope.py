@@ -15,6 +15,11 @@ on, plain-degree truncation stops being a homomorphism, so the cap
 switches to the series-weighted degree: the span of monomials above any
 weight cap is a two sided ideal, and the quotient action is exact for
 every class.
+
+The action is kept as the nonzero entries of the letter matrices (a
+linalg.SparseStack, well under one percent of n r^2 at r in the hundreds),
+and the triangularity, homomorphism and torus Leibniz checks run on those
+entries alone; the dense stack is never formed.
 """
 
 from dataclasses import dataclass, field
@@ -25,31 +30,32 @@ from . import linalg
 from .errors import SolvHullError, TruncationOverflow
 from .tolerances import DEFAULT
 
-_CHAR_MATCH = 1e-6
-_CHAR_SNAP = 1e-9
-
 
 class _CharRegistry:
     """Canonical store of character tuples matched up to a small radius.
 
     Restricting the torus to different invariant subspaces recomputes the
     same eigenvalues with independent rounding noise; the registry makes
-    those recomputations land on identical canonical tuples.
+    those recomputations land on identical canonical tuples. Components
+    below tolerances.char_snap become zero; tuples within
+    tolerances.char_match of a known one in every component become it.
     """
 
-    def __init__(self):
+    def __init__(self, tolerances):
+        self.snap = tolerances.char_snap
+        self.match = tolerances.char_match
         self.chars = []
 
     def canon(self, char):
         char = tuple(complex(z) for z in char)
         snapped = []
         for z in char:
-            re = 0.0 if abs(z.real) < _CHAR_SNAP else z.real
-            im = 0.0 if abs(z.imag) < _CHAR_SNAP else z.imag
+            re = 0.0 if abs(z.real) < self.snap else z.real
+            im = 0.0 if abs(z.imag) < self.snap else z.imag
             snapped.append(complex(re, im))
         snapped = tuple(snapped)
         for known in self.chars:
-            if all(abs(a - b) <= _CHAR_MATCH for a, b in zip(known, snapped)):
+            if all(abs(a - b) <= self.match for a, b in zip(known, snapped)):
                 return known
         self.chars.append(snapped)
         return snapped
@@ -109,9 +115,10 @@ class EnvelopingTruncation:
     """Truncated enveloping module with the generator action matrices.
 
     words are normally ordered letter tuples sorted by descending weight.
-    letter_matrices[a] is left multiplication by generator a on the
-    module. word_chars[w, b] is the accumulated character of word w under
-    torus element b, which is exactly how the torus acts diagonally.
+    letter_entries holds left multiplication by each generator on the
+    module as the nonzero entries of a stack of r by r matrices.
+    word_chars[w, b] is the accumulated character of word w under torus
+    element b, which is exactly how the torus acts diagonally.
     """
 
     split: object
@@ -125,26 +132,12 @@ class EnvelopingTruncation:
     words: tuple
     word_weights: np.ndarray = field(repr=False)
     word_chars: np.ndarray = field(repr=False)
-    letter_matrices: np.ndarray = field(repr=False)
+    letter_entries: linalg.SparseStack = field(repr=False)
     residuals: dict
 
     @property
     def r(self):
         return len(self.words)
-
-    def letter_action(self, coords):
-        """Matrix of left multiplication by sum_a coords[a] * generator a."""
-        n = self.letter_matrices.shape[0]
-        flat = np.asarray(coords, dtype=complex) @ self.letter_matrices.reshape(n, -1)
-        return flat.reshape(self.r, self.r)
-
-    def shadow_action(self, x):
-        """Left multiplication by an algebra element in shadow coordinates."""
-        return self.letter_action(self.generator_inverse @ np.asarray(x, dtype=complex))
-
-    def torus_diagonal(self, torus_coeffs):
-        """Diagonal of the derivation action for given torus coordinates."""
-        return self.word_chars @ np.asarray(torus_coeffs, dtype=complex)
 
 
 def _build_generators(split, tolerances):
@@ -154,7 +147,7 @@ def _build_generators(split, tolerances):
     series = list(split.shadow_series)
     cls = split.shadow_class
     mats = [split.torus[b].astype(complex) for b in range(split.torus.shape[0])]
-    registry = _CharRegistry()
+    registry = _CharRegistry(tolerances)
 
     level_groups = []
     worst = 0.0
@@ -210,7 +203,7 @@ def _generator_table(split, gmat, ginv, weights, chars, tolerances):
             for m in range(n):
                 bad_weight = weights[m] < weights[a] + weights[b]
                 bad_char = any(
-                    abs(zm - zt) > _CHAR_MATCH
+                    abs(zm - zt) > tolerances.char_match
                     for zm, zt in zip(chars[m], target_char)
                 )
                 if bad_weight or bad_char:
@@ -266,6 +259,15 @@ def _order_words(words, weights, chars):
     )
 
 
+def _word_chars(words, chars, t_dim):
+    """Accumulated torus character of each word, one row per word."""
+    out = np.zeros((len(words), t_dim), dtype=complex)
+    for i, word in enumerate(words):
+        for b in range(t_dim):
+            out[i, b] = sum(chars[a][b] for a in word)
+    return out
+
+
 def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=None):
     """Build the truncated enveloping module and its action matrices."""
     shadow = split.shadow
@@ -317,45 +319,47 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
         cache[key] = out
         return out
 
-    letter_matrices = np.zeros((n, r, r), dtype=complex)
+    # Column c of letter a's matrix is a times word c: one count per
+    # (a, c), then the rows and values of that column's entries.
+    counts, row, value = [], [], []
     for a in range(n):
-        for col, word in enumerate(words):
-            for w2, c2 in normal_product(a, word).items():
-                letter_matrices[a, index[w2], col] = c2
+        for word in words:
+            column = normal_product(a, word)
+            counts.append(len(column))
+            row.extend(map(index.__getitem__, column))
+            value.extend(column.values())
     # normal_product refers to itself through its closure. Dropping the
     # name frees it and its cache now; left to the cyclic collector, the
     # caches of several builds stayed alive at once and fragmented the heap.
     del normal_product
+    letter, col = np.divmod(np.repeat(np.arange(n * r), counts), r)
+    row = np.array(row, dtype=int)
+    value = np.array(value, dtype=complex)
+    letter_entries = linalg.SparseStack.from_entries(n, r, letter, row, col, value)
 
     # Strict upper triangularity in the chosen order.
-    tri = 0.0
-    for a in range(n):
-        tri = max(tri, float(np.max(np.abs(np.tril(letter_matrices[a])))))
+    tri = float(np.max(np.abs(value[row >= col]), initial=0.0))
     if tri > 0.0:
         raise SolvHullError(
             f"monomial order failed to make the action strictly triangular ({tri:.3e})"
         )
 
     t_dim = split.torus.shape[0]
-    word_chars = np.zeros((r, t_dim), dtype=complex)
-    for i, word in enumerate(words):
-        for b in range(t_dim):
-            word_chars[i, b] = sum(chars[a][b] for a in word)
+    word_chars = _word_chars(words, chars, t_dim)
     word_weights = np.array([sum(weights[a] for a in w) for w in words], dtype=int)
 
     # Left multiplication must be a Lie homomorphism on the quotient.
-    hom = linalg.bracket_residual(letter_matrices, gamma)
+    hom = linalg.bracket_residual(letter_entries, gamma)
 
     # The torus acts diagonally and satisfies the Leibniz rule with each
-    # generator, shifting it by the generator's character.
-    leib = 0.0
-    for b in range(t_dim):
-        diag = word_chars[:, b]
-        for a in range(n):
-            lhs = diag[:, None] * letter_matrices[a] - letter_matrices[a] * diag[None, :]
-            leib = max(leib, float(np.max(np.abs(lhs - chars[a][b] * letter_matrices[a]))))
+    # generator, shifting it by the generator's character. A zero entry
+    # satisfies it exactly, so only the nonzero ones are checked.
+    entry = value[:, None]
+    lhs = word_chars[row] * entry - entry * word_chars[col]
+    shift = np.array(chars, dtype=complex).reshape(n, t_dim)[letter] * entry
+    leib = float(np.max(np.abs(lhs - shift), initial=0.0))
 
-    scale = max(1.0, float(np.max(np.abs(letter_matrices))) if r else 1.0)
+    scale = max(1.0, float(np.max(np.abs(value), initial=0.0)))
     residuals = {
         "generator_invariance": gen_resid,
         "generator_condition": cond,
@@ -381,6 +385,6 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
         words=tuple(words),
         word_weights=word_weights,
         word_chars=word_chars,
-        letter_matrices=letter_matrices,
+        letter_entries=letter_entries,
         residuals=residuals,
     )

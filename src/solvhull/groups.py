@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EndpointMismatch, ValidationError
-from .linalg import bracket_residual
+from .linalg import SparseStack, bracket_residual
 from .matfuncs import expm, phi1_apply
 from .paths import PathWord
 from .tolerances import DEFAULT
@@ -65,7 +65,9 @@ class SemidirectModel:
             if m.shape != (m_dim, m_dim):
                 raise ValidationError("fiber matrices must share one square shape")
         k = len(mats)
-        worst = bracket_residual(np.stack(mats), np.zeros((k, k, k)))
+        worst = bracket_residual(
+            SparseStack.from_dense(np.stack(mats)), np.zeros((k, k, k))
+        )
         if worst > tolerances.alg:
             raise ValidationError(
                 f"fiber matrices must commute, commutator size {worst:.3e}"

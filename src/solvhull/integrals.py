@@ -211,10 +211,10 @@ def transport_series(form, path, depth):
     discarded tail, driven by the accumulated one norm of the segment
     generators. The series runs on the form's closure pattern.
     """
-    mats = [seg.duration * form.psi(seg.vector) for seg in path]
-    growth = sum(float(np.linalg.norm(m, "fro")) for m in mats)
     pattern = form.closure
-    total = _pattern_series(pattern, [pattern.gather(m) for m in mats], depth)
+    mats = [seg.duration * (seg.vector @ form.closure_psi) for seg in path]
+    growth = sum(float(np.linalg.norm(m)) for m in mats)
+    total = _pattern_series(pattern, mats, depth)
     tail = _tail_bound(growth, depth)
     return SeriesResult(
         value=pattern.scatter(total), tail_bound=tail, depth=depth, growth=growth

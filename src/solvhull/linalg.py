@@ -2,13 +2,15 @@
 
 Most kernels here work on small dense matrices (dimension a few dozen at
 most), so they favor clarity and reproducibility over asymptotics.
-bracket_residual is the exception: it checks a Lie homomorphism on stacks
-of matrices of size up to a few hundred that are almost all zero (the
-enveloping module's action matrices are about 0.1 % nonzero), so it
-touches only the nonzero entries and never forms a dense product.
+SparseStack and bracket_residual are the exception: they hold and check
+stacks of matrices of size up to a few hundred that are almost all zero
+(the enveloping module's action matrices are about 0.1 % nonzero), so
+they touch only the nonzero entries and never form a dense stack.
 All randomness is excluded; ties are broken by lowest index so repeated runs
 produce identical output.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -316,6 +318,87 @@ def joint_eigenbasis(mats, cluster_scale=1e-7, tol=1e-8):
     return basis, chars, resid
 
 
+@dataclass(frozen=True)
+class SparseStack:
+    """A stack of n square matrices of one size, kept as its nonzero entries.
+
+    rows and cols list the positions where some matrix of the stack is
+    nonzero, in row-major order without repeats; values[a, p] is matrix
+    a's entry at position p. Every position has a nonzero value.
+    """
+
+    size: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_entries(cls, n, size, mat, row, col, vals):
+        """Stack of n matrices holding vals[e] at (mat[e], row[e], col[e]).
+
+        The entries' values must be nonzero and their indices distinct.
+        """
+        where, slot = np.unique(row * size + col, return_inverse=True)
+        values = np.zeros((n, where.size), dtype=np.result_type(vals, float))
+        values[mat, slot] = vals
+        rows, cols = np.divmod(where, size)
+        return cls(size, rows, cols, values)
+
+    @classmethod
+    def from_dense(cls, stack):
+        """The nonzero entries of a dense (n, size, size) stack."""
+        stack = np.asarray(stack)
+        n, size = stack.shape[0], stack.shape[1]
+        flat = stack.reshape(n, size * size)
+        where = np.flatnonzero(np.any(flat != 0, axis=0))
+        rows, cols = np.divmod(where, size)
+        return cls(size, rows, cols, flat[:, where])
+
+    @classmethod
+    def from_values(cls, size, rows, cols, values):
+        """Stack holding values[a, p] at (rows[p], cols[p]), positions distinct.
+
+        Positions are put in row-major order and all-zero ones dropped.
+        """
+        order = np.argsort(rows * size + cols)
+        keep = order[np.any(values[:, order] != 0, axis=0)]
+        return cls(size, rows[keep], cols[keep], values[:, keep])
+
+    @property
+    def n(self):
+        return self.values.shape[0]
+
+    def entries(self):
+        """(mat, row, col, vals) of every nonzero entry, in row-major order."""
+        mat, at = np.nonzero(self.values)
+        return mat, self.rows[at], self.cols[at], self.values[mat, at]
+
+    def dense(self):
+        out = np.zeros((self.n, self.size, self.size), dtype=self.values.dtype)
+        out[:, self.rows, self.cols] = self.values
+        return out
+
+    def apply(self, coords):
+        """The matrix sum_a coords[a] M_a, written out densely."""
+        out = np.zeros((self.size, self.size), dtype=complex)
+        out[self.rows, self.cols] = np.asarray(coords, dtype=complex) @ self.values
+        return out
+
+    def entry(self, row, col):
+        """The (row, col) entry of every matrix of the stack."""
+        at = np.flatnonzero((self.rows == row) & (self.cols == col))
+        if at.size == 0:
+            return np.zeros(self.n, dtype=self.values.dtype)
+        return self.values[:, at[0]].copy()
+
+    def strict_upper_support(self):
+        """Boolean size by size mask of the strictly upper entries ever nonzero."""
+        live = np.zeros((self.size, self.size), dtype=bool)
+        upper = self.rows < self.cols
+        live[self.rows[upper], self.cols[upper]] = True
+        return live
+
+
 def _match_sorted(keys, sorted_keys):
     """All index pairs (p, q) with keys[p] == sorted_keys[q].
 
@@ -373,29 +456,22 @@ def _table_terms(n, r, consts, mat, row, col, vals):
     return keys, terms
 
 
-def bracket_residual(mats, consts):
+def bracket_residual(stack, consts):
     """Largest entry of [M_a, M_b] - sum_m consts[a, b, m] M_m over a < b.
 
-    mats is an (n, r, r) stack and consts an (n, n, n) table; the result
-    is zero exactly when a -> M_a is a Lie homomorphism for the bracket
-    the table defines. Only nonzero entries are used: each product
-    M_a[i, k] M_b[k, j] is formed by joining the entries of the stack on
-    k, the table's terms by joining its nonzeros with the stack on m,
-    and all terms for one (a, b, i, j) are summed before the maximum is
-    taken. Returns inf when any entry of either input is not finite.
+    stack is a SparseStack of n matrices of size r and consts an (n, n, n)
+    table; the result is zero exactly when a -> M_a is a Lie homomorphism
+    for the bracket the table defines. Only nonzero entries are used: each
+    product M_a[i, k] M_b[k, j] is formed by joining the entries of the
+    stack on k, the table's terms by joining its nonzeros with the stack
+    on m, and all terms for one (a, b, i, j) are summed before the maximum
+    is taken. Returns inf when any entry of either input is not finite.
     """
-    mats = np.asarray(mats)
+    n, r = stack.n, stack.size
+    mat, row, col, vals = stack.entries()
     consts = np.asarray(consts)
-    n, r = mats.shape[0], mats.shape[1]
-    # One flat comparison is several times faster than np.nonzero on a
-    # complex stack, and lists the entries in the same row-major order.
-    flat = mats.reshape(-1)
-    at = np.flatnonzero(flat != 0)
-    vals = flat[at]
     if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(consts))):
         return float("inf")
-    mat, at = np.divmod(at, r * r)
-    row, col = np.divmod(at, r)
 
     # Each helper's temporaries are freed before the next step.
     prod_keys, prod_terms = _product_terms(n, r, mat, row, col, vals)

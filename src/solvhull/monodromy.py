@@ -138,9 +138,8 @@ def _segment_data(form, paths):
     for v, path in enumerate(paths):
         for s, seg in enumerate(path):
             vectors[v, s], durations[v, s] = seg.vector, seg.duration
-    pattern = form.closure
     diag = durations * (vectors @ form.omega.T)
-    links = durations * (vectors @ form.psi_tensor[:, pattern.rows, pattern.cols])
+    links = durations * (vectors @ form.closure_psi)
     return diag, links
 
 

@@ -8,7 +8,9 @@ class Tolerances:
     """Named tolerances used across validation and verification.
 
     alg controls algebraic identities on input data (Jacobi, brackets),
-    num controls derived numerical checks (representations, transports),
+    num controls derived numerical checks (representations, transports)
+    and sets the radii within which torus characters are matched and
+    snapped to zero (char_match, char_snap),
     exact controls identities that hold to rounding error by construction,
     integer controls lattice membership rounding for characters,
     cluster_scale sets the relative eigenvalue clustering width.
@@ -29,6 +31,16 @@ class Tolerances:
     def report_limit(self):
         """Largest residual a verification report still counts as ok."""
         return 100 * self.num
+
+    @property
+    def char_match(self):
+        """Distance within which two torus characters count as the same."""
+        return 100 * self.num
+
+    @property
+    def char_snap(self):
+        """Size below which a component of a torus character is set to zero."""
+        return self.num / 10
 
 
 DEFAULT = Tolerances()

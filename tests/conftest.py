@@ -176,6 +176,33 @@ def random_solvable_structure(seed):
 CORPUS_SEEDS = tuple(range(25))
 
 
+def letter_matrices(env):
+    """Dense (n, r, r) stack: entry a is generator a's action on the module."""
+    return env.letter_entries.dense()
+
+
+def letter_action(env, coords):
+    """Left multiplication by sum_a coords[a] * generator a on the module."""
+    mats = letter_matrices(env)
+    flat = np.asarray(coords, dtype=complex) @ mats.reshape(mats.shape[0], -1)
+    return flat.reshape(env.r, env.r)
+
+
+def shadow_action(env, x):
+    """Left multiplication by a shadow element given in shadow coordinates."""
+    return letter_action(env, env.generator_inverse @ np.asarray(x, dtype=complex))
+
+
+def torus_diagonal(env, torus_coeffs):
+    """Diagonal of the torus action for the given torus coordinates."""
+    return env.word_chars @ np.asarray(torus_coeffs, dtype=complex)
+
+
+def diagonal_characters(form, x):
+    """Diagonal of psi(x), one character value per monomial."""
+    return form.omega @ np.asarray(x, dtype=complex)
+
+
 @pytest.fixture(scope="session")
 def sol_problem():
     return builtin_problem("sol")

@@ -27,7 +27,7 @@ from solvhull.linalg import (
     orthonormal_columns,
     subspace_residual,
 )
-from solvhull.tolerances import Tolerances
+from solvhull.tolerances import DEFAULT, Tolerances
 
 from conftest import (
     CORPUS_SEEDS,
@@ -117,6 +117,9 @@ def test_budgets_are_multiples_of_num():
     tol = Tolerances(num=1e-6)
     assert tol.stage_budget == 1e3 * 1e-6
     assert tol.report_limit == 100 * 1e-6
+    assert tol.char_match == 100 * 1e-6
+    assert tol.char_snap == 1e-6 / 10
+    assert (DEFAULT.char_match, DEFAULT.char_snap) == (1e-6, 1e-9)
 
 
 def test_validate_rejects_nonsolvable():

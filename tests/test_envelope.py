@@ -12,10 +12,18 @@ from solvhull import (
     build_splitting,
     validate_algebra,
 )
-from solvhull.envelope import _enumerate_words
+from solvhull.envelope import _CharRegistry, _enumerate_words
 from solvhull.errors import SolvHullError
+from solvhull.tolerances import DEFAULT, Tolerances
 
-from conftest import CORPUS_SEEDS, filiform4_structure
+from conftest import (
+    CORPUS_SEEDS,
+    filiform4_structure,
+    letter_action,
+    letter_matrices,
+    shadow_action,
+    torus_diagonal,
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,15 +70,16 @@ def test_sect4_generator_weights_and_characters(sect4_stages):
 
 def test_letter_matrices_strictly_upper_triangular(sol_stages, sect4_stages):
     for stages in (sol_stages, sect4_stages):
-        mats = stages["envelope"].letter_matrices
+        mats = letter_matrices(stages["envelope"])
         for a in range(mats.shape[0]):
             assert np.all(np.tril(mats[a]) == 0)
 
 
 def test_letter_matrices_are_nilpotent(sect4_stages):
     env = sect4_stages["envelope"]
-    for a in range(env.letter_matrices.shape[0]):
-        power = np.linalg.matrix_power(env.letter_matrices[a], env.r)
+    mats = letter_matrices(env)
+    for a in range(mats.shape[0]):
+        power = np.linalg.matrix_power(mats[a], env.r)
         assert np.max(np.abs(power)) == 0.0
 
 
@@ -81,26 +90,25 @@ def test_word_weights_sorted_descending(sect4_stages):
 
 def test_action_is_lie_homomorphism(sect4_stages):
     env = sect4_stages["envelope"]
-    n = env.letter_matrices.shape[0]
+    mats = letter_matrices(env)
+    n = mats.shape[0]
     for a in range(n):
         for b in range(n):
-            lhs = (
-                env.letter_matrices[a] @ env.letter_matrices[b]
-                - env.letter_matrices[b] @ env.letter_matrices[a]
-            )
-            rhs = np.einsum("m,mij->ij", env.gamma[a, b, :], env.letter_matrices)
+            lhs = mats[a] @ mats[b] - mats[b] @ mats[a]
+            rhs = np.einsum("m,mij->ij", env.gamma[a, b, :], mats)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_torus_action_is_diagonal_with_word_characters(sect4_stages):
     env = sect4_stages["envelope"]
     split = env.split
+    mats = letter_matrices(env)
     # Leibniz: bracketing the diagonal torus action with a letter action
     # shifts it by the letter's character
     for b in range(split.torus.shape[0]):
         diag = env.word_chars[:, b]
-        for a in range(env.letter_matrices.shape[0]):
-            m = env.letter_matrices[a]
+        for a in range(mats.shape[0]):
+            m = mats[a]
             comm = diag[:, None] * m - m * diag[None, :]
             assert np.max(np.abs(comm - env.gen_chars[a][b] * m)) < 1e-10
 
@@ -110,16 +118,16 @@ def test_letter_action_linearity(sol_stages):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(3)
     y = rng.standard_normal(3)
-    lhs = env.letter_action(x + 2.0 * y)
-    rhs = env.letter_action(x) + 2.0 * env.letter_action(y)
+    lhs = letter_action(env, x + 2.0 * y)
+    rhs = letter_action(env, x) + 2.0 * letter_action(env, y)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_shadow_action_matches_letters_on_generators(sect4_stages):
     env = sect4_stages["envelope"]
     for a in range(env.generators.shape[1]):
-        m = env.shadow_action(env.generators[:, a])
-        assert np.max(np.abs(m - env.letter_matrices[a])) < 1e-10
+        m = shadow_action(env, env.generators[:, a])
+        assert np.max(np.abs(m - letter_matrices(env)[a])) < 1e-10
 
 
 def test_shadow_action_is_a_homomorphism(sect4_stages):
@@ -129,17 +137,16 @@ def test_shadow_action_is_a_homomorphism(sect4_stages):
     for _ in range(4):
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        lhs = env.shadow_action(shadow.bracket(x, y))
-        rhs = env.shadow_action(x) @ env.shadow_action(y) - env.shadow_action(
-            y
-        ) @ env.shadow_action(x)
+        lhs = shadow_action(env, shadow.bracket(x, y))
+        rhs = shadow_action(env, x) @ shadow_action(env, y)
+        rhs = rhs - shadow_action(env, y) @ shadow_action(env, x)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 def test_torus_diagonal_accumulates_characters(sect4_stages):
     env = sect4_stages["envelope"]
     coeffs = np.array([1.5])
-    diag = env.torus_diagonal(coeffs)
+    diag = torus_diagonal(env, coeffs)
     for i, word in enumerate(env.words):
         expected = sum(env.gen_chars[a][0] for a in word) * 1.5
         assert abs(diag[i] - expected) < 1e-10
@@ -151,8 +158,9 @@ def test_class_three_shadow_uses_weighted_mode(filiform_split):
     assert env.cap == 3
     assert env.r == 14
     assert env.residuals["action_homomorphism"] < 1e-10
+    mats = letter_matrices(env)
     for a in range(4):
-        assert np.all(np.tril(env.letter_matrices[a]) == 0)
+        assert np.all(np.tril(mats[a]) == 0)
 
 
 def test_plain_truncation_fails_beyond_class_two(filiform_split):
@@ -240,11 +248,34 @@ def test_envelope_postconditions_on_corpus(seed, corpus):
     split = build_splitting(corpus[seed])
     env = build_enveloping_rep(split)
     # strict triangularity holds exactly
-    for a in range(env.letter_matrices.shape[0]):
-        assert np.all(np.tril(env.letter_matrices[a]) == 0)
+    mats = letter_matrices(env)
+    for a in range(mats.shape[0]):
+        assert np.all(np.tril(mats[a]) == 0)
     # every numerical residual stays small; the condition entry is a
     # condition number, not a residual, so it is excluded
     for key, val in env.residuals.items():
         if key == "generator_condition":
             continue
         assert val < 1e-8, (key, val)
+
+
+def test_char_registry_radii_follow_num():
+    loose = _CharRegistry(Tolerances(num=1e-5))
+    assert loose.canon((1.0,)) == loose.canon((1.0 + 5e-4,))
+    assert loose.canon((2e-7 + 1j,)) == (1j,)
+    strict = _CharRegistry(DEFAULT)
+    assert strict.canon((1.0,)) != strict.canon((1.0 + 5e-4,))
+    assert strict.canon((2e-7 + 1j,)) != (1j,)
+
+
+@pytest.mark.parametrize("num", (1e-10, 1e-6))
+def test_build_with_a_non_default_num(num, sol_stages, sect4_stages, filiform_split):
+    splits = (sol_stages["splitting"], sect4_stages["splitting"], filiform_split)
+    for split in splits:
+        default = build_enveloping_rep(split)
+        env = build_enveloping_rep(split, Tolerances(num=num))
+        assert env.words == default.words
+        assert env.gen_chars == default.gen_chars
+        assert np.array_equal(env.word_chars, default.word_chars)
+        for name, value in default.residuals.items():
+            assert env.residuals[name] == value, name

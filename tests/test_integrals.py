@@ -30,7 +30,7 @@ from solvhull import (
 )
 from solvhull.matfuncs import phi1_apply
 
-from conftest import graded_filiform_structure
+from conftest import diagonal_characters, graded_filiform_structure
 
 
 def random_path(rng, dim, segments, scale=1.0):
@@ -520,7 +520,7 @@ def test_length_two_word_matches_mpmath_on_a_close_filiform_chain():
     x = np.zeros(form.dim)
     x[0] = 9.265699564788051e-05
     x[1:] = np.random.default_rng(3).standard_normal(form.dim - 1)
-    a, b = form.diagonal_characters(x)[[93, 95]]
+    a, b = diagonal_characters(form, x)[[93, 95]]
     assert abs(a - b) == pytest.approx(9.3e-5, rel=1e-2)
     value = unit_segment_value((a, b), (1.0,))
     assert abs(value - mp_exp_difference(mpmath, a, b)) <= 1e-16

@@ -25,6 +25,7 @@ from solvhull import (
     transport_series,
     word_monodromy,
 )
+from solvhull.linalg import SparseStack
 
 from conftest import CORPUS_SEEDS
 
@@ -316,23 +317,22 @@ def test_closedness_takes_one_kernel_call_per_entry(sect4_stages, sect4_problem,
 
 
 def test_live_pattern_is_computed_once_per_form(filiform_forms, monkeypatch):
-    """A full last column reduces psi_tensor once, however many entries."""
-    connection_module = importlib.import_module("solvhull.connection")
+    """A full last column reduces the form's entries once, however many entries."""
     calls = []
-    live = connection_module._live_adjacency
+    live = SparseStack.strict_upper_support
 
-    def counted(tensor):
-        calls.append(tensor.shape)
-        return live(tensor)
+    def counted(stack):
+        calls.append(stack.values.shape)
+        return live(stack)
 
-    monkeypatch.setattr(connection_module, "_live_adjacency", counted)
+    monkeypatch.setattr(SparseStack, "strict_upper_support", counted)
     form = dataclasses.replace(filiform_forms[6])
     last = form.r - 1
     path = capped_path(np.random.default_rng(13), form, 4)
     for p in range(form.r):
         entry_chain_value(form, path, p, last)
     transport_series(form, path, 3)
-    assert calls == [form.psi_tensor.shape]
+    assert calls == [form.psi_entries.values.shape]
     assert form.chain_steps == pairwise_chain_steps(form)
 
 
