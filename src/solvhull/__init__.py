@@ -27,6 +27,7 @@ from .connection import ConnectionForm, build_connection_form, integer_lattice_b
 from .envelope import EnvelopingTruncation, build_enveloping_rep
 from .errors import (
     AntisymmetryViolation,
+    BudgetExceeded,
     EigenClusterAmbiguity,
     EndpointMismatch,
     JacobiViolation,
@@ -63,9 +64,9 @@ from .monodromy import (
     separation_demo,
     word_monodromy,
 )
-from .paths import PathWord, Segment, path_from_pairs
+from .paths import PathWord, Segment
 from .report import canonical_json, digest
-from .specfile import Problem, parse_problem, serialize_problem
+from .specfile import Problem, parse_problem
 from .splitting import SplitAlgebra, build_splitting
 from .tolerances import DEFAULT, Tolerances
 from .verify import build_stages, run_verification
@@ -75,6 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AntisymmetryViolation",
     "BUILTINS",
+    "BudgetExceeded",
     "ConnectionForm",
     "DEFAULT",
     "EigenClusterAmbiguity",
@@ -125,7 +127,6 @@ __all__ = [
     "nilradical",
     "parse_problem",
     "parse_word",
-    "path_from_pairs",
     "path_independence_residual",
     "path_variants",
     "restricted_structure",
@@ -133,7 +134,6 @@ __all__ = [
     "sect4_spec",
     "semisimple_adjoint",
     "separation_demo",
-    "serialize_problem",
     "shuffle_identity_residual",
     "shuffle_words",
     "sol_spec",

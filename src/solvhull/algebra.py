@@ -60,6 +60,16 @@ def _jacobi_residual(c):
     return t1 + t2 + t3
 
 
+def _scaled_jacobi(c):
+    """Jacobi residual of c over max(1, largest entry), and its largest entry.
+
+    Dividing first keeps the quadratic residual finite for a large table.
+    """
+    scale = max(1.0, float(np.max(np.abs(c)))) if c.size else 1.0
+    resid = _jacobi_residual(c / scale)
+    return resid, float(np.max(np.abs(resid))) if c.size else 0.0
+
+
 def validate_algebra(structure, names=None, tolerances=DEFAULT):
     """Build a LieAlgebra after checking the table is one.
 
@@ -83,10 +93,7 @@ def validate_algebra(structure, names=None, tolerances=DEFAULT):
         bad = np.argwhere(skew != 0)[0]
         raise AntisymmetryViolation(tuple(int(v) for v in bad))
 
-    # Dividing first keeps the quadratic residual finite for a large table.
-    scale = max(1.0, float(np.max(np.abs(c)))) if c.size else 1.0
-    resid = _jacobi_residual(c / scale)
-    worst = float(np.max(np.abs(resid))) if c.size else 0.0
+    resid, worst = _scaled_jacobi(c)
     if worst > tolerances.alg:
         flat = np.max(np.abs(resid), axis=3)
         i, j, k = np.unravel_index(int(np.argmax(flat)), flat.shape)
@@ -169,15 +176,13 @@ def _field_kernel(mat, is_complex, tol):
     return linalg.real_nullspace(mat, tol)
 
 
-def _canon_basis(v, is_complex, tol):
-    q = linalg.canon_columns(np.asarray(v, dtype=complex), tol)
+def _canon_basis(v, is_complex, tolerances, stage):
+    """Canonical basis of span(v); over the reals its imaginary residue is checked."""
+    q = linalg.canon_columns(np.asarray(v, dtype=complex), tolerances.alg)
     if is_complex:
         return q
     imag = float(np.max(np.abs(q.imag))) if q.size else 0.0
-    if imag > 1e-8:
-        raise SolvHullError(
-            f"expected a real subspace, imaginary residue {imag:.3e}"
-        )
+    tolerances.check(stage, {"imaginary_part": imag}, tolerances.num)
     return np.ascontiguousarray(q.real)
 
 
@@ -247,31 +252,25 @@ def nilradical(alg, tolerances=DEFAULT):
     transposed = np.stack([m.T.ravel() for m in mats], axis=1)
     traces = span.T @ transposed
     kernel = _field_kernel(traces, alg.is_complex, tol)
-    basis = _canon_basis(kernel, alg.is_complex, tol)
+    basis = _canon_basis(kernel, alg.is_complex, tolerances, "nilradical")
     scale = max(1.0, float(np.linalg.norm(traces, 2)))
     trace_resid = (
         float(np.max(np.abs(traces @ basis))) / scale if basis.shape[1] else 0.0
     )
 
-    for j in range(basis.shape[1]):
-        resid = linalg.nilpotency_residual(alg.adjoint(basis[:, j]), tolerances.num)
-        if resid >= tolerances.num:
-            raise SolvHullError(
-                f"nilradical: basis vector {j} of the trace-form kernel has "
-                f"non-nilpotent adjoint, nilpotency residual {resid:.3e} "
-                f"over budget {tolerances.num:.1e}"
-            )
+    checks = {
+        f"nilpotency[{j}]": linalg.nilpotency_residual(
+            alg.adjoint(basis[:, j]), tolerances.num
+        )
+        for j in range(basis.shape[1])
+    }
     if basis.shape[1]:
         brackets = []
         for i in range(n):
             for j in range(basis.shape[1]):
                 brackets.append(alg.bracket(alg.basis_vector(i), basis[:, j]))
-        resid = linalg.subspace_residual(np.stack(brackets, axis=1), basis)
-        if resid > tolerances.num:
-            raise SolvHullError(
-                f"nilradical: ideal residual {resid:.3e} "
-                f"over budget {tolerances.num:.1e}"
-            )
+        checks["ideal"] = linalg.subspace_residual(np.stack(brackets, axis=1), basis)
+    tolerances.check("nilradical", checks, tolerances.num)
 
     return NilradicalResult(basis=basis, trace_residual=trace_resid)
 
@@ -338,7 +337,7 @@ def _try_cartan(alg, x, tolerances):
         if not linalg.is_real_subspace(q, tolerances.num):
             return None
         q = linalg.realify_columns(q, tolerances.num)
-    q = _canon_basis(q, alg.is_complex, tolerances.alg)
+    q = _canon_basis(q, alg.is_complex, tolerances, "semisimple_adjoint")
 
     # Subalgebra check.
     brackets = []
@@ -483,18 +482,14 @@ def semisimple_adjoint(alg, nilrad=None, tolerances=DEFAULT):
 
     if not alg.is_complex:
         imag = float(np.max(np.abs(tensor.imag)))
-        if imag > tolerances.num * max(1.0, float(np.max(np.abs(tensor)))):
-            raise SolvHullError(
-                f"semisimple adjoint of a real algebra came out complex ({imag:.3e})"
-            )
+        scale = max(1.0, float(np.max(np.abs(tensor))))
+        tolerances.check(
+            "semisimple_adjoint", {"imaginary_part": imag}, tolerances.num * scale
+        )
         tensor = np.ascontiguousarray(tensor.real)
 
     residuals = _semisimple_residuals(alg, tensor, nil_basis, tolerances)
-    worst = max(residuals.values())
-    if not worst <= tolerances.stage_budget:
-        raise SolvHullError(
-            f"semisimple adjoint residual {worst:.3e} exceeds tolerance budget"
-        )
+    tolerances.check("semisimple_adjoint", residuals)
 
     return SemisimpleAdjoint(
         tensor=tensor,

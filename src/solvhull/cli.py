@@ -6,11 +6,12 @@ monodromy and integrate evaluate transports along lattice words or
 explicit paths, and verify runs the whole deterministic invariant suite
 and emits a canonical JSON report.
 
-Exit codes: 0 success, 1 invariant failure, 2 input validation failure,
-3 resource cap exceeded, 4 loop endpoint mismatch.
+Exit codes: 0 success, 1 invariant or internal failure, 2 input
+validation failure, 3 resource cap exceeded, 4 loop endpoint mismatch.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -18,6 +19,7 @@ import time
 import numpy as np
 
 from .builtin_models import BUILTINS, builtin_problem
+from .envelope import word_label
 from .errors import (
     EndpointMismatch,
     SolvHullError,
@@ -45,48 +47,14 @@ EXIT_RESOURCE = 3
 EXIT_ENDPOINT = 4
 
 
-def _tolerances_from(args):
-    base = Tolerances()
-    kwargs = {}
-    for name, attr in (
-        ("alg", "tol_alg"),
-        ("num", "tol_num"),
-        ("exact", "tol_exact"),
-        ("integer", "tol_integer"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            kwargs[name] = value
-    if kwargs:
-        return Tolerances(
-            alg=kwargs.get("alg", base.alg),
-            num=kwargs.get("num", base.num),
-            exact=kwargs.get("exact", base.exact),
-            integer=kwargs.get("integer", base.integer),
-            cluster_scale=base.cluster_scale,
-        )
-    return base
-
-
 def _load_problem(args):
-    tol = _tolerances_from(args)
+    given = {name: getattr(args, f"tol_{name}") for name in ("alg", "num", "exact", "integer")}
+    tol = dataclasses.replace(Tolerances(), **{k: v for k, v in given.items() if v is not None})
     if getattr(args, "example", None):
         return builtin_problem(args.example, tolerances=tol)
     if getattr(args, "spec", None):
         return parse_problem(args.spec, tolerances=tol)
     raise ValidationError("provide either --example or --spec")
-
-
-def _complexlist(m):
-    """Nested [re, im] lists for human readable JSON output."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim == 0:
-        return [float(arr.real), float(arr.imag)]
-    return [_complexlist(sub) for sub in arr]
-
-
-def _print(args, text):
-    print(text)
 
 
 def cmd_analyze(args):
@@ -105,19 +73,19 @@ def cmd_analyze(args):
         "cartan_dim": int(ads.cartan.shape[1]),
         "shadow_class": split.shadow_class,
         "torus_dim": int(split.torus.shape[0]),
-        "residuals": {**ads.residuals, **split.residuals},
+        "residuals": split.residuals,
     }
     if args.json:
-        _print(args, canonical_json(payload))
+        print(canonical_json(payload))
     else:
-        _print(args, f"problem: {problem.name}")
-        _print(args, f"dimension: {alg.dim}  basis: {' '.join(alg.names)}")
-        _print(args, f"nilradical dimension: {nil.dim}")
-        _print(args, f"cartan dimension: {ads.cartan.shape[1]}")
-        _print(args, f"shadow nilpotency class: {split.shadow_class}")
-        _print(args, f"torus dimension: {split.torus.shape[0]}")
+        print(f"problem: {problem.name}")
+        print(f"dimension: {alg.dim}  basis: {' '.join(alg.names)}")
+        print(f"nilradical dimension: {nil.dim}")
+        print(f"cartan dimension: {ads.cartan.shape[1]}")
+        print(f"shadow nilpotency class: {split.shadow_class}")
+        print(f"torus dimension: {split.torus.shape[0]}")
         worst = max(payload["residuals"].values())
-        _print(args, f"worst residual: {worst:.3e}")
+        print(f"worst residual: {worst:.3e}")
     return EXIT_OK
 
 
@@ -126,9 +94,7 @@ def cmd_hull(args):
     stages = build_stages(problem)
     env = stages["envelope"]
     form = stages["form"]
-    monomials = []
-    for w in env.words:
-        monomials.append("1" if not w else "*".join(f"g{a}" for a in w))
+    monomials = [word_label(w) for w in env.words]
     payload = {
         "problem": problem.name,
         "module_dimension": env.r,
@@ -141,17 +107,17 @@ def cmd_hull(args):
         "char_coefficients": form.char_coeffs,
     }
     if args.json:
-        _print(args, canonical_json(payload))
+        print(canonical_json(payload))
     else:
-        _print(args, f"problem: {problem.name}")
-        _print(args, f"module dimension: {env.r} (mode {env.mode}, cap {env.cap})")
-        _print(args, f"monomial order: {' > '.join(monomials)}")
-        _print(args, f"flatness residual: {form.flatness:.3e}")
-        _print(args, f"character basis size: {len(form.char_basis)}")
+        print(f"problem: {problem.name}")
+        print(f"module dimension: {env.r} (mode {env.mode}, cap {env.cap})")
+        print(f"monomial order: {' > '.join(monomials)}")
+        print(f"flatness residual: {form.flatness:.3e}")
+        print(f"character basis size: {len(form.char_basis)}")
         for i, b in enumerate(form.char_basis):
-            _print(args, f"  basis[{i}] = {np.array2string(np.asarray(b), precision=6)}")
+            print(f"  basis[{i}] = {np.array2string(np.asarray(b), precision=6)}")
         rows = sorted({tuple(int(v) for v in row) for row in form.char_coeffs})
-        _print(args, f"integer coefficient rows: {rows}")
+        print(f"integer coefficient rows: {rows}")
     return EXIT_OK
 
 
@@ -171,17 +137,17 @@ def cmd_monodromy(args):
         "monodromy": rho,
         "path_independence_residual": pi,
         "endpoint_translation": list(target.translation),
-        "endpoint_fiber": _complexlist(target.fiber),
+        "endpoint_fiber": target.fiber,
     }
     if args.json:
-        _print(args, canonical_json(payload))
+        print(canonical_json(payload))
     else:
-        _print(args, f"word: {args.word}")
-        _print(args, f"endpoint translation: {target.translation}")
-        _print(args, f"endpoint fiber: {target.fiber}")
-        _print(args, "monodromy matrix:")
-        _print(args, np.array2string(rho, precision=8, suppress_small=True))
-        _print(args, f"path independence residual: {pi:.3e}")
+        print(f"word: {args.word}")
+        print(f"endpoint translation: {target.translation}")
+        print(f"endpoint fiber: {target.fiber}")
+        print("monodromy matrix:")
+        print(np.array2string(rho, precision=8, suppress_small=True))
+        print(f"path independence residual: {pi:.3e}")
     return EXIT_OK
 
 
@@ -234,13 +200,12 @@ def cmd_integrate(args):
         "series_within_bound": bool(diff <= series.tail_bound),
     }
     if args.json:
-        _print(args, canonical_json(payload))
+        print(canonical_json(payload))
     else:
-        _print(args, "transport matrix:")
-        _print(args, np.array2string(full, precision=8, suppress_small=True))
-        _print(
-            args,
-            f"series at depth {args.depth}: agreement {diff:.3e}, tail bound {series.tail_bound:.3e}",
+        print("transport matrix:")
+        print(np.array2string(full, precision=8, suppress_small=True))
+        print(
+            f"series at depth {args.depth}: agreement {diff:.3e}, tail bound {series.tail_bound:.3e}"
         )
     if diff > series.tail_bound:
         return EXIT_INVARIANT
@@ -258,7 +223,7 @@ def cmd_verify(args):
             fh.write(text)
             fh.write("\n")
     else:
-        _print(args, text)
+        print(text)
     print(f"verify runtime: {elapsed:.2f}s digest: {digest(text)}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_INVARIANT
 

@@ -25,7 +25,7 @@ from math import gcd
 import numpy as np
 
 from . import linalg
-from .errors import NotInLattice, SolvHullError
+from .errors import NotInLattice
 from .integrals import closure_pattern
 from .tolerances import DEFAULT
 
@@ -271,8 +271,7 @@ def build_connection_form(env, tolerances=DEFAULT):
 
     scale = max(1.0, float(np.max(np.abs(psi.values), initial=0.0)))
     flat = linalg.bracket_residual(psi, alg.structure.astype(complex)) / scale
-    if not flat <= tolerances.stage_budget:
-        raise SolvHullError(f"connection form is not flat: residual {flat:.3e}")
+    tolerances.check("connection", {"flatness": flat})
 
     # Character lattice: monomial characters are nonnegative integer sums
     # of generator characters, so the generator level characters generate

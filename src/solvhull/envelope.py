@@ -118,7 +118,9 @@ class EnvelopingTruncation:
     letter_entries holds left multiplication by each generator on the
     module as the nonzero entries of a stack of r by r matrices.
     word_chars[w, b] is the accumulated character of word w under torus
-    element b, which is exactly how the torus acts diagonally.
+    element b, which is exactly how the torus acts diagonally. condition
+    is the condition number of the generator basis; it is reported, not
+    checked against a budget.
     """
 
     split: object
@@ -133,6 +135,7 @@ class EnvelopingTruncation:
     word_weights: np.ndarray = field(repr=False)
     word_chars: np.ndarray = field(repr=False)
     letter_entries: linalg.SparseStack = field(repr=False)
+    condition: float
     residuals: dict
 
     @property
@@ -209,10 +212,9 @@ def _generator_table(split, gmat, ginv, weights, chars, tolerances):
                 if bad_weight or bad_char:
                     forbidden = max(forbidden, abs(gamma[a, b, m]))
                     gamma[a, b, m] = 0.0
-    if forbidden > tolerances.num * scale:
-        raise SolvHullError(
-            f"generator bracket has weight or character violation of size {forbidden:.3e}"
-        )
+    tolerances.check(
+        "envelope", {"forbidden_bracket_components": forbidden}, tolerances.num * scale
+    )
     return gamma, forbidden
 
 
@@ -241,31 +243,34 @@ def _enumerate_words(n, weights, mode, cap, max_dim):
     return words
 
 
-def _order_words(words, weights, chars):
-    def word_weight(word):
-        return sum(weights[a] for a in word)
+def _order_words(words, weights, chars, t_dim):
+    """Sort words by descending weight, then length, character and letters.
 
-    def word_char_key(word):
-        t = len(chars[0]) if chars else 0
-        acc = [0.0 + 0.0j] * t
+    Each word's weight and accumulated torus character are summed once;
+    returns the sorted words with one weight and one character row each.
+    """
+    summed = []
+    for word in words:
+        acc = [0.0 + 0.0j] * t_dim
         for a in word:
-            for b in range(t):
+            for b in range(t_dim):
                 acc[b] += chars[a][b]
-        return tuple((round(z.real, 9), round(z.imag, 9)) for z in acc)
+        summed.append((sum(weights[a] for a in word), acc, word))
 
-    return sorted(
-        words,
-        key=lambda w: (-word_weight(w), -len(w), word_char_key(w), w),
-    )
+    def key(item):
+        weight, acc, word = item
+        rounded = tuple((round(z.real, 9), round(z.imag, 9)) for z in acc)
+        return (-weight, -len(word), rounded, word)
+
+    summed.sort(key=key)
+    word_weights = np.array([weight for weight, _, _ in summed], dtype=int)
+    word_chars = np.array([acc for _, acc, _ in summed], dtype=complex)
+    return [word for _, _, word in summed], word_weights, word_chars
 
 
-def _word_chars(words, chars, t_dim):
-    """Accumulated torus character of each word, one row per word."""
-    out = np.zeros((len(words), t_dim), dtype=complex)
-    for i, word in enumerate(words):
-        for b in range(t_dim):
-            out[i, b] = sum(chars[a][b] for a in word)
-    return out
+def word_label(word):
+    """Printable name of a monomial: its letters joined by '*', or '1'."""
+    return "*".join(f"g{a}" for a in word) if word else "1"
 
 
 def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=None):
@@ -283,14 +288,12 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
     gmat, ginv, weights, chars, gen_resid, cond = _build_generators(split, tolerances)
     gamma, forbidden = _generator_table(split, gmat, ginv, weights, chars, tolerances)
 
-    words = _order_words(_enumerate_words(n, weights, mode, cap, max_dim), weights, chars)
+    t_dim = split.torus.shape[0]
+    words, word_weights, word_chars = _order_words(
+        _enumerate_words(n, weights, mode, cap, max_dim), weights, chars, t_dim
+    )
     index = {w: i for i, w in enumerate(words)}
     r = len(words)
-
-    def keep(word):
-        if mode == "plain":
-            return len(word) <= cap
-        return sum(weights[a] for a in word) <= cap
 
     cache = {}
 
@@ -301,8 +304,9 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
             return hit
         out = {}
         if not word or a <= word[0]:
+            # Every normally ordered word within the truncation is in index.
             new = (a,) + word
-            if keep(new):
+            if new in index:
                 out[new] = out.get(new, 0.0) + 1.0
         else:
             b, rest = word[0], word[1:]
@@ -344,10 +348,6 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
             f"monomial order failed to make the action strictly triangular ({tri:.3e})"
         )
 
-    t_dim = split.torus.shape[0]
-    word_chars = _word_chars(words, chars, t_dim)
-    word_weights = np.array([sum(weights[a] for a in w) for w in words], dtype=int)
-
     # Left multiplication must be a Lie homomorphism on the quotient.
     hom = linalg.bracket_residual(letter_entries, gamma)
 
@@ -362,16 +362,11 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
     scale = max(1.0, float(np.max(np.abs(value), initial=0.0)))
     residuals = {
         "generator_invariance": gen_resid,
-        "generator_condition": cond,
         "forbidden_bracket_components": forbidden,
         "action_homomorphism": hom / scale,
         "torus_leibniz": leib / scale,
     }
-    budget = {k: v for k, v in residuals.items() if k != "generator_condition"}
-    if not all(v <= tolerances.stage_budget for v in budget.values()):
-        raise SolvHullError(
-            f"enveloping action residuals exceed budget: {budget}"
-        )
+    tolerances.check("envelope", residuals)
 
     return EnvelopingTruncation(
         split=split,
@@ -386,5 +381,6 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
         word_weights=word_weights,
         word_chars=word_chars,
         letter_entries=letter_entries,
+        condition=cond,
         residuals=residuals,
     )

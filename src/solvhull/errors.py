@@ -1,7 +1,11 @@
 """Exception types raised by the library.
 
 Every failure that a caller can meaningfully react to gets its own class;
-the CLI maps these onto process exit codes.
+the CLI maps these onto process exit codes. ValidationError and its
+subclasses mean the input is bad; every other SolvHullError is an
+invariant or internal failure. A build stage whose residual breaks its
+budget raises BudgetExceeded, which names the stage, the residual and the
+budget.
 """
 
 
@@ -35,6 +39,19 @@ class JacobiViolation(ValidationError):
 
 class NotSolvable(ValidationError):
     """The derived series does not terminate at zero."""
+
+
+class BudgetExceeded(SolvHullError):
+    """A build stage left a residual that is not within its budget."""
+
+    def __init__(self, stage, key, value, budget):
+        self.stage = stage
+        self.key = key
+        self.value = value
+        self.budget = budget
+        super().__init__(
+            f"{stage}: residual {key} = {value:.3e} exceeds budget {budget:.3e}"
+        )
 
 
 class NotNilpotent(SolvHullError):

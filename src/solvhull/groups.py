@@ -92,10 +92,6 @@ class SemidirectModel:
     def identity(self):
         return GroupElement((0.0,) * self.k, (0.0,) * self.m)
 
-    def action_generator(self, t):
-        """Fiber derivative of the action along a translation direction."""
-        return _action_generator(self.mats, np.asarray(t, dtype=float))
-
     def phi(self, t):
         """Holonomy of the translation part on the fiber, read-only."""
         return self._phi_memo(np.asarray(t, dtype=float).tobytes())

@@ -134,8 +134,3 @@ class PathWord:
         for s in self.segments:
             acc = acc + s.duration * s.vector
         return acc
-
-
-def path_from_pairs(pairs):
-    """Convenience builder from (direction, duration) pairs."""
-    return PathWord(pairs)

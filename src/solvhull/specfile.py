@@ -224,8 +224,3 @@ def parse_problem(source, tolerances=None):
         tolerances=tol,
         raw=data,
     )
-
-
-def serialize_problem(data):
-    """Canonical JSON text of a raw problem dict."""
-    return canonical_json(data)

@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 
+from .errors import BudgetExceeded
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -21,6 +23,18 @@ class Tolerances:
     exact: float = 1e-10
     integer: float = 1e-6
     cluster_scale: float = 1e-7
+
+    def check(self, stage, residuals, budget=None):
+        """Raise BudgetExceeded for the first residual not within budget.
+
+        budget defaults to stage_budget. The test is `not value <= budget`,
+        so a NaN residual fails.
+        """
+        if budget is None:
+            budget = self.stage_budget
+        for key, value in residuals.items():
+            if not value <= budget:
+                raise BudgetExceeded(stage, key, value, budget)
 
     @property
     def stage_budget(self):

@@ -12,7 +12,7 @@ import numpy as np
 from . import linalg
 from .algebra import derived_series, nilradical, semisimple_adjoint, _jacobi_residual
 from .connection import build_connection_form
-from .envelope import build_enveloping_rep
+from .envelope import build_enveloping_rep, word_label
 from .integrals import (
     IntegralWord,
     exp_iterated_integral,
@@ -54,13 +54,6 @@ def build_stages(problem):
         "envelope": env,
         "form": form,
     }
-
-
-def _word_label(env, word):
-    if not word:
-        return "1"
-    names = [f"g{a}" for a in word]
-    return "*".join(names)
 
 
 def _random_path(rng, dim, segments, is_complex, growth_cap, form):
@@ -285,16 +278,14 @@ def run_verification(problem, seed=0, depth=20):
     }
     split_section.update(split.residuals)
 
-    env_budget = {
-        k: v for k, v in env.residuals.items() if k != "generator_condition"
-    }
     env_section = {
         "r": env.r,
         "mode": env.mode,
         "cap": env.cap,
-        "monomials": [_word_label(env, w) for w in env.words],
+        "monomials": [word_label(w) for w in env.words],
         "generator_weights": [int(w) for w in env.gen_weights],
-        "ok": max(env_budget.values()) <= limit,
+        "generator_condition": env.condition,
+        "ok": max(env.residuals.values()) <= limit,
     }
     env_section.update(env.residuals)
 

@@ -44,8 +44,8 @@ def embedding_defect(split):
             y = np.eye(n)[j]
             lhs = alg.bracket(x, y)
             rhs = (
-                split.torus_matrix(x) @ y.astype(complex)
-                - split.torus_matrix(y) @ x.astype(complex)
+                split.semisimple.apply(x) @ y.astype(complex)
+                - split.semisimple.apply(y) @ x.astype(complex)
                 + split.shadow.bracket(x, y).astype(complex)
             )
             worst = max(worst, float(np.max(np.abs(lhs.astype(complex) - rhs))))

@@ -7,22 +7,20 @@ and the live pattern read off the dense tensor. They stay here as the
 oracles of the entries.
 """
 
-import re
-
 import numpy as np
 import pytest
 
 from solvhull import (
+    PathWord,
     build_connection_form,
     build_enveloping_rep,
     build_splitting,
     entry_chain_value,
-    path_from_pairs,
     transport_series,
     validate_algebra,
 )
 from solvhull import envelope as envelope_module
-from solvhull.errors import SolvHullError
+from solvhull.errors import BudgetExceeded, SolvHullError
 from solvhull.integrals import closure_pattern
 from solvhull.linalg import SparseStack, bracket_residual
 from solvhull.tolerances import DEFAULT
@@ -105,7 +103,7 @@ def test_build_and_evaluation_never_form_a_dense_stack():
     form = filiform_form(8)
     env = form.envelope
     rng = np.random.default_rng(8)
-    path = path_from_pairs(
+    path = PathWord(
         [(0.1 * rng.standard_normal(form.dim), float(rng.uniform(0.2, 0.8))) for _ in range(3)]
     )
     last = form.r - 1
@@ -122,25 +120,27 @@ def test_build_and_evaluation_never_form_a_dense_stack():
 def test_below_diagonal_entry_fails_triangularity(sect4_stages, monkeypatch):
     order = envelope_module._order_words
     monkeypatch.setattr(
-        envelope_module, "_order_words", lambda *args: order(*args)[::-1]
+        envelope_module,
+        "_order_words",
+        lambda *args: tuple(part[::-1] for part in order(*args)),
     )
     with pytest.raises(SolvHullError, match="strictly triangular"):
         build_enveloping_rep(sect4_stages["splitting"])
 
 
 def test_shifted_character_puts_torus_leibniz_over_budget(sect4_stages, monkeypatch):
-    word_chars = envelope_module._word_chars
+    order = envelope_module._order_words
 
     def shifted(*args):
-        out = word_chars(*args)
-        out[0] += 1e-3
-        return out
+        words, word_weights, word_chars = order(*args)
+        word_chars[0] += 1e-3
+        return words, word_weights, word_chars
 
-    monkeypatch.setattr(envelope_module, "_word_chars", shifted)
-    with pytest.raises(SolvHullError, match="exceed budget") as err:
+    monkeypatch.setattr(envelope_module, "_order_words", shifted)
+    with pytest.raises(BudgetExceeded) as err:
         build_enveloping_rep(sect4_stages["splitting"])
-    leib = float(re.search(r"'torus_leibniz': ([^,}]+)", str(err.value)).group(1))
-    assert leib > DEFAULT.stage_budget
+    assert err.value.key == "torus_leibniz"
+    assert err.value.value > DEFAULT.stage_budget
 
 
 def test_sparse_stack_round_trip():

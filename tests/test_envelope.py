@@ -251,11 +251,8 @@ def test_envelope_postconditions_on_corpus(seed, corpus):
     mats = letter_matrices(env)
     for a in range(mats.shape[0]):
         assert np.all(np.tril(mats[a]) == 0)
-    # every numerical residual stays small; the condition entry is a
-    # condition number, not a residual, so it is excluded
+    # every numerical residual stays small
     for key, val in env.residuals.items():
-        if key == "generator_condition":
-            continue
         assert val < 1e-8, (key, val)
 
 

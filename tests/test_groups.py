@@ -9,6 +9,7 @@ from solvhull import (
     EndpointMismatch,
     GroupElement,
     Lattice,
+    PathWord,
     SemidirectModel,
     Tolerances,
     ValidationError,
@@ -17,7 +18,6 @@ from solvhull import (
     groups,
     matfuncs,
     parse_word,
-    path_from_pairs,
 )
 
 
@@ -129,7 +129,7 @@ def test_phi_is_a_one_parameter_group(sol_model):
 def test_phi_memo_returns_the_exponential_read_only(sect4_model):
     t = np.array([0.3, -1.7])
     first = sect4_model.phi(t)
-    assert np.array_equal(first, matfuncs.expm(sect4_model.action_generator(t)))
+    assert np.array_equal(first, matfuncs.expm(groups._action_generator(sect4_model.mats, t)))
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0] = 0.0
@@ -202,7 +202,7 @@ def test_exp_is_a_one_parameter_subgroup(seed, sol_model, sect4_model):
 
 
 def test_endpoint_folds_segments(sol_model):
-    path = path_from_pairs(
+    path = PathWord(
         [((1.0, 0.0, 0.0), 0.5), ((0.0, 1.0, 0.0), 1.0), ((0.0, 0.0, 1.0), 2.0)]
     )
     step = sol_model.identity()
@@ -213,7 +213,7 @@ def test_endpoint_folds_segments(sol_model):
 
 def test_endpoint_of_empty_path_is_identity(sol_model):
     assert sol_model.distance(
-        sol_model.endpoint(path_from_pairs([])), sol_model.identity()
+        sol_model.endpoint(PathWord([])), sol_model.identity()
     ) == 0.0
 
 
@@ -322,7 +322,7 @@ def test_path_of_equals_one_loop_per_repetition(problem_name, sol_problem, sect4
         step = g if exp >= 0 else model.inverse(g)
         for _ in range(abs(exp)):
             segments.extend(model.loop_of(step, check=False).segments)
-    assert lat.path_of(word) == path_from_pairs(segments)
+    assert lat.path_of(word) == PathWord(segments)
 
 
 def test_path_of_empty_word(sol_problem):

@@ -14,6 +14,7 @@ from scipy.integrate import solve_ivp
 
 from solvhull import (
     IntegralWord,
+    PathWord,
     build_connection_form,
     build_enveloping_rep,
     build_splitting,
@@ -21,7 +22,6 @@ from solvhull import (
     exp_iterated_integral_series,
     iterated_integral,
     iterated_integral_quadrature,
-    path_from_pairs,
     shuffle_identity_residual,
     shuffle_words,
     transport,
@@ -37,7 +37,7 @@ def random_path(rng, dim, segments, scale=1.0):
     pairs = []
     for _ in range(segments):
         pairs.append((scale * rng.standard_normal(dim), float(rng.uniform(0.1, 1.0))))
-    return path_from_pairs(pairs)
+    return PathWord(pairs)
 
 
 # ------------------------------------------------------------- hand values
@@ -45,14 +45,14 @@ def random_path(rng, dim, segments, scale=1.0):
 
 def test_single_letter_is_plain_line_integral():
     f = np.array([2.0, -1.0])
-    path = path_from_pairs([((1.0, 3.0), 0.5), ((0.0, 1.0), 2.0)])
+    path = PathWord([((1.0, 3.0), 0.5), ((0.0, 1.0), 2.0)])
     # f pulled back is constant on each segment
     expected = (2.0 - 3.0) * 0.5 + (-1.0) * 2.0
     assert iterated_integral([f], path) == pytest.approx(expected)
 
 
 def test_empty_word_integrates_to_one():
-    path = path_from_pairs([((1.0,), 1.0)])
+    path = PathWord([((1.0,), 1.0)])
     assert iterated_integral([], path) == pytest.approx(1.0)
 
 
@@ -61,7 +61,7 @@ def test_two_letters_single_segment():
     g = np.array([0.0, 1.0])
     v = (2.0, 3.0)
     t = 0.7
-    path = path_from_pairs([(v, t)])
+    path = PathWord([(v, t)])
     expected = 2.0 * 3.0 * t * t / 2.0
     assert iterated_integral([f, g], path) == pytest.approx(expected)
 
@@ -69,7 +69,7 @@ def test_two_letters_single_segment():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_repeated_letter_gives_power_over_factorial(k):
     f = np.array([1.5])
-    path = path_from_pairs([((2.0,), 0.9)])
+    path = PathWord([((2.0,), 0.9)])
     a = 1.5 * 2.0 * 0.9
     assert iterated_integral([f] * k, path) == pytest.approx(a**k / factorial(k))
 
@@ -89,7 +89,7 @@ def test_two_letters_across_two_segments_by_splitting():
     expected = (
         double(s1, t1) + single(f, s1, t1) * single(g, s2, t2) + double(s2, t2)
     )
-    path = path_from_pairs([(s1, t1), (s2, t2)])
+    path = PathWord([(s1, t1), (s2, t2)])
     assert iterated_integral([f, g], path) == pytest.approx(expected)
 
 
@@ -168,7 +168,7 @@ def test_quadrature_is_bit_identical_to_the_scalar_loop(seed):
                 v = v + 1j * rng.standard_normal(dim)
             duration = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.05, 1.5))
             pairs.append((v, duration))
-        path = path_from_pairs(pairs)
+        path = PathWord(pairs)
         for points in (1, 7, 100, 4000, 10000):
             fast = iterated_integral_quadrature(word, path, points=points)
             assert same_bits(fast, scalar_quadrature(word, path, points)), points
@@ -177,14 +177,14 @@ def test_quadrature_is_bit_identical_to_the_scalar_loop(seed):
 def test_quadrature_of_the_empty_path_and_empty_word():
     rng = np.random.default_rng(3)
     word = [rng.standard_normal(3) for _ in range(2)]
-    empty = path_from_pairs([])
+    empty = PathWord([])
     path = random_path(rng, 3, 2)
     for points in (1, 7, 100):
         assert same_bits(
             iterated_integral_quadrature(word, empty, points), scalar_quadrature(word, empty, points)
         )
         assert iterated_integral_quadrature([], path, points) == 1.0
-    idle = path_from_pairs([(rng.standard_normal(3), 0.0)] * 2)
+    idle = PathWord([(rng.standard_normal(3), 0.0)] * 2)
     assert same_bits(
         iterated_integral_quadrature(word, idle, 7), scalar_quadrature(word, idle, 7)
     )
@@ -227,7 +227,7 @@ def test_shuffle_identity_on_random_words(seed):
 
 def test_transport_of_empty_path_is_identity(sol_stages):
     form = sol_stages["form"]
-    out = transport(form, path_from_pairs([]))
+    out = transport(form, PathWord([]))
     assert np.allclose(out, np.eye(form.r))
 
 
@@ -298,7 +298,7 @@ def test_transport_series_tail_decreases_with_depth(sol_stages):
 
 def test_transport_series_reports_growth(sol_stages):
     form = sol_stages["form"]
-    path = path_from_pairs([((1.0, 0.0, 0.0), 2.0)])
+    path = PathWord([((1.0, 0.0, 0.0), 2.0)])
     res = transport_series(form, path, depth=8)
     expected = float(np.linalg.norm(2.0 * form.psi(np.array([1.0, 0.0, 0.0])), "fro"))
     assert res.growth == pytest.approx(expected)
@@ -350,7 +350,7 @@ def test_pattern_series_matches_dense_series(name, request):
         (rng.standard_normal(form.dim), float(rng.uniform(0.2, 0.8))) for _ in range(segments)
     ]
     growth = sum(t * float(np.linalg.norm(form.psi(v), "fro")) for v, t in pairs)
-    path = path_from_pairs([(v, t * min(1.0, 3.0 / growth)) for v, t in pairs])
+    path = PathWord([(v, t * min(1.0, 3.0 / growth)) for v, t in pairs])
     mats = [seg.duration * form.psi(seg.vector) for seg in path]
     for depth in (0, 1, 20):
         dense = dense_product_series(mats, depth)
@@ -361,7 +361,7 @@ def test_pattern_series_matches_dense_series(name, request):
 
 def test_series_on_the_empty_path_is_the_identity(sect4_stages):
     form = sect4_stages["form"]
-    empty = path_from_pairs([])
+    empty = PathWord([])
     for depth in (0, 1, 20):
         res = transport_series(form, empty, depth)
         assert np.array_equal(res.value, np.eye(form.r))
@@ -393,7 +393,7 @@ def test_integral_word_segment_matrix():
 
 def test_size_one_word_is_pure_exponential():
     word = IntegralWord(exponents=((2.0, -1.0),), factors=())
-    path = path_from_pairs([((1.0, 1.0), 0.5), ((0.0, 2.0), 1.5)])
+    path = PathWord([((1.0, 1.0), 0.5), ((0.0, 2.0), 1.5)])
     # integral of the exponent along the path, then exponentiate
     total = (2.0 - 1.0) * 0.5 + (-2.0) * 1.5
     assert exp_iterated_integral(word, path) == pytest.approx(np.exp(total))
@@ -403,7 +403,7 @@ def test_size_two_word_single_segment_closed_form():
     a, b, f = 0.8, -0.3, 2.0
     word = IntegralWord(exponents=((a,), (b,)), factors=((f,),))
     t = 1.3
-    path = path_from_pairs([((1.0,), t)])
+    path = PathWord([((1.0,), t)])
     expected = f * (np.exp(a * t) - np.exp(b * t)) / (a - b)
     assert exp_iterated_integral(word, path) == pytest.approx(expected)
 
@@ -411,7 +411,7 @@ def test_size_two_word_single_segment_closed_form():
 def test_size_two_word_degenerate_exponents():
     a, f, t = 0.6, 1.5, 0.9
     word = IntegralWord(exponents=((a,), (a,)), factors=((f,),))
-    path = path_from_pairs([((1.0,), t)])
+    path = PathWord([((1.0,), t)])
     # the divided difference collapses to t e^(a t)
     expected = f * t * np.exp(a * t)
     assert exp_iterated_integral(word, path) == pytest.approx(expected)
@@ -421,7 +421,7 @@ def test_size_two_word_near_degenerate_is_stable():
     a = 0.6
     b = a + 1e-13
     word = IntegralWord(exponents=((a,), (b,)), factors=((1.0,),))
-    path = path_from_pairs([((1.0,), 1.0)])
+    path = PathWord([((1.0,), 1.0)])
     exact = exp_iterated_integral(word, path)
     reference = 1.0 * np.exp(a)  # limit value of the divided difference
     assert abs(exact - reference) < 1e-10
@@ -469,8 +469,8 @@ def test_exp_integral_series_tail_bound_observed():
 
 def test_exp_integral_multiplicative_over_concat_for_size_one():
     word = IntegralWord(exponents=((1.0, 2.0),), factors=())
-    p1 = path_from_pairs([((0.3, 0.1), 1.0)])
-    p2 = path_from_pairs([((0.2, -0.4), 0.5)])
+    p1 = PathWord([((0.3, 0.1), 1.0)])
+    p2 = PathWord([((0.2, -0.4), 0.5)])
     lhs = exp_iterated_integral(word, p1.concat(p2))
     rhs = exp_iterated_integral(word, p1) * exp_iterated_integral(word, p2)
     assert lhs == pytest.approx(rhs)
@@ -488,7 +488,7 @@ def unit_segment_value(diag, sup):
     word = IntegralWord(
         exponents=tuple((z,) for z in diag), factors=tuple((s,) for s in sup)
     )
-    return exp_iterated_integral(word, path_from_pairs([((1.0,), 1.0)]))
+    return exp_iterated_integral(word, PathWord([((1.0,), 1.0)]))
 
 
 def mp_exp_difference(mpmath, a, b):

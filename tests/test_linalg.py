@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from solvhull import SolvHullError, build_connection_form, build_enveloping_rep
+from solvhull import BudgetExceeded, build_connection_form, build_enveloping_rep
 from solvhull.linalg import SparseStack, bracket_residual
 
 from conftest import CORPUS_SEEDS, letter_matrices
@@ -94,5 +94,6 @@ def test_bracket_residual_of_non_finite_entry_is_inf(sect4_stages):
     values[0, 0] = np.nan
     broken = dataclasses.replace(env.letter_entries, values=values)
     assert bracket_residual(broken, env.gamma) == np.inf
-    with pytest.raises(SolvHullError, match="not flat"):
+    with pytest.raises(BudgetExceeded) as err:
         build_connection_form(dataclasses.replace(env, letter_entries=broken))
+    assert err.value.key == "flatness"

@@ -9,6 +9,7 @@ import pytest
 
 from solvhull import (
     IntegralWord,
+    PathWord,
     build_connection_form,
     build_enveloping_rep,
     build_monodromy_rep,
@@ -18,7 +19,6 @@ from solvhull import (
     exp_iterated_integral,
     monodromy,
     parse_word,
-    path_from_pairs,
     path_independence_residual,
     path_variants,
     separation_demo,
@@ -47,7 +47,7 @@ def random_path(rng, dim, segments):
     pairs = []
     for _ in range(segments):
         pairs.append((rng.standard_normal(dim), float(rng.uniform(0.1, 0.8))))
-    return path_from_pairs(pairs)
+    return PathWord(pairs)
 
 
 def capped_path(rng, form, segments, growth_cap=3.0):
@@ -58,7 +58,7 @@ def capped_path(rng, form, segments, growth_cap=3.0):
     ]
     growth = sum(t * float(np.linalg.norm(form.psi(v), "fro")) for v, t in pairs)
     scale = min(1.0, growth_cap / growth)
-    return path_from_pairs([(v, t * scale) for v, t in pairs])
+    return PathWord([(v, t * scale) for v, t in pairs])
 
 
 def pairwise_chain_steps(form):
@@ -210,7 +210,7 @@ def test_entry_chains_shape(sol_stages):
 
 def test_entry_chain_value_below_diagonal_is_zero(sol_stages):
     form = sol_stages["form"]
-    path = path_from_pairs([((1.0, 0.0, 0.0), 1.0)])
+    path = PathWord([((1.0, 0.0, 0.0), 1.0)])
     assert entry_chain_value(form, path, 2, 0) == 0.0
 
 
@@ -266,7 +266,7 @@ def test_batched_chain_value_matches_per_chain_sum_on_filiform(filiform_forms):
 
 def test_batched_chain_value_on_empty_path(sect4_stages):
     form = sect4_stages["form"]
-    path = path_from_pairs([])
+    path = PathWord([])
     for p in range(form.r):
         for q in range(form.r):
             expected = 1.0 if p == q else 0.0

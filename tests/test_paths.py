@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from solvhull import PathWord, Segment, path_from_pairs
+from solvhull import PathWord, Segment
 
 
 def test_segment_coerces_direction_to_complex_tuple():
@@ -35,8 +35,8 @@ def test_pathword_accepts_pairs_and_segments():
 
 
 def test_pathword_is_immutable_and_hashable():
-    a = path_from_pairs([((1.0,), 1.0)])
-    b = path_from_pairs([((1.0,), 1.0)])
+    a = PathWord([((1.0,), 1.0)])
+    b = PathWord([((1.0,), 1.0)])
     assert a == b
     assert hash(a) == hash(b)
     with pytest.raises(AttributeError):
@@ -44,8 +44,8 @@ def test_pathword_is_immutable_and_hashable():
 
 
 def test_concat_and_inverse():
-    a = path_from_pairs([((1.0, 0.0), 1.0), ((0.0, 1.0), 2.0)])
-    b = path_from_pairs([((1.0, 1.0), 0.5)])
+    a = PathWord([((1.0, 0.0), 1.0), ((0.0, 1.0), 2.0)])
+    b = PathWord([((1.0, 1.0), 0.5)])
     ab = a.concat(b)
     assert len(ab) == 3
     assert ab.segments[2].direction == (1 + 0j, 1 + 0j)
@@ -58,7 +58,7 @@ def test_concat_and_inverse():
 
 @pytest.mark.parametrize("parts", [1, 2, 5])
 def test_subdivide_preserves_duration_and_displacement(parts):
-    a = path_from_pairs([((1.0, 2.0), 1.0), ((0.0, -1.0), 3.0)])
+    a = PathWord([((1.0, 2.0), 1.0), ((0.0, -1.0), 3.0)])
     fine = a.subdivide(parts)
     assert len(fine) == parts * len(a)
     assert np.isclose(fine.total_duration, a.total_duration)
@@ -66,7 +66,7 @@ def test_subdivide_preserves_duration_and_displacement(parts):
 
 
 def test_subdivide_rejects_zero_parts():
-    a = path_from_pairs([((1.0,), 1.0)])
+    a = PathWord([((1.0,), 1.0)])
     with pytest.raises(ValueError):
         a.subdivide(0)
 
@@ -87,7 +87,7 @@ def test_reduced_drops_null_segments():
 
 
 def test_reduced_merges_adjacent_parallel_segments():
-    a = path_from_pairs([((1.0, 0.0), 1.0), ((1.0, 0.0), 2.0)])
+    a = PathWord([((1.0, 0.0), 1.0), ((1.0, 0.0), 2.0)])
     r = a.reduced()
     assert len(r) == 1
     assert np.isclose(r.total_duration, 3.0)
@@ -95,20 +95,20 @@ def test_reduced_merges_adjacent_parallel_segments():
 
 def test_reduced_merges_scaled_parallel_segments():
     # second segment runs twice as fast for half the time
-    a = path_from_pairs([((1.0, 0.0), 1.0), ((2.0, 0.0), 0.5)])
+    a = PathWord([((1.0, 0.0), 1.0), ((2.0, 0.0), 0.5)])
     r = a.reduced()
     assert len(r) == 1
     assert np.allclose(r.displacement(), a.displacement())
 
 
 def test_reduced_cancels_exact_backtracking():
-    a = path_from_pairs([((1.0, 2.0), 1.5), ((-1.0, -2.0), 1.5)])
+    a = PathWord([((1.0, 2.0), 1.5), ((-1.0, -2.0), 1.5)])
     assert len(a.reduced()) == 0
 
 
 def test_reduced_keeps_net_motion_after_overshoot():
     # forward for 1, backward for 3: net is backward for 2
-    a = path_from_pairs([((1.0, 0.0), 1.0), ((-1.0, 0.0), 3.0)])
+    a = PathWord([((1.0, 0.0), 1.0), ((-1.0, 0.0), 3.0)])
     r = a.reduced()
     assert len(r) == 1
     assert r.segments[0].direction == (-1 + 0j, 0j)
@@ -116,19 +116,19 @@ def test_reduced_keeps_net_motion_after_overshoot():
 
 
 def test_reduced_leaves_nonparallel_segments_alone():
-    a = path_from_pairs([((1.0, 0.0), 1.0), ((1.0, 0.1), 1.0)])
+    a = PathWord([((1.0, 0.0), 1.0), ((1.0, 0.1), 1.0)])
     assert len(a.reduced()) == 2
 
 
 def test_displacement_is_signed_time_integral():
-    a = path_from_pairs([((1.0, 0.0), 2.0), ((0.0, 1.0), 0.5), ((-1.0, 0.0), 1.0)])
+    a = PathWord([((1.0, 0.0), 2.0), ((0.0, 1.0), 0.5), ((-1.0, 0.0), 1.0)])
     assert np.allclose(a.displacement(), np.array([1.0, 0.5]))
 
 
 def test_displacement_of_commutator_word_vanishes():
     """Concatenating a loop with its inverse integrates to zero."""
-    x = path_from_pairs([((1.0, 0.0, 0.0), 1.0)])
-    y = path_from_pairs([((0.0, 1.0, 0.0), 1.0)])
+    x = PathWord([((1.0, 0.0, 0.0), 1.0)])
+    y = PathWord([((0.0, 1.0, 0.0), 1.0)])
     word = x.concat(y).concat(x.inverse()).concat(y.inverse())
     assert np.linalg.norm(word.displacement()) == 0.0
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from solvhull import SpecFileError, parse_problem, serialize_problem
+from solvhull import SpecFileError, canonical_json, parse_problem
 from solvhull.builtin_models import sect4_spec, sol_spec
 
 
@@ -79,7 +79,7 @@ def test_digest_is_stable_and_content_sensitive():
 
 def test_serialize_problem_round_trips():
     raw = sol_raw()
-    text = serialize_problem(raw)
+    text = canonical_json(raw)
     again = parse_problem(json.loads(text))
     assert again.spec_digest == parse_problem(raw).spec_digest
 

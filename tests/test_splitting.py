@@ -31,13 +31,13 @@ def embedding_defect(split, rng, samples=6):
             y = y + 1j * rng.standard_normal(alg.dim)
         base = alg.bracket(x, y)
         semidirect = (
-            split.torus_matrix(x) @ y
-            - split.torus_matrix(y) @ x
+            split.semisimple.apply(x) @ y
+            - split.semisimple.apply(y) @ x
             + split.shadow.bracket(x, y)
         )
         worst = max(worst, float(np.max(np.abs(base - semidirect))))
         # the torus is abelian, so brackets carry no torus component
-        torus_leak = np.abs(split.torus_part(base))
+        torus_leak = np.abs(split.torus_coords @ base)
         worst = max(worst, float(np.max(torus_leak, initial=0.0)))
     return worst
 
@@ -82,9 +82,9 @@ def test_torus_coordinates_reconstruct_the_action(sol_stages):
     rng = np.random.default_rng(2)
     for _ in range(4):
         x = rng.standard_normal(split.dim)
-        t = split.torus_part(x)
+        t = split.torus_coords @ x
         rebuilt = sum(t[b] * split.torus[b] for b in range(split.torus.shape[0]))
-        assert np.max(np.abs(rebuilt - split.torus_matrix(x))) < 1e-9
+        assert np.max(np.abs(rebuilt - split.semisimple.apply(x))) < 1e-9
 
 
 def test_torus_matrices_commute(sect4_stages):
