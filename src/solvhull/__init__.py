@@ -28,6 +28,7 @@ from .envelope import EnvelopingTruncation, build_enveloping_rep
 from .errors import (
     AntisymmetryViolation,
     BudgetExceeded,
+    CartanNotFound,
     EigenClusterAmbiguity,
     EndpointMismatch,
     JacobiViolation,
@@ -77,6 +78,7 @@ __all__ = [
     "AntisymmetryViolation",
     "BUILTINS",
     "BudgetExceeded",
+    "CartanNotFound",
     "ConnectionForm",
     "DEFAULT",
     "EigenClusterAmbiguity",

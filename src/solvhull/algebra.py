@@ -5,6 +5,7 @@ and complex coefficient fields are both supported; the dtype of the
 structure table decides which one is in play.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     AntisymmetryViolation,
+    CartanNotFound,
     JacobiViolation,
     NotNilpotent,
     NotSolvable,
@@ -328,14 +330,14 @@ def _cartan_candidates(alg):
 
 
 def _try_cartan(alg, x, tolerances):
-    """Fitting-null subalgebra of ad_x, or None if it is not a Cartan."""
+    """Fitting-null subalgebra of ad_x and None, or None and why it is not a Cartan."""
     adx = alg.adjoint(x).astype(complex)
     q, dim = _fitting_null(adx, tolerances.cluster_scale)
     if q is None or dim == 0:
-        return None
+        return None, "no zero eigenvalue cluster"
     if not alg.is_complex:
         if not linalg.is_real_subspace(q, tolerances.num):
-            return None
+            return None, "not closed under conjugation"
         q = linalg.realify_columns(q, tolerances.num)
     q = _canon_basis(q, alg.is_complex, tolerances, "semisimple_adjoint")
 
@@ -346,17 +348,17 @@ def _try_cartan(alg, x, tolerances):
             brackets.append(alg.bracket(q[:, a], q[:, b]))
     if brackets:
         if linalg.subspace_residual(np.stack(brackets, axis=1), q) > tolerances.num:
-            return None
+            return None, "not a subalgebra"
 
     # Nilpotency of the restricted algebra.
     table, resid = restricted_structure(alg, q, tolerances)
     if resid > tolerances.num:
-        return None
+        return None, "brackets leave the span"
     sub = LieAlgebra(structure=table, names=tuple(f"h{i}" for i in range(q.shape[1])))
     try:
         lower_central_series(sub, tolerances)
     except NotNilpotent:
-        return None
+        return None, "not nilpotent"
 
     # Self-normalizing check: nothing outside q brackets into span(q).
     n = alg.dim
@@ -367,8 +369,8 @@ def _try_cartan(alg, x, tolerances):
         rows.append((np.eye(n) - proj) @ lb)
     normalizer = _field_kernel(np.vstack(rows), alg.is_complex, tolerances.num)
     if normalizer.shape[1] != q.shape[1]:
-        return None
-    return q
+        return None, "not self-normalizing"
+    return q, None
 
 
 def _weight_blocks(alg, cartan, cluster_scale):
@@ -436,29 +438,34 @@ def semisimple_adjoint(alg, nilrad=None, tolerances=DEFAULT):
     Works relative to a Cartan subalgebra: the generalized weight space
     decomposition for the Cartan action turns the semisimple part of
     each ad into a weight-scaled projection sum, which is linear in the
-    element by construction. Candidate regular elements are scanned in a
-    fixed order so the result is deterministic.
+    element by construction.
+
+    The Cartan subalgebra is the Fitting-null subalgebra of the first
+    candidate, in a fixed order, that passes _try_cartan and spans g
+    together with the nilradical, so the result is deterministic. No
+    later candidate can give a smaller one: over C all Cartan
+    subalgebras of a solvable Lie algebra are conjugate (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 16.2), so
+    they share one dimension, the rank, and a real subalgebra is Cartan
+    exactly when its complexification is. If every candidate fails,
+    CartanNotFound counts them by the reason each was rejected.
     """
     if nilrad is None:
         nilrad = nilradical(alg, tolerances)
     n = alg.dim
     nil_basis = nilrad.basis
 
-    best = None
+    rejected = Counter()
     for cand in _cartan_candidates(alg):
-        q = _try_cartan(alg, cand, tolerances)
-        if q is None:
-            continue
-        combined = np.hstack([q.astype(complex), nil_basis.astype(complex)])
-        if linalg.orthonormal_columns(combined, tolerances.alg).shape[1] != n:
-            continue
-        if best is None or q.shape[1] < best.shape[1]:
-            best = q
-            if q.shape[1] == max(1, n - nil_basis.shape[1]):
+        cartan, reason = _try_cartan(alg, cand, tolerances)
+        if cartan is not None:
+            combined = np.hstack([cartan.astype(complex), nil_basis.astype(complex)])
+            if linalg.orthonormal_columns(combined, tolerances.alg).shape[1] == n:
                 break
-    if best is None:
-        raise SolvHullError("no Cartan subalgebra found among deterministic candidates")
-    cartan = best
+            reason = "does not span g with the nilradical"
+        rejected[reason] += 1
+    else:
+        raise CartanNotFound("semisimple_adjoint", rejected)
 
     blocks, weights = _weight_blocks(alg, cartan, tolerances.cluster_scale)
     p = np.hstack(blocks)

@@ -54,6 +54,23 @@ class BudgetExceeded(SolvHullError):
         )
 
 
+class CartanNotFound(SolvHullError):
+    """No candidate element gave a Cartan subalgebra.
+
+    rejected counts the candidates by the reason each one failed.
+    """
+
+    def __init__(self, stage, rejected):
+        self.stage = stage
+        self.rejected = dict(rejected)
+        self.tried = sum(self.rejected.values())
+        reasons = ", ".join(f"{why}: {count}" for why, count in sorted(self.rejected.items()))
+        super().__init__(
+            f"{stage}: no Cartan subalgebra found among {self.tried} deterministic "
+            f"candidates ({reasons})"
+        )
+
+
 class NotNilpotent(SolvHullError):
     """The lower central series does not terminate at zero."""
 

@@ -182,18 +182,22 @@ def _pattern_series(pattern, matrices, depth):
     collects every product of l factors drawn from consecutive segments,
     which is the depth l part of the iterated integral series of the
     transport. Each segment's terms a^k/k! take one product each; the
-    graded Cauchy product with coeff is then gathered, multiplied and
-    summed over the triples in one pass.
+    first segment's terms are coeff, and for each later one the graded
+    Cauchy product with coeff is gathered, multiplied and summed over
+    the triples in one pass. No segment leaves the identity.
     """
     terms = depth + 1
-    coeff = np.zeros((terms, pattern.rows.size), dtype=complex)
-    coeff[0] = pattern.rows == pattern.cols
+    identity = pattern.rows == pattern.cols
+    coeff = None
     for a in matrices:
-        powers = np.empty_like(coeff)
-        powers[0] = pattern.rows == pattern.cols
+        powers = np.empty((terms, pattern.rows.size), dtype=complex)
+        powers[0] = identity
         for k in range(1, terms):
             prods = powers[k - 1, pattern.left] * a[pattern.right]
             powers[k] = np.add.reduceat(prods, pattern.starts) / k
+        if coeff is None:
+            coeff = powers
+            continue
         # np.take keeps the gathered rows contiguous for the loop below.
         lhs = np.take(coeff, pattern.left, axis=1)
         rhs = np.take(powers, pattern.right, axis=1)
@@ -201,6 +205,8 @@ def _pattern_series(pattern, matrices, depth):
         for lo in range(1, terms):
             prods[lo:] += lhs[lo] * rhs[: terms - lo]
         coeff = np.add.reduceat(prods, pattern.starts, axis=-1)
+    if coeff is None:
+        return identity.astype(complex)
     return coeff.sum(axis=0)
 
 

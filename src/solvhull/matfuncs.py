@@ -46,14 +46,17 @@ def exp_chain_sum(diag, sup, start):
     flattened Horner loop, with the superdiagonal a shift by one place,
     centres each row on its node. Its degree covers the widest Taylor
     entry, which only exceeds _TAYLOR_GAP where nodes leave and come
-    back, losing e^radius ulps.
+    back, losing e^radius ulps. The Newton pass runs only when some
+    pair of nodes is _TAYLOR_GAP or more apart.
     """
     diag = np.asarray(diag, dtype=complex)
     sup = np.asarray(sup, dtype=complex)
     n = diag.shape[-1]
     w = diag[..., None, :] - diag[..., :, None]
-    radius = np.maximum.accumulate(np.triu(np.abs(w)), axis=-1)
-    degree = _taylor_degree(np.max(radius, where=np.abs(w) < _TAYLOR_GAP, initial=0.0))
+    dist = np.abs(w)
+    radius = np.maximum.accumulate(np.triu(dist), axis=-1)
+    near = dist < _TAYLOR_GAP
+    degree = _taylor_degree(np.max(radius, where=near, initial=0.0))
     links = np.zeros(w.shape, dtype=complex)
     links[..., :, 1:] = sup[..., None, :]
     links, flat_w = links.ravel()[1:], w.ravel()
@@ -67,14 +70,15 @@ def exp_chain_sum(diag, sup, start):
         acc, step = step, acc
     exps = acc.reshape(w.shape) * np.exp(diag)[..., :, None]
     flat = exps.reshape(diag.shape[:-1] + (n * n,))
-    prev = flat[..., :: n + 1]
-    for k in range(1, n):
-        gap = diag[..., k:] - diag[..., :-k]
-        taylor = np.abs(gap) < _TAYLOR_GAP
-        newton = sup[..., : n - k] * prev[..., 1:] - sup[..., k - 1 :] * prev[..., :-1]
-        newton /= np.where(taylor, 1.0, gap)
-        prev = np.where(taylor, flat[..., k :: n + 1][..., : n - k], newton)
-        flat[..., k :: n + 1][..., : n - k] = prev
+    if not near.all():
+        prev = flat[..., :: n + 1]
+        for k in range(1, n):
+            gap = diag[..., k:] - diag[..., :-k]
+            taylor = np.abs(gap) < _TAYLOR_GAP
+            newton = sup[..., : n - k] * prev[..., 1:] - sup[..., k - 1 :] * prev[..., :-1]
+            newton /= np.where(taylor, 1.0, gap)
+            prev = np.where(taylor, flat[..., k :: n + 1][..., : n - k], newton)
+            flat[..., k :: n + 1][..., : n - k] = prev
     x = np.zeros(diag.shape[:-3] + diag.shape[-2:], dtype=complex)
     x[..., np.arange(len(start)), start] = 1.0
     for s in range(diag.shape[-3]):

@@ -136,8 +136,9 @@ def _segment_data(form, paths):
     vectors = np.zeros((len(paths), longest, form.dim), dtype=complex)
     durations = np.zeros((len(paths), longest, 1))
     for v, path in enumerate(paths):
-        for s, seg in enumerate(path):
-            vectors[v, s], durations[v, s] = seg.vector, seg.duration
+        if len(path):
+            vectors[v, : len(path)] = [seg.direction for seg in path]
+            durations[v, : len(path), 0] = [seg.duration for seg in path]
     diag = durations * (vectors @ form.omega.T)
     links = durations * (vectors @ form.closure_psi)
     return diag, links
