@@ -38,6 +38,7 @@ from .errors import (
     SolvHullError,
     SpecFileError,
     TruncationOverflow,
+    UnknownName,
     ValidationError,
 )
 from .groups import GroupElement, Lattice, SemidirectModel, parse_word
@@ -105,6 +106,7 @@ __all__ = [
     "SplitAlgebra",
     "Tolerances",
     "TruncationOverflow",
+    "UnknownName",
     "ValidationError",
     "build_connection_form",
     "build_enveloping_rep",

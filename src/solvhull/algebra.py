@@ -45,6 +45,10 @@ class LieAlgebra:
     def bracket(self, x, y):
         return np.einsum("i,j,ijk->k", np.asarray(x), np.asarray(y), self.structure)
 
+    def brackets(self, x, y):
+        """Brackets of two column families: out[:, a, b] = [x[:, a], y[:, b]]."""
+        return np.einsum("ia,jb,ijk->kab", np.asarray(x), np.asarray(y), self.structure)
+
     def adjoint_basis(self):
         """List of ad matrices of the basis vectors."""
         return [np.einsum("jk->kj", self.structure[i]) for i in range(self.dim)]
@@ -119,13 +123,7 @@ def validate_algebra(structure, names=None, tolerances=DEFAULT):
 
 def _pairwise_bracket_span(alg, left, right, tol):
     """Span of brackets between two column families, orthonormalized."""
-    cols = []
-    for a in range(left.shape[1]):
-        for b in range(right.shape[1]):
-            cols.append(alg.bracket(left[:, a], right[:, b]))
-    if not cols:
-        return left[:, :0]
-    mat = np.stack(cols, axis=1)
+    mat = alg.brackets(left, right).reshape(alg.dim, -1)
     return linalg.orthonormal_columns(mat, tol)
 
 
@@ -267,11 +265,8 @@ def nilradical(alg, tolerances=DEFAULT):
         for j in range(basis.shape[1])
     }
     if basis.shape[1]:
-        brackets = []
-        for i in range(n):
-            for j in range(basis.shape[1]):
-                brackets.append(alg.bracket(alg.basis_vector(i), basis[:, j]))
-        checks["ideal"] = linalg.subspace_residual(np.stack(brackets, axis=1), basis)
+        ideal = alg.brackets(np.eye(n, dtype=alg.structure.dtype), basis)
+        checks["ideal"] = linalg.subspace_residual(ideal.reshape(n, -1), basis)
     tolerances.check("nilradical", checks, tolerances.num)
 
     return NilradicalResult(basis=basis, trace_residual=trace_resid)
@@ -281,21 +276,15 @@ def restricted_structure(alg, q, tolerances=DEFAULT):
     """Structure constants of a subalgebra in the basis q.
 
     Returns (table, residual) where residual measures how far the
-    brackets fall outside span(q).
+    brackets fall outside span(q): the largest norm of a bracket's
+    component orthogonal to the orthonormal columns of q.
     """
     m = q.shape[1]
-    dtype = complex if (alg.is_complex or np.iscomplexobj(q)) else float
-    table = np.zeros((m, m, m), dtype=dtype)
-    worst = 0.0
-    for a in range(m):
-        for b in range(m):
-            v = alg.bracket(q[:, a], q[:, b])
-            coords = q.conj().T @ v
-            resid = v - q @ coords
-            worst = max(worst, float(np.linalg.norm(resid)))
-            table[a, b, :] = coords
-    table = (table - np.swapaxes(table, 0, 1)) / 2.0
-    return table, worst
+    v = alg.brackets(q, q).reshape(alg.dim, m * m)
+    coords = q.conj().T @ v
+    worst = float(np.max(np.linalg.norm(v - q @ coords, axis=0), initial=0.0))
+    table = np.moveaxis(coords.reshape(m, m, m), 0, -1)
+    return (table - np.swapaxes(table, 0, 1)) / 2.0, worst
 
 
 def _fitting_null(adx, cluster_scale):
@@ -341,19 +330,10 @@ def _try_cartan(alg, x, tolerances):
         q = linalg.realify_columns(q, tolerances.num)
     q = _canon_basis(q, alg.is_complex, tolerances, "semisimple_adjoint")
 
-    # Subalgebra check.
-    brackets = []
-    for a in range(q.shape[1]):
-        for b in range(a + 1, q.shape[1]):
-            brackets.append(alg.bracket(q[:, a], q[:, b]))
-    if brackets:
-        if linalg.subspace_residual(np.stack(brackets, axis=1), q) > tolerances.num:
-            return None, "not a subalgebra"
-
-    # Nilpotency of the restricted algebra.
+    # Subalgebra check, then nilpotency of the restricted algebra.
     table, resid = restricted_structure(alg, q, tolerances)
     if resid > tolerances.num:
-        return None, "brackets leave the span"
+        return None, "not a subalgebra"
     sub = LieAlgebra(structure=table, names=tuple(f"h{i}" for i in range(q.shape[1])))
     try:
         lower_central_series(sub, tolerances)
@@ -361,13 +341,11 @@ def _try_cartan(alg, x, tolerances):
         return None, "not nilpotent"
 
     # Self-normalizing check: nothing outside q brackets into span(q).
+    # Row block b is x -> [x, q_b] followed by the projection off span(q).
     n = alg.dim
-    proj = q @ q.conj().T
-    rows = []
-    for b in range(q.shape[1]):
-        lb = np.einsum("ijk,j->ki", alg.structure, q[:, b])
-        rows.append((np.eye(n) - proj) @ lb)
-    normalizer = _field_kernel(np.vstack(rows), alg.is_complex, tolerances.num)
+    ad_q = np.moveaxis(alg.brackets(np.eye(n), q), -1, 0)
+    rows = (np.eye(n) - q @ q.conj().T) @ ad_q
+    normalizer = _field_kernel(rows.reshape(-1, n), alg.is_complex, tolerances.num)
     if normalizer.shape[1] != q.shape[1]:
         return None, "not self-normalizing"
     return q, None
@@ -404,10 +382,7 @@ def _weight_blocks(alg, cartan, cluster_scale):
         blocks = new_blocks
         weights = new_weights
 
-    def key(w):
-        return tuple((round(z.real, 9), round(z.imag, 9)) for z in w)
-
-    order = sorted(range(len(blocks)), key=lambda k: key(weights[k]))
+    order = sorted(range(len(blocks)), key=lambda k: linalg.rounded_key(weights[k]))
     return [blocks[k] for k in order], [weights[k] for k in order]
 
 

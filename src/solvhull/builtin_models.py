@@ -13,6 +13,7 @@ integer translations of the fiber.
 
 import numpy as np
 
+from .errors import UnknownName
 from .specfile import parse_problem
 
 _PI = float(np.pi)
@@ -113,5 +114,5 @@ BUILTINS = {
 def builtin_problem(name, tolerances=None):
     """Parse one of the built in problems by name."""
     if name not in BUILTINS:
-        raise KeyError(f"unknown builtin {name!r}, available: {sorted(BUILTINS)}")
+        raise UnknownName(f"unknown builtin {name!r}, available: {sorted(BUILTINS)}")
     return parse_problem(BUILTINS[name](), tolerances=tolerances)

@@ -288,9 +288,6 @@ def main(argv=None):
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except KeyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SolvHullError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVARIANT

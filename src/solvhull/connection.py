@@ -131,12 +131,7 @@ def integer_lattice_basis(generators, tol):
     """
     gens = [np.asarray(g, dtype=complex).ravel() for g in generators]
     gens = [g for g in gens if np.linalg.norm(g) > tol]
-    gens.sort(
-        key=lambda g: (
-            float(np.linalg.norm(g)),
-            tuple((round(z.real, 9), round(z.imag, 9)) for z in g),
-        )
-    )
+    gens.sort(key=lambda g: (float(np.linalg.norm(g)), linalg.rounded_key(g)))
     basis = []
     for f in gens:
         if not basis:
@@ -172,12 +167,7 @@ def _canonical_basis(basis, tol):
                     flip = True
                 break
         out.append(-v if flip else v)
-    out.sort(
-        key=lambda g: (
-            float(np.linalg.norm(g)),
-            tuple((round(z.real, 9), round(z.imag, 9)) for z in g),
-        )
-    )
+    out.sort(key=lambda g: (float(np.linalg.norm(g)), linalg.rounded_key(g)))
     return out
 
 

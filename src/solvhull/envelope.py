@@ -188,30 +188,20 @@ def _generator_table(split, gmat, ginv, weights, chars, tolerances):
     j + k and carries the summed character; components violating either
     rule are rounding noise and are removed after being measured.
     """
-    shadow = split.shadow
-    n = shadow.dim
-    gamma = np.zeros((n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            gamma[a, b, :] = ginv @ shadow.bracket(gmat[:, a], gmat[:, b])
+    n = split.shadow.dim
+    coords = ginv @ split.shadow.brackets(gmat, gmat).reshape(n, n * n)
+    gamma = np.moveaxis(coords.reshape(n, n, n), 0, -1)
     gamma = (gamma - np.swapaxes(gamma, 0, 1)) / 2.0
 
+    # forbid[a, b, m]: component m of [g_a, g_b] breaks either rule.
+    w = np.asarray(weights)
+    ch = np.asarray(chars, dtype=complex).reshape(n, split.torus.shape[0])
+    low_weight = w[None, None, :] < (w[:, None] + w[None, :])[:, :, None]
+    off_char = np.abs(ch[None, None] - (ch[:, None] + ch[None, :])[:, :, None])
+    forbid = low_weight | np.any(off_char > tolerances.char_match, axis=-1)
     scale = max(1.0, float(np.max(np.abs(gamma))))
-    forbidden = 0.0
-    for a in range(n):
-        for b in range(n):
-            target_char = tuple(
-                za + zb for za, zb in zip(chars[a], chars[b])
-            )
-            for m in range(n):
-                bad_weight = weights[m] < weights[a] + weights[b]
-                bad_char = any(
-                    abs(zm - zt) > tolerances.char_match
-                    for zm, zt in zip(chars[m], target_char)
-                )
-                if bad_weight or bad_char:
-                    forbidden = max(forbidden, abs(gamma[a, b, m]))
-                    gamma[a, b, m] = 0.0
+    forbidden = float(np.max(np.abs(gamma[forbid]), initial=0.0))
+    gamma[forbid] = 0.0
     tolerances.check(
         "envelope", {"forbidden_bracket_components": forbidden}, tolerances.num * scale
     )
@@ -259,8 +249,7 @@ def _order_words(words, weights, chars, t_dim):
 
     def key(item):
         weight, acc, word = item
-        rounded = tuple((round(z.real, 9), round(z.imag, 9)) for z in acc)
-        return (-weight, -len(word), rounded, word)
+        return (-weight, -len(word), linalg.rounded_key(acc), word)
 
     summed.sort(key=key)
     word_weights = np.array([weight for weight, _, _ in summed], dtype=int)

@@ -37,6 +37,16 @@ class JacobiViolation(ValidationError):
         )
 
 
+class UnknownName(ValidationError, KeyError):
+    """A generator or builtin problem was asked for by a name it does not have.
+
+    It is a KeyError as well, for lookups that catch one, but prints its
+    message without the quotes that KeyError adds.
+    """
+
+    __str__ = Exception.__str__
+
+
 class NotSolvable(ValidationError):
     """The derived series does not terminate at zero."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EndpointMismatch, ValidationError
+from .errors import EndpointMismatch, UnknownName, ValidationError
 from .linalg import SparseStack, bracket_residual
 from .matfuncs import expm, phi1_apply
 from .paths import PathWord
@@ -221,7 +221,7 @@ class Lattice:
         for key, g in self.generators:
             if key == name:
                 return g
-        raise KeyError(f"unknown generator {name!r}")
+        raise UnknownName(f"unknown generator {name!r}")
 
     @property
     def names(self):

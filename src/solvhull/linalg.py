@@ -252,6 +252,11 @@ def is_nilpotent_matrix(a, tol=1e-9):
     return nilpotency_residual(a, tol) < tol
 
 
+def rounded_key(values):
+    """Sort key of complex values: real and imaginary parts rounded to 9 places."""
+    return tuple((round(z.real, 9), round(z.imag, 9)) for z in values)
+
+
 def joint_eigenbasis(mats, cluster_scale=1e-7, tol=1e-8):
     """Simultaneous eigenbasis of a commuting semisimple family.
 
@@ -295,10 +300,7 @@ def joint_eigenbasis(mats, cluster_scale=1e-7, tol=1e-8):
         charlists = new_chars
 
     # Deterministic block order by character tuple.
-    def key(chars):
-        return tuple((round(c.real, 9), round(c.imag, 9)) for c in chars)
-
-    order = sorted(range(len(blocks)), key=lambda k: key(charlists[k]))
+    order = sorted(range(len(blocks)), key=lambda k: rounded_key(charlists[k]))
     blocks = [canon_columns(blocks[k]) for k in order]
     charlists = [charlists[k] for k in order]
 

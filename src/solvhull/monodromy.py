@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnknownName
 from .integrals import transport
 from .matfuncs import exp_chain_sum
 from .paths import PathWord
@@ -43,7 +44,7 @@ class MonodromyRep:
         for key, m in zip(self.lattice.names, self.matrices):
             if key == name:
                 return m
-        raise KeyError(f"unknown generator {name!r}")
+        raise UnknownName(f"unknown generator {name!r}")
 
     def of_word(self, word):
         """Product of generator monodromies, using flatness for powers."""

@@ -57,12 +57,12 @@ def _shadow_table(alg, ads_tensor):
     The raw table is antisymmetrized by averaging, which is exact in
     floating point, so the table is antisymmetric entry for entry.
     """
-    c = alg.structure
-    n = alg.dim
-    raw = np.array(c, dtype=ads_tensor.dtype, copy=True)
-    for i in range(n):
-        for j in range(n):
-            raw[i, j, :] = raw[i, j, :] - ads_tensor[i][:, j] + ads_tensor[j][:, i]
+    # raw[i, j] = [e_i, e_j] - ads(e_i) e_j + ads(e_j) e_i.
+    raw = (
+        alg.structure.astype(ads_tensor.dtype)
+        - np.swapaxes(ads_tensor, 1, 2)
+        + np.transpose(ads_tensor, (2, 0, 1))
+    )
     return (raw - np.swapaxes(raw, 0, 1)) / 2.0
 
 

@@ -94,6 +94,23 @@ def graded_filiform_structure(m):
     return c
 
 
+def torus_heisenberg_structure(k):
+    """A rank-k torus acting on the Heisenberg algebra H_{2k+1}.
+
+    Basis (T_0, ..., T_{k-1}, X_0, ..., X_{k-1}, Y_0, ..., Y_{k-1}, Z) with
+    [X_i, Y_i] = Z, [T_i, X_i] = (i + 1) X_i and [T_i, Y_i] = -(i + 1) Y_i,
+    so the weights are 1, ..., k.
+    """
+    n = 3 * k + 1
+    c = np.zeros((n, n, n))
+    for i in range(k):
+        t, x, y = i, k + i, 2 * k + i
+        for a, b, m, value in ((x, y, n - 1, 1.0), (t, x, x, i + 1.0), (t, y, y, -(i + 1.0))):
+            c[a, b, m] = value
+            c[b, a, m] = -value
+    return c
+
+
 def conjugate_structure(c, p):
     """Structure constants in the basis f_i whose coordinates are p[:, i]."""
     pinv = np.linalg.inv(p)

@@ -12,6 +12,7 @@ from solvhull import (
     JacobiViolation,
     NotNilpotent,
     NotSolvable,
+    builtin_problem,
     derived_series,
     lower_central_series,
     nilpotency_class,
@@ -34,6 +35,7 @@ from conftest import (
     abelian_structure,
     conjugate_structure,
     filiform4_structure,
+    graded_filiform_structure,
     heisenberg_structure,
     skewed_basis_structure,
     sl2_structure,
@@ -312,6 +314,52 @@ def test_nilradical_follows_a_change_of_basis(seed, corpus):
         got = moved.basis.astype(complex)
         drift = expected @ expected.conj().T - got @ got.conj().T
         assert float(np.max(np.abs(drift))) < 1e-9
+
+
+# ---------------------------------------------------------------- brackets
+
+BRACKET_CASES = [f"corpus{seed}" for seed in CORPUS_SEEDS] + ["sol", "sect4", "filiform6"]
+
+
+@pytest.mark.parametrize("name", BRACKET_CASES)
+def test_brackets_match_the_per_pair_bracket(name, corpus):
+    if name.startswith("corpus"):
+        alg = corpus[int(name[len("corpus"):])]
+    elif name == "filiform6":
+        alg = validate_algebra(graded_filiform_structure(6))
+    else:
+        alg = builtin_problem(name).algebra
+    n = alg.dim
+    rng = np.random.default_rng(n)
+    families = (
+        (np.eye(n), rng.standard_normal((n, 3))),
+        (rng.standard_normal((n, 2)), rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))),
+    )
+    for x, y in families:
+        got = alg.brackets(x, y)
+        assert got.shape == (n, x.shape[1], y.shape[1])
+        want = np.array([[alg.bracket(xa, yb) for yb in y.T] for xa in x.T])
+        assert np.linalg.norm(got - np.moveaxis(want, -1, 0)) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_brackets_of_an_empty_family(sol_problem):
+    alg = sol_problem.algebra
+    x = np.ones((alg.dim, 2))
+    assert alg.brackets(x, x[:, :0]).shape == (alg.dim, 2, 0)
+    assert alg.brackets(x[:, :0], x).shape == (alg.dim, 0, 2)
+    assert alg.brackets(x[:, :0], x[:, :0]).shape == (alg.dim, 0, 0)
+
+
+def test_derived_series_ends_at_an_empty_family():
+    series = derived_series(validate_algebra(heisenberg_structure()))
+    assert [step.shape for step in series] == [(3, 3), (3, 1), (3, 0)]
+
+
+def test_restricted_structure_of_the_zero_span(sol_problem):
+    alg = sol_problem.algebra
+    table, resid = restricted_structure(alg, np.zeros((alg.dim, 0)))
+    assert table.shape == (0, 0, 0)
+    assert resid == 0.0
 
 
 # ---------------------------------------------------------------- restriction

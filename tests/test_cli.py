@@ -109,6 +109,8 @@ def test_monodromy_unknown_generator():
     res = run_cli("monodromy", "--example", "sol", "--word", "zz")
     assert res.returncode == 2
     assert "error" in res.stderr
+    # The message is printed as raised, without KeyError's added quotes.
+    assert res.stderr == "error: unknown generator 'zz'\n"
 
 
 # ------------------------------------------------------------- integrate
@@ -266,6 +268,18 @@ def test_invariant_failure_exit_code(monkeypatch, capsys):
     code = cli.main(["monodromy", "--example", "sol", "--word", "a"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_bad_input(monkeypatch):
+    """A KeyError from inside a build stage is a fault, not exit 2."""
+    import solvhull.verify as verify
+
+    def boom(*args, **kwargs):
+        raise KeyError("internal lookup")
+
+    monkeypatch.setattr(verify, "build_splitting", boom)
+    with pytest.raises(KeyError, match="internal lookup"):
+        cli.main(["monodromy", "--example", "sol", "--word", "a"])
 
 
 def test_main_inprocess_success(capsys):

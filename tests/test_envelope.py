@@ -8,6 +8,7 @@ import pytest
 
 from solvhull import (
     TruncationOverflow,
+    build_connection_form,
     build_enveloping_rep,
     build_splitting,
     validate_algebra,
@@ -23,6 +24,7 @@ from conftest import (
     letter_matrices,
     shadow_action,
     torus_diagonal,
+    torus_heisenberg_structure,
 )
 
 
@@ -254,6 +256,16 @@ def test_envelope_postconditions_on_corpus(seed, corpus):
     # every numerical residual stays small
     for key, val in env.residuals.items():
         assert val < 1e-8, (key, val)
+
+
+@pytest.mark.parametrize("k, r", [(1, 15), (2, 36), (3, 66)])
+def test_torus_heisenberg_builds(k, r):
+    """The rank-k torus on H_{2k+1} builds through the connection form."""
+    alg = validate_algebra(torus_heisenberg_structure(k))
+    assert alg.dim == 3 * k + 1
+    env = build_enveloping_rep(build_splitting(alg))
+    assert env.r == r
+    assert build_connection_form(env).flatness < 1e-12
 
 
 def test_char_registry_radii_follow_num():
