@@ -272,7 +272,7 @@ def nilradical(alg, tolerances=DEFAULT):
     return NilradicalResult(basis=basis, trace_residual=trace_resid)
 
 
-def restricted_structure(alg, q, tolerances=DEFAULT):
+def restricted_structure(alg, q):
     """Structure constants of a subalgebra in the basis q.
 
     Returns (table, residual) where residual measures how far the
@@ -328,10 +328,11 @@ def _try_cartan(alg, x, tolerances):
         if not linalg.is_real_subspace(q, tolerances.num):
             return None, "not closed under conjugation"
         q = linalg.realify_columns(q, tolerances.num)
-    q = _canon_basis(q, alg.is_complex, tolerances, "semisimple_adjoint")
 
-    # Subalgebra check, then nilpotency of the restricted algebra.
-    table, resid = restricted_structure(alg, q, tolerances)
+    # The checks run on the orthonormal basis q; only an accepted
+    # candidate is put in canonical form. Subalgebra check, then
+    # nilpotency of the restricted algebra.
+    table, resid = restricted_structure(alg, q)
     if resid > tolerances.num:
         return None, "not a subalgebra"
     sub = LieAlgebra(structure=table, names=tuple(f"h{i}" for i in range(q.shape[1])))
@@ -348,7 +349,7 @@ def _try_cartan(alg, x, tolerances):
     normalizer = _field_kernel(rows.reshape(-1, n), alg.is_complex, tolerances.num)
     if normalizer.shape[1] != q.shape[1]:
         return None, "not self-normalizing"
-    return q, None
+    return _canon_basis(q, alg.is_complex, tolerances, "semisimple_adjoint"), None
 
 
 def _weight_blocks(alg, cartan, cluster_scale):

@@ -2,7 +2,13 @@
 
 The module is spanned by normally ordered monomials in a generator basis
 chosen as joint eigenvectors of the torus, adapted to the lower central
-series. Left multiplication by a generator strictly raises the total
+series. One joint eigendecomposition of the torus on the whole shadow
+gives each weight space a canonical basis. Each series level is torus
+invariant, so its part in a weight space is read off in eigenbasis
+coordinates. The generators of weight k are the canonical basis of the
+complement of level k + 1 in level k within each weight space. They
+depend only on the series subspaces, not on the bases those come in.
+Left multiplication by a generator strictly raises the total
 series weight of a monomial, so ordering monomials by descending weight
 makes every action matrix strictly upper triangular, while the torus
 acts diagonally with the monomial's accumulated character.
@@ -97,17 +103,23 @@ def _grouped_eigencolumns(mats, basis, tolerances):
     return out, resid
 
 
-def _complement_within(big, small, tol):
-    """Orthonormal basis of the orthogonal complement of small inside big."""
-    if big.shape[1] == 0:
-        return big
-    if small is None or small.shape[1] == 0:
-        return big
-    overlap = small.conj().T @ big
-    ker = linalg.nullspace(overlap, tol)
-    if ker.shape[1] == 0:
-        return big[:, :0]
-    return linalg.canon_columns(big @ ker, tol)
+def _letters_within(space, here, deeper, tol):
+    """Canonical basis of the complement of span(deeper) in span(here).
+
+    space has orthonormal columns; here and deeper are orthonormal
+    coordinates in that basis, with span(deeper) inside span(here). The
+    result is in ambient coordinates: empty when the two spans have one
+    dimension, space itself when here fills it and deeper is empty, and
+    otherwise linalg.tied_canon_columns, so that rounding cannot reorder
+    letters whose pivot norms tie.
+    """
+    if here.shape[1] == deeper.shape[1]:
+        return space[:, :0]
+    if deeper.shape[1] == 0 and here.shape[1] == space.shape[1]:
+        return space
+    if deeper.shape[1] > 0:
+        here = here @ linalg.nullspace(deeper.conj().T @ here, tol)
+    return linalg.tied_canon_columns(space @ here, tol)
 
 
 @dataclass(frozen=True)
@@ -144,28 +156,50 @@ class EnvelopingTruncation:
 
 
 def _build_generators(split, tolerances):
-    """LCS adapted joint eigenbasis of the torus on shadow coordinates."""
-    shadow = split.shadow
-    n = shadow.dim
-    series = list(split.shadow_series)
+    """LCS adapted joint eigenbasis of the torus on shadow coordinates.
+
+    One joint eigendecomposition of the torus splits the shadow into
+    weight spaces, each with a canonical orthonormal basis. Every series
+    level is torus invariant, so its part in a weight space is the
+    weight space rows of its dual eigenbasis coordinates. The letters of
+    weight k and character ch are the canonical basis of the complement
+    of level k + 1 in level k inside weight space ch, which depends only
+    on the series subspaces, not on the bases they come in.
+    """
+    n = split.shadow.dim
+    series = split.shadow_series
     cls = split.shadow_class
     mats = [split.torus[b].astype(complex) for b in range(split.torus.shape[0])]
     registry = _CharRegistry(tolerances)
+    tol = tolerances.alg
 
-    level_groups = []
-    worst = 0.0
-    for k in range(1, cls + 2):
-        basis = series[k - 1] if k - 1 < len(series) else series[-1]
-        groups, resid = _grouped_eigencolumns(mats, basis.astype(complex), tolerances)
-        worst = max(worst, resid)
-        level_groups.append({registry.canon(ch): q for ch, q in groups.items()})
+    groups, worst = _grouped_eigencolumns(mats, np.eye(n, dtype=complex), tolerances)
+    spaces = {registry.canon(ch): q for ch, q in groups.items()}
+    order = sorted(spaces, key=_char_key)
+    dual = np.linalg.inv(np.hstack([spaces[ch] for ch in order]))
+    ends = np.cumsum([spaces[ch].shape[1] for ch in order])
+
+    # parts[k - 1][ch]: orthonormal coordinates, in the basis spaces[ch],
+    # of series level k's part in weight space ch. The levels are
+    # nested, so a weight space that level k misses, deeper levels miss.
+    parts = [{ch: np.eye(spaces[ch].shape[1]) for ch in order}]
+    for k, level in enumerate(series[1:], start=2):
+        coords = dict(zip(order, np.split(dual @ level, ends[:-1])))
+        parts.append({
+            ch: linalg.orthonormal_columns(coords[ch], tol) if above.shape[1] else above
+            for ch, above in parts[-1].items()
+        })
+        found = sum(q.shape[1] for q in parts[-1].values())
+        if found != level.shape[1]:
+            raise SolvHullError(
+                f"series level {k} has {found} of its {level.shape[1]} "
+                "dimensions in the torus weight spaces"
+            )
 
     letters = []
     for k in range(cls, 0, -1):
-        here = level_groups[k - 1]
-        deeper = level_groups[k] if k < len(level_groups) else {}
-        for ch in sorted(here.keys(), key=_char_key):
-            comp = _complement_within(here[ch], deeper.get(ch), tolerances.alg)
+        for ch in order:
+            comp = _letters_within(spaces[ch], parts[k - 1][ch], parts[k][ch], tol)
             for j in range(comp.shape[1]):
                 letters.append((comp[:, j], k, ch))
 
@@ -174,10 +208,16 @@ def _build_generators(split, tolerances):
             f"generator extraction produced {len(letters)} letters for dimension {n}"
         )
     gmat = np.stack([vec for vec, _, _ in letters], axis=1)
-    cond = float(np.linalg.cond(gmat))
-    ginv = np.linalg.inv(gmat)
     weights = tuple(w for _, w, _ in letters)
     chars = tuple(ch for _, _, ch in letters)
+
+    # Each letter must be an eigenvector of every torus element.
+    lam = np.array(chars, dtype=complex).reshape(n, len(mats))
+    for b, m in enumerate(mats):
+        err = float(np.max(np.abs(m @ gmat - gmat * lam[:, b])))
+        worst = max(worst, err / max(1.0, float(np.linalg.norm(m, 2))))
+    cond = float(np.linalg.cond(gmat))
+    ginv = np.linalg.inv(gmat)
     return gmat, ginv, weights, chars, worst, cond
 
 
@@ -284,6 +324,11 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
     index = {w: i for i, w in enumerate(words)}
     r = len(words)
 
+    # brackets[a][b]: the nonzero (m, gamma[a, b, m]) in increasing m.
+    brackets = [
+        [[(int(m), gamma[a, b, m]) for m in np.flatnonzero(gamma[a, b])] for b in range(n)]
+        for a in range(n)
+    ]
     cache = {}
 
     def normal_product(a, word):
@@ -302,10 +347,7 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
             for w2, c2 in normal_product(a, rest).items():
                 for w3, c3 in normal_product(b, w2).items():
                     out[w3] = out.get(w3, 0.0) + c2 * c3
-            for m in range(n):
-                coeff = gamma[a, b, m]
-                if coeff == 0.0:
-                    continue
+            for m, coeff in brackets[a][b]:
                 for w2, c2 in normal_product(m, rest).items():
                     out[w2] = out.get(w2, 0.0) + coeff * c2
         out = {w: c for w, c in out.items() if c != 0.0}

@@ -13,7 +13,17 @@ import pytest
 
 from solvhull import CartanNotFound, builtin_problem, validate_algebra
 from solvhull import algebra, linalg
-from solvhull.algebra import nilradical, semisimple_adjoint
+from solvhull.algebra import (
+    LieAlgebra,
+    NotNilpotent,
+    _canon_basis,
+    _field_kernel,
+    _fitting_null,
+    lower_central_series,
+    nilradical,
+    restricted_structure,
+    semisimple_adjoint,
+)
 from solvhull.tolerances import DEFAULT
 
 from conftest import CORPUS_SEEDS, graded_filiform_structure, torus_heisenberg_structure
@@ -142,3 +152,50 @@ def test_cartan_that_misses_the_complement_is_rejected(monkeypatch):
     tried = len(list(algebra._cartan_candidates(alg)))
     assert err.value.rejected == {"does not span g with the nilradical": tried}
     assert err.value.tried == tried
+
+
+def canon_first_try_cartan(alg, x, tolerances):
+    """_try_cartan with the canonical basis built before the checks run."""
+    q, dim = _fitting_null(alg.adjoint(x).astype(complex), tolerances.cluster_scale)
+    if q is None or dim == 0:
+        return None, "no zero eigenvalue cluster"
+    if not alg.is_complex:
+        if not linalg.is_real_subspace(q, tolerances.num):
+            return None, "not closed under conjugation"
+        q = linalg.realify_columns(q, tolerances.num)
+    q = _canon_basis(q, alg.is_complex, tolerances, "semisimple_adjoint")
+    table, resid = restricted_structure(alg, q)
+    if resid > tolerances.num:
+        return None, "not a subalgebra"
+    try:
+        lower_central_series(LieAlgebra(structure=table, names=()), tolerances)
+    except NotNilpotent:
+        return None, "not nilpotent"
+    n = alg.dim
+    ad_q = np.moveaxis(alg.brackets(np.eye(n), q), -1, 0)
+    rows = (np.eye(n) - q @ q.conj().T) @ ad_q
+    if _field_kernel(rows.reshape(-1, n), alg.is_complex, tolerances.num).shape[1] != q.shape[1]:
+        return None, "not self-normalizing"
+    return q, None
+
+
+@pytest.mark.parametrize("name", CASES + ["filiform9"])
+def test_only_the_accepted_candidate_is_canonicalized(name, corpus, monkeypatch):
+    """Checking the orthonormal basis keeps every verdict and accepted basis."""
+    alg, tol = _problem(name, corpus)
+    canonicalized = []
+
+    def counted(*args):
+        canonicalized.append(args)
+        return _canon_basis(*args)
+
+    for cand in algebra._cartan_candidates(alg):
+        expected, expected_reason = canon_first_try_cartan(alg, cand, tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "_canon_basis", counted)
+            q, reason = algebra._try_cartan(alg, cand, tol)
+        assert reason == expected_reason
+        assert len(canonicalized) == (q is not None)
+        canonicalized.clear()
+        if q is not None:
+            assert q.tobytes() == expected.tobytes()

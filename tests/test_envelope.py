@@ -1,5 +1,6 @@
 """Truncated enveloping module: monomial order, triangularity, exactness."""
 
+import dataclasses
 import gc
 from itertools import combinations_with_replacement
 
@@ -11,15 +12,23 @@ from solvhull import (
     build_connection_form,
     build_enveloping_rep,
     build_splitting,
+    linalg,
     validate_algebra,
 )
-from solvhull.envelope import _CharRegistry, _enumerate_words
+from solvhull.envelope import (
+    _build_generators,
+    _char_key,
+    _CharRegistry,
+    _enumerate_words,
+    _grouped_eigencolumns,
+)
 from solvhull.errors import SolvHullError
 from solvhull.tolerances import DEFAULT, Tolerances
 
 from conftest import (
     CORPUS_SEEDS,
     filiform4_structure,
+    graded_filiform_structure,
     letter_action,
     letter_matrices,
     shadow_action,
@@ -288,3 +297,141 @@ def test_build_with_a_non_default_num(num, sol_stages, sect4_stages, filiform_sp
         assert np.array_equal(env.word_chars, default.word_chars)
         for name, value in default.residuals.items():
             assert env.residuals[name] == value, name
+
+
+@pytest.fixture(scope="module")
+def named_split(corpus_splittings, sol_stages, sect4_stages):
+    """Splitting of a corpus seed, a builtin or a scaling family, built once."""
+    builtins = {"sol": sol_stages, "sect4": sect4_stages}
+    built = {}
+
+    def get(name):
+        if name not in built:
+            if name.startswith("corpus"):
+                built[name] = corpus_splittings[int(name[len("corpus"):])]
+            elif name in builtins:
+                built[name] = builtins[name]["splitting"]
+            elif name.startswith("filiform"):
+                m = int(name[len("filiform"):])
+                built[name] = build_splitting(validate_algebra(graded_filiform_structure(m)))
+            else:
+                k = int(name[len("torus_heisenberg"):])
+                built[name] = build_splitting(validate_algebra(torus_heisenberg_structure(k)))
+        return built[name]
+
+    return get
+
+
+def rotated_series(split, seed):
+    """The splitting with every series level in a seeded random unitary basis."""
+    rng = np.random.default_rng(seed)
+    levels = []
+    for q in split.shadow_series:
+        d = q.shape[1]
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        levels.append(q @ u)
+    return dataclasses.replace(split, shadow_series=tuple(levels))
+
+
+def per_level_generators(split, tolerances):
+    """The generator extraction with one joint eigendecomposition per level.
+
+    Each series level gets its own eigendecomposition of the restricted
+    torus; the letters of weight k are the complement of level k + 1's
+    character group in level k's. Returns (gmat, weights, chars).
+    """
+    mats = [split.torus[b].astype(complex) for b in range(split.torus.shape[0])]
+    registry = _CharRegistry(tolerances)
+    level_groups = []
+    for basis in split.shadow_series:
+        groups, _ = _grouped_eigencolumns(mats, basis.astype(complex), tolerances)
+        level_groups.append({registry.canon(ch): q for ch, q in groups.items()})
+    letters = []
+    for k in range(split.shadow_class, 0, -1):
+        here, deeper = level_groups[k - 1], level_groups[k]
+        for ch in sorted(here, key=_char_key):
+            comp = here[ch]
+            small = deeper.get(ch)
+            if small is not None and small.shape[1] > 0:
+                ker = linalg.nullspace(small.conj().T @ comp, tolerances.alg)
+                comp = linalg.canon_columns(comp @ ker, tolerances.alg)
+            letters.extend((comp[:, j], k, ch) for j in range(comp.shape[1]))
+    gmat = np.stack([vec for vec, _, _ in letters], axis=1)
+    return gmat, tuple(w for _, w, _ in letters), tuple(ch for _, _, ch in letters)
+
+
+def letter_projectors(gmat, weights, chars):
+    """Orthogonal projector onto each (weight, character) letter set."""
+    out = {}
+    for key in dict.fromkeys(zip(weights, chars)):
+        cols = [j for j, wc in enumerate(zip(weights, chars)) if wc == key]
+        q = gmat[:, cols]
+        out[key] = q @ q.conj().T
+    return out
+
+
+ALL_NAMES = (
+    [f"corpus{seed}" for seed in CORPUS_SEEDS]
+    + ["sol", "sect4"]
+    + [f"filiform{m}" for m in range(4, 10)]
+    + [f"torus_heisenberg{k}" for k in (1, 2, 3)]
+)
+ROTATION_NAMES = (
+    [f"corpus{seed}" for seed in CORPUS_SEEDS]
+    + ["sol", "sect4"]
+    + [f"filiform{m}" for m in (4, 6, 8)]
+    + [f"torus_heisenberg{k}" for k in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("name", ROTATION_NAMES)
+def test_generators_depend_only_on_the_series_subspaces(name, named_split):
+    split = named_split(name)
+    gmat = _build_generators(split, DEFAULT)[0]
+    for seed in (1, 2):
+        turned = _build_generators(rotated_series(split, seed), DEFAULT)[0]
+        assert np.max(np.abs(turned - gmat)) <= 1e-12, seed
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_generators_match_the_per_level_extraction(name, named_split):
+    split = named_split(name)
+    gmat, _, weights, chars, _, _ = _build_generators(split, DEFAULT)
+    oracle, oracle_weights, oracle_chars = per_level_generators(split, DEFAULT)
+    assert weights == oracle_weights
+    assert chars == oracle_chars
+    ours = letter_projectors(gmat, weights, chars)
+    theirs = letter_projectors(oracle, weights, chars)
+    for key, proj in ours.items():
+        assert np.max(np.abs(proj - theirs[key])) <= 1e-12, key
+    # Where the per-level extraction ignores the incoming series bases,
+    # its generator matrix is the same one.
+    turned = per_level_generators(rotated_series(split, 1), DEFAULT)[0]
+    if np.max(np.abs(turned - oracle)) <= 1e-12:
+        assert np.max(np.abs(gmat - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["sect4", "torus_heisenberg3"])
+def test_generators_take_one_eigendecomposition(name, named_split, monkeypatch):
+    split = named_split(name)
+    assert split.shadow_class >= 2
+    calls = []
+    original = linalg.joint_eigenbasis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "joint_eigenbasis", counted)
+    _build_generators(split, DEFAULT)
+    assert len(calls) == 1
+
+
+def test_series_level_outside_the_weight_spaces_is_rejected(sect4_stages):
+    split = sect4_stages["splitting"]
+    levels = list(split.shadow_series)
+    # The all-ones direction meets weight spaces of two characters.
+    levels[1] = np.ones((3, 1)) / np.sqrt(3.0)
+    broken = dataclasses.replace(split, shadow_series=tuple(levels))
+    with pytest.raises(SolvHullError, match="series level 2 has 2 of its 1 dimensions"):
+        _build_generators(broken, DEFAULT)
