@@ -203,18 +203,18 @@ def _associative_span(mats, tol):
 
     Columns are flattened n x n matrices. Generators are scaled to unit
     norm, which leaves the algebra unchanged. Each round multiplies only
-    the directions found in the previous round by the generators, so
-    every word is formed once, and the span grows until a round adds
-    nothing.
+    the directions found in the previous round by the generators, all
+    pairs in one stacked product, so every word is formed once, and the
+    span grows until a round adds nothing.
     """
     n = mats[0].shape[0]
-    gens = [m / np.linalg.norm(m) for m in mats if np.any(m)]
+    gens = np.array([m / np.linalg.norm(m) for m in mats if np.any(m)])
     start = [np.eye(n, dtype=mats[0].dtype).ravel()] + [g.ravel() for g in gens]
     basis = linalg.orthonormal_columns(np.stack(start, axis=1), tol)
     frontier = basis
-    while frontier.shape[1] and gens:
-        words = [f.reshape(n, n) for f in frontier.T]
-        prods = np.stack([(g @ w).ravel() for g in gens for w in words], axis=1)
+    while frontier.shape[1] and len(gens):
+        words = frontier.T.reshape(-1, n, n)
+        prods = (gens[:, None] @ words[None]).reshape(-1, n * n).T
         for _ in range(2):
             prods = prods - basis @ (basis.conj().T @ prods)
         frontier = linalg.orthonormal_columns(prods, tol)

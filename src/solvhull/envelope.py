@@ -22,6 +22,13 @@ switches to the series-weighted degree: the span of monomials above any
 weight cap is a two sided ideal, and the quotient action is exact for
 every class.
 
+Products are computed on integer word ids, the positions of the words
+in that order. A letter a <= the first letter of a word prepends to it,
+so those products are read off a table of prepended words. Every other
+product commutes a past the first letter, a (b w) = b (a w) + [a, b] w,
+and is filled once, words by increasing length, from products already
+in the table.
+
 The action is kept as the nonzero entries of the letter matrices (a
 linalg.SparseStack, well under one percent of n r^2 at r in the hundreds),
 and the triangularity, homomorphism and torus Leibniz checks run on those
@@ -29,6 +36,7 @@ entries alone; the dense stack is never formed.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -302,6 +310,23 @@ def word_label(word):
     return "*".join(f"g{a}" for a in word) if word else "1"
 
 
+def _commute(products, brackets, a, b, rest):
+    """Letter a times the word b rest for a > b, as {word id: coefficient}.
+
+    a (b rest) = b (a rest) + [a, b] rest, expanded through products,
+    which must already hold a rest, b times each of its words, and every
+    bracket letter times rest. Exact zeros are dropped.
+    """
+    out = {}
+    for w2, c2 in products[a][rest].items():
+        for w3, c3 in products[b][w2].items():
+            out[w3] = out.get(w3, 0.0) + c2 * c3
+    for m, coeff in brackets[a][b]:
+        for w2, c2 in products[m][rest].items():
+            out[w2] = out.get(w2, 0.0) + coeff * c2
+    return {w: c for w, c in out.items() if c != 0.0}
+
+
 def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=None):
     """Build the truncated enveloping module and its action matrices."""
     shadow = split.shadow
@@ -325,51 +350,34 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
     r = len(words)
 
     # brackets[a][b]: the nonzero (m, gamma[a, b, m]) in increasing m.
-    brackets = [
-        [[(int(m), gamma[a, b, m]) for m in np.flatnonzero(gamma[a, b])] for b in range(n)]
-        for a in range(n)
-    ]
-    cache = {}
-
-    def normal_product(a, word):
-        key = (a, word)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        out = {}
-        if not word or a <= word[0]:
-            # Every normally ordered word within the truncation is in index.
-            new = (a,) + word
-            if new in index:
-                out[new] = out.get(new, 0.0) + 1.0
-        else:
-            b, rest = word[0], word[1:]
-            for w2, c2 in normal_product(a, rest).items():
-                for w3, c3 in normal_product(b, w2).items():
-                    out[w3] = out.get(w3, 0.0) + c2 * c3
-            for m, coeff in brackets[a][b]:
-                for w2, c2 in normal_product(m, rest).items():
-                    out[w2] = out.get(w2, 0.0) + coeff * c2
-        out = {w: c for w, c in out.items() if c != 0.0}
-        cache[key] = out
-        return out
+    brackets = [[[] for _ in range(n)] for _ in range(n)]
+    for a, b, m in zip(*map(np.ndarray.tolist, np.nonzero(gamma))):
+        brackets[a][b].append((m, gamma[a, b, m]))
+    # products[a][w]: letter a times word w as {word id: coefficient}.
+    # A letter a <= word[0] prepends; the result is dropped when it lies
+    # past the truncation. The empty word takes every letter this way.
+    products = [[None] * r for _ in range(n)]
+    for w, word in enumerate(words):
+        for a in range(word[0] + 1 if word else n):
+            new = index.get((a,) + word)
+            products[a][w] = {} if new is None else {new: 1.0}
+    # Every other product commutes a past the first letter. Its terms are
+    # products on the shorter tail, or prepends to a word as long as this
+    # one, so filling words by increasing length finds them all in place.
+    for w in sorted(range(r), key=lambda w: len(words[w])):
+        word = words[w]
+        if word:
+            rest = index[word[1:]]
+            for a in range(word[0] + 1, n):
+                products[a][w] = _commute(products, brackets, a, word[0], rest)
 
     # Column c of letter a's matrix is a times word c: one count per
     # (a, c), then the rows and values of that column's entries.
-    counts, row, value = [], [], []
-    for a in range(n):
-        for word in words:
-            column = normal_product(a, word)
-            counts.append(len(column))
-            row.extend(map(index.__getitem__, column))
-            value.extend(column.values())
-    # normal_product refers to itself through its closure. Dropping the
-    # name frees it and its cache now; left to the cyclic collector, the
-    # caches of several builds stayed alive at once and fragmented the heap.
-    del normal_product
+    columns = list(chain.from_iterable(products))
+    counts = list(map(len, columns))
     letter, col = np.divmod(np.repeat(np.arange(n * r), counts), r)
-    row = np.array(row, dtype=int)
-    value = np.array(value, dtype=complex)
+    row = np.array(list(chain.from_iterable(columns)), dtype=int)
+    value = np.array(list(chain.from_iterable(map(dict.values, columns))), dtype=complex)
     letter_entries = linalg.SparseStack.from_entries(n, r, letter, row, col, value)
 
     # Strict upper triangularity in the chosen order.

@@ -20,7 +20,7 @@ from solvhull import (
     semisimple_adjoint,
     validate_algebra,
 )
-from solvhull.algebra import restricted_structure
+from solvhull.algebra import _associative_span, restricted_structure
 from solvhull.linalg import (
     cluster_subspace,
     eigen_clusters,
@@ -314,6 +314,39 @@ def test_nilradical_follows_a_change_of_basis(seed, corpus):
         got = moved.basis.astype(complex)
         drift = expected @ expected.conj().T - got @ got.conj().T
         assert float(np.max(np.abs(drift))) < 1e-9
+
+
+def per_pair_associative_span(mats, tol):
+    """Oracle: _associative_span with each round's products formed one pair at a time."""
+    n = mats[0].shape[0]
+    gens = [m / np.linalg.norm(m) for m in mats if np.any(m)]
+    start = [np.eye(n, dtype=mats[0].dtype).ravel()] + [g.ravel() for g in gens]
+    basis = orthonormal_columns(np.stack(start, axis=1), tol)
+    frontier = basis
+    while frontier.shape[1] and gens:
+        words = [f.reshape(n, n) for f in frontier.T]
+        prods = np.stack([(g @ w).ravel() for g in gens for w in words], axis=1)
+        for _ in range(2):
+            prods = prods - basis @ (basis.conj().T @ prods)
+        frontier = orthonormal_columns(prods, tol)
+        basis = np.hstack([basis, frontier])
+    return basis
+
+
+SPAN_CASES = [f"corpus{seed}" for seed in CORPUS_SEEDS] + [f"filiform{m}" for m in range(4, 10)]
+
+
+@pytest.mark.parametrize("name", SPAN_CASES)
+def test_stacked_span_matches_the_per_pair_products(name, corpus):
+    if name.startswith("corpus"):
+        alg = corpus[int(name[len("corpus"):])]
+    else:
+        alg = validate_algebra(graded_filiform_structure(int(name[len("filiform"):])))
+    mats = alg.adjoint_basis()
+    got = _associative_span(mats, DEFAULT.alg)
+    want = per_pair_associative_span(mats, DEFAULT.alg)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- brackets

@@ -12,6 +12,7 @@ from solvhull import (
     build_connection_form,
     build_enveloping_rep,
     build_splitting,
+    envelope,
     linalg,
     validate_algebra,
 )
@@ -21,6 +22,7 @@ from solvhull.envelope import (
     _CharRegistry,
     _enumerate_words,
     _grouped_eigencolumns,
+    _order_words,
 )
 from solvhull.errors import SolvHullError
 from solvhull.tolerances import DEFAULT, Tolerances
@@ -237,7 +239,7 @@ def test_pruned_word_enumeration_matches_exhaustive_filter():
 
 
 def test_build_leaves_no_reference_cycles(filiform_split):
-    """The product cache is freed when the build returns, not by the collector."""
+    """The product table is freed when the build returns, not by the collector."""
     build_enveloping_rep(filiform_split)
     gc.collect()
     gc.disable()
@@ -435,3 +437,127 @@ def test_series_level_outside_the_weight_spaces_is_rejected(sect4_stages):
     broken = dataclasses.replace(split, shadow_series=tuple(levels))
     with pytest.raises(SolvHullError, match="series level 2 has 2 of its 1 dimensions"):
         _build_generators(broken, DEFAULT)
+
+
+def tuple_keyed_products(env):
+    """Oracle: the build's products keyed on (letter, word tuple), recursing on demand.
+
+    Recomputes the words, their weights and characters, the letter entries
+    and the two residuals that depend on them from env's generator data.
+    """
+    n = env.gamma.shape[0]
+    t_dim = env.split.torus.shape[0]
+    words, word_weights, word_chars = _order_words(
+        _enumerate_words(n, env.gen_weights, env.mode, env.cap, 512),
+        env.gen_weights, env.gen_chars, t_dim,
+    )
+    index = {w: i for i, w in enumerate(words)}
+    r = len(words)
+    gamma = env.gamma
+    brackets = [
+        [[(int(m), gamma[a, b, m]) for m in np.flatnonzero(gamma[a, b])] for b in range(n)]
+        for a in range(n)
+    ]
+    cache = {}
+
+    def normal_product(a, word):
+        key = (a, word)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        out = {}
+        if not word or a <= word[0]:
+            new = (a,) + word
+            if new in index:
+                out[new] = out.get(new, 0.0) + 1.0
+        else:
+            b, rest = word[0], word[1:]
+            for w2, c2 in normal_product(a, rest).items():
+                for w3, c3 in normal_product(b, w2).items():
+                    out[w3] = out.get(w3, 0.0) + c2 * c3
+            for m, coeff in brackets[a][b]:
+                for w2, c2 in normal_product(m, rest).items():
+                    out[w2] = out.get(w2, 0.0) + coeff * c2
+        out = {w: c for w, c in out.items() if c != 0.0}
+        cache[key] = out
+        return out
+
+    counts, row, value = [], [], []
+    for a in range(n):
+        for word in words:
+            column = normal_product(a, word)
+            counts.append(len(column))
+            row.extend(map(index.__getitem__, column))
+            value.extend(column.values())
+    letter, col = np.divmod(np.repeat(np.arange(n * r), counts), r)
+    row = np.array(row, dtype=int)
+    value = np.array(value, dtype=complex)
+    entries = linalg.SparseStack.from_entries(n, r, letter, row, col, value)
+
+    entry = value[:, None]
+    lhs = word_chars[row] * entry - entry * word_chars[col]
+    shift = np.array(env.gen_chars, dtype=complex).reshape(n, t_dim)[letter] * entry
+    scale = max(1.0, float(np.max(np.abs(value), initial=0.0)))
+    return {
+        "words": tuple(words),
+        "word_weights": word_weights,
+        "word_chars": word_chars,
+        "rows": entries.rows,
+        "cols": entries.cols,
+        "values": entries.values,
+        "action_homomorphism": linalg.bracket_residual(entries, gamma) / scale,
+        "torus_leibniz": float(np.max(np.abs(lhs - shift), initial=0.0)) / scale,
+    }
+
+
+ORACLE_CASES = [(name, None, None) for name in ALL_NAMES] + [
+    ("corpus3", "plain", None),
+    ("corpus3", "weighted", None),
+    ("corpus3", "plain", 2),
+    ("sol", "weighted", 3),
+    ("sect4", None, 3),
+    ("sect4", "weighted", 4),
+    ("filiform5", "weighted", 3),
+    ("filiform6", None, 4),
+    ("torus_heisenberg2", "weighted", None),
+    ("torus_heisenberg2", "plain", 3),
+]
+
+
+@pytest.mark.parametrize("name, mode, cap", ORACLE_CASES)
+def test_word_id_products_match_the_tuple_keyed_recursion(name, mode, cap, named_split):
+    env = build_enveloping_rep(named_split(name), mode=mode, cap=cap)
+    oracle = tuple_keyed_products(env)
+    assert env.words == oracle["words"]
+    ours = {
+        "word_weights": env.word_weights,
+        "word_chars": env.word_chars,
+        "rows": env.letter_entries.rows,
+        "cols": env.letter_entries.cols,
+        "values": env.letter_entries.values,
+    }
+    for key, got in ours.items():
+        want = oracle[key]
+        assert got.dtype == want.dtype and got.shape == want.shape, key
+        assert got.tobytes() == want.tobytes(), key
+    for key in ("action_homomorphism", "torus_leibniz"):
+        assert env.residuals[key] == oracle[key], key
+
+
+@pytest.mark.parametrize("name", ["sect4", "filiform8", "torus_heisenberg3"])
+def test_each_product_is_commuted_at_most_once(name, named_split, monkeypatch):
+    """Prepends come from the word table; every other slot is filled once."""
+    calls = []
+    original = envelope._commute
+
+    def counted(products, brackets, a, b, rest):
+        calls.append((a, b, rest))
+        return original(products, brackets, a, b, rest)
+
+    monkeypatch.setattr(envelope, "_commute", counted)
+    env = build_enveloping_rep(named_split(name))
+    n = env.gamma.shape[0]
+    # (a, b, rest) is the slot of letter a and word (b,) + words[rest].
+    assert len(set(calls)) == len(calls)
+    assert all(a > b for a, b, _ in calls)
+    assert len(calls) == sum(n - 1 - word[0] for word in env.words if word)
