@@ -3,12 +3,13 @@
 The module is spanned by normally ordered monomials in a generator basis
 chosen as joint eigenvectors of the torus, adapted to the lower central
 series. One joint eigendecomposition of the torus on the whole shadow
-gives each weight space a canonical basis. Each series level is torus
-invariant, so its part in a weight space is read off in eigenbasis
-coordinates. The generators of weight k are the canonical basis of the
-complement of level k + 1 in level k within each weight space. They
-depend only on the series subspaces, not on the bases those come in.
-Left multiplication by a generator strictly raises the total
+gives the weight spaces as they come out of it: runs of eigenbasis
+columns, each a canonical basis, in character order. Each series level
+is torus invariant, so its part in a weight space is read off in
+eigenbasis coordinates. The generators of weight k are the canonical
+basis of the complement of level k + 1 in level k within each weight
+space. They depend only on the series subspaces, not on the bases those
+come in. Left multiplication by a generator strictly raises the total
 series weight of a monomial, so ordering monomials by descending weight
 makes every action matrix strictly upper triangular, while the torus
 acts diagonally with the monomial's accumulated character.
@@ -45,70 +46,13 @@ from .errors import SolvHullError, TruncationOverflow
 from .tolerances import DEFAULT
 
 
-class _CharRegistry:
-    """Canonical store of character tuples matched up to a small radius.
-
-    Restricting the torus to different invariant subspaces recomputes the
-    same eigenvalues with independent rounding noise; the registry makes
-    those recomputations land on identical canonical tuples. Components
-    below tolerances.char_snap become zero; tuples within
-    tolerances.char_match of a known one in every component become it.
-    """
-
-    def __init__(self, tolerances):
-        self.snap = tolerances.char_snap
-        self.match = tolerances.char_match
-        self.chars = []
-
-    def canon(self, char):
-        char = tuple(complex(z) for z in char)
-        snapped = []
-        for z in char:
-            re = 0.0 if abs(z.real) < self.snap else z.real
-            im = 0.0 if abs(z.imag) < self.snap else z.imag
-            snapped.append(complex(re, im))
-        snapped = tuple(snapped)
-        for known in self.chars:
-            if all(abs(a - b) <= self.match for a, b in zip(known, snapped)):
-                return known
-        self.chars.append(snapped)
-        return snapped
-
-
-def _char_key(char):
-    return tuple((z.real, z.imag) for z in char)
-
-
-def _grouped_eigencolumns(mats, basis, tolerances):
-    """Joint eigenvectors of the torus restricted to span(basis).
-
-    Returns a dict mapping character tuples to orthonormal column bases
-    expressed in ambient coordinates, plus the worst invariance residual.
-    """
-    d = basis.shape[1]
-    if d == 0:
-        return {}, 0.0
-    resid = 0.0
-    restricted = []
-    for m in mats:
-        mb = basis.conj().T @ m @ basis
-        err = m @ basis - basis @ mb
-        scale = max(1.0, float(np.linalg.norm(m, 2)))
-        resid = max(resid, float(np.max(np.abs(err))) / scale)
-        restricted.append(mb)
-    if not restricted:
-        return {(): basis}, resid
-    vecs, chars, diag_resid = linalg.joint_eigenbasis(
-        restricted, tolerances.cluster_scale, tolerances.num
+def _snapped(char, tolerances):
+    """The character with real and imaginary parts below char_snap set to zero."""
+    snap = tolerances.char_snap
+    return tuple(
+        complex(0.0 if abs(z.real) < snap else z.real, 0.0 if abs(z.imag) < snap else z.imag)
+        for z in char
     )
-    resid = max(resid, diag_resid)
-    groups = {}
-    for j, ch in enumerate(chars):
-        groups.setdefault(ch, []).append(basis @ vecs[:, j])
-    out = {}
-    for ch, cols in groups.items():
-        out[ch] = linalg.canon_columns(np.stack(cols, axis=1), tolerances.alg)
-    return out, resid
 
 
 def _letters_within(space, here, deeper, tol):
@@ -166,38 +110,45 @@ class EnvelopingTruncation:
 def _build_generators(split, tolerances):
     """LCS adapted joint eigenbasis of the torus on shadow coordinates.
 
-    One joint eigendecomposition of the torus splits the shadow into
-    weight spaces, each with a canonical orthonormal basis. Every series
-    level is torus invariant, so its part in a weight space is the
-    weight space rows of its dual eigenbasis coordinates. The letters of
-    weight k and character ch are the canonical basis of the complement
-    of level k + 1 in level k inside weight space ch, which depends only
-    on the series subspaces, not on the bases they come in.
+    One linalg.joint_eigenbasis call splits the shadow into weight spaces:
+    runs of its columns that share a character, each a canonical
+    orthonormal basis, in character order. Character components below
+    tolerances.char_snap are set to zero. Without a torus the shadow is
+    one weight space of character (). Every series level is torus
+    invariant, so its part in a weight space is the weight space rows of
+    its coordinates in the dual basis. The letters of weight k in a
+    weight space are the canonical basis of the complement of level
+    k + 1 in level k there, which depends only on the series subspaces,
+    not on the bases they come in.
     """
     n = split.shadow.dim
     series = split.shadow_series
     cls = split.shadow_class
     mats = [split.torus[b].astype(complex) for b in range(split.torus.shape[0])]
-    registry = _CharRegistry(tolerances)
     tol = tolerances.alg
 
-    groups, worst = _grouped_eigencolumns(mats, np.eye(n, dtype=complex), tolerances)
-    spaces = {registry.canon(ch): q for ch, q in groups.items()}
-    order = sorted(spaces, key=_char_key)
-    dual = np.linalg.inv(np.hstack([spaces[ch] for ch in order]))
-    ends = np.cumsum([spaces[ch].shape[1] for ch in order])
+    if mats:
+        vecs, col_chars, worst = linalg.joint_eigenbasis(
+            mats, tolerances.cluster_scale, tolerances.num
+        )
+    else:
+        vecs, col_chars, worst = np.eye(n, dtype=complex), [()] * n, 0.0
+    dual = np.linalg.inv(vecs)
+    starts = [j for j in range(n) if j == 0 or col_chars[j] != col_chars[j - 1]]
+    spaces = np.split(vecs, starts[1:], axis=1)
+    space_chars = [_snapped(col_chars[j], tolerances) for j in starts]
 
-    # parts[k - 1][ch]: orthonormal coordinates, in the basis spaces[ch],
-    # of series level k's part in weight space ch. The levels are
-    # nested, so a weight space that level k misses, deeper levels miss.
-    parts = [{ch: np.eye(spaces[ch].shape[1]) for ch in order}]
+    # parts[k - 1][s]: orthonormal coordinates, in the basis spaces[s],
+    # of series level k's part in weight space s. The levels are nested,
+    # so a weight space that level k misses, deeper levels miss.
+    parts = [[np.eye(q.shape[1]) for q in spaces]]
     for k, level in enumerate(series[1:], start=2):
-        coords = dict(zip(order, np.split(dual @ level, ends[:-1])))
-        parts.append({
-            ch: linalg.orthonormal_columns(coords[ch], tol) if above.shape[1] else above
-            for ch, above in parts[-1].items()
-        })
-        found = sum(q.shape[1] for q in parts[-1].values())
+        coords = np.split(dual @ level, starts[1:])
+        parts.append([
+            linalg.orthonormal_columns(c, tol) if above.shape[1] else above
+            for c, above in zip(coords, parts[-1])
+        ])
+        found = sum(q.shape[1] for q in parts[-1])
         if found != level.shape[1]:
             raise SolvHullError(
                 f"series level {k} has {found} of its {level.shape[1]} "
@@ -206,8 +157,8 @@ def _build_generators(split, tolerances):
 
     letters = []
     for k in range(cls, 0, -1):
-        for ch in order:
-            comp = _letters_within(spaces[ch], parts[k - 1][ch], parts[k][ch], tol)
+        for space, ch, here, deeper in zip(spaces, space_chars, parts[k - 1], parts[k]):
+            comp = _letters_within(space, here, deeper, tol)
             for j in range(comp.shape[1]):
                 letters.append((comp[:, j], k, ch))
 

@@ -211,7 +211,7 @@ def _chain_closedness(form, variants, base, entries=None):
     return spread, mismatch
 
 
-def separation_demo(form, lattice, tolerances=None):
+def separation_demo(form, lattice):
     """Contrast ordinary and exponential iterated integrals on a commutator.
 
     The commutator of a translation generator with a fiber generator has

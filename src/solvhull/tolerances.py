@@ -10,9 +10,10 @@ class Tolerances:
     """Named tolerances used across validation and verification.
 
     alg controls algebraic identities on input data (Jacobi, brackets),
-    num controls derived numerical checks (representations, transports)
-    and sets the radii within which torus characters are matched and
-    snapped to zero (char_match, char_snap),
+    num controls derived numerical checks (representations, transports),
+    the radius within which the bracket table counts two torus characters
+    as the same (char_match) and the size below which a character
+    component is snapped to zero (char_snap),
     exact controls identities that hold to rounding error by construction,
     integer controls lattice membership rounding for characters,
     cluster_scale sets the relative eigenvalue clustering width.
@@ -48,7 +49,7 @@ class Tolerances:
 
     @property
     def char_match(self):
-        """Distance within which two torus characters count as the same."""
+        """Distance within which the bracket table counts two characters as the same."""
         return 100 * self.num
 
     @property

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import json
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -12,20 +13,21 @@ from solvhull import (
     build_connection_form,
     build_enveloping_rep,
     build_splitting,
+    cli,
     envelope,
     linalg,
+    parse_problem,
     validate_algebra,
 )
 from solvhull.envelope import (
     _build_generators,
-    _char_key,
-    _CharRegistry,
     _enumerate_words,
-    _grouped_eigencolumns,
     _order_words,
+    _snapped,
 )
 from solvhull.errors import SolvHullError
 from solvhull.tolerances import DEFAULT, Tolerances
+from solvhull.verify import build_stages
 
 from conftest import (
     CORPUS_SEEDS,
@@ -279,13 +281,30 @@ def test_torus_heisenberg_builds(k, r):
     assert build_connection_form(env).flatness < 1e-12
 
 
-def test_char_registry_radii_follow_num():
-    loose = _CharRegistry(Tolerances(num=1e-5))
-    assert loose.canon((1.0,)) == loose.canon((1.0 + 5e-4,))
-    assert loose.canon((2e-7 + 1j,)) == (1j,)
-    strict = _CharRegistry(DEFAULT)
-    assert strict.canon((1.0,)) != strict.canon((1.0 + 5e-4,))
-    assert strict.canon((2e-7 + 1j,)) != (1j,)
+def test_char_snap_radius_follows_num():
+    assert _snapped((2e-7 + 1j,), Tolerances(num=1e-5)) == (1j,)
+    assert _snapped((2e-7 + 1j,), DEFAULT) == (2e-7 + 1j,)
+
+
+# Two torus characters, 0.70693 and 0.70728, closer than char_match at
+# num = 1e-5. They are still two weight spaces.
+CLOSE_SPEC = {
+    "name": "close",
+    "basis_names": ["t", "x", "y"],
+    "structure": [[0, 1, 1, 1.0, 0.0], [0, 2, 2, 1.0005, 0.0]],
+}
+
+
+def test_close_characters_keep_both_weight_spaces(tmp_path, capsys):
+    stages = build_stages(parse_problem(CLOSE_SPEC, tolerances=Tolerances(num=1e-5)))
+    env = stages["envelope"]
+    assert env.r == 4
+    assert len({ch for ch in env.gen_chars if any(ch)}) == 2
+
+    spec = tmp_path / "close.json"
+    spec.write_text(json.dumps(CLOSE_SPEC))
+    assert cli.main(["hull", "--spec", str(spec), "--tol-num", "1e-5"]) == cli.EXIT_OK
+    assert "module dimension: 4 " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("num", (1e-10, 1e-6))
@@ -335,6 +354,54 @@ def rotated_series(split, seed):
     return dataclasses.replace(split, shadow_series=tuple(levels))
 
 
+class CharRegistry:
+    """Canonical store of character tuples matched up to a small radius.
+
+    Restricting the torus to different invariant subspaces recomputes the
+    same eigenvalues with independent rounding noise; the registry makes
+    those recomputations land on identical canonical tuples. Components
+    below tolerances.char_snap become zero; tuples within
+    tolerances.char_match of a known one in every component become it.
+    """
+
+    def __init__(self, tolerances):
+        self.tolerances = tolerances
+        self.chars = []
+
+    def canon(self, char):
+        snapped = _snapped(tuple(complex(z) for z in char), self.tolerances)
+        for known in self.chars:
+            if all(abs(a - b) <= self.tolerances.char_match for a, b in zip(known, snapped)):
+                return known
+        self.chars.append(snapped)
+        return snapped
+
+
+def char_key(char):
+    return tuple((z.real, z.imag) for z in char)
+
+
+def grouped_eigencolumns(mats, basis, tolerances):
+    """Joint eigenvectors of the torus restricted to span(basis).
+
+    Returns a dict mapping character tuples to canonical column bases
+    expressed in ambient coordinates.
+    """
+    if basis.shape[1] == 0:
+        return {}
+    if not mats:
+        return {(): basis}
+    restricted = [basis.conj().T @ m @ basis for m in mats]
+    vecs, chars, _ = linalg.joint_eigenbasis(restricted, tolerances.cluster_scale, tolerances.num)
+    groups = {}
+    for j, ch in enumerate(chars):
+        groups.setdefault(ch, []).append(basis @ vecs[:, j])
+    return {
+        ch: linalg.canon_columns(np.stack(cols, axis=1), tolerances.alg)
+        for ch, cols in groups.items()
+    }
+
+
 def per_level_generators(split, tolerances):
     """The generator extraction with one joint eigendecomposition per level.
 
@@ -343,15 +410,15 @@ def per_level_generators(split, tolerances):
     character group in level k's. Returns (gmat, weights, chars).
     """
     mats = [split.torus[b].astype(complex) for b in range(split.torus.shape[0])]
-    registry = _CharRegistry(tolerances)
+    registry = CharRegistry(tolerances)
     level_groups = []
     for basis in split.shadow_series:
-        groups, _ = _grouped_eigencolumns(mats, basis.astype(complex), tolerances)
+        groups = grouped_eigencolumns(mats, basis.astype(complex), tolerances)
         level_groups.append({registry.canon(ch): q for ch, q in groups.items()})
     letters = []
     for k in range(split.shadow_class, 0, -1):
         here, deeper = level_groups[k - 1], level_groups[k]
-        for ch in sorted(here, key=_char_key):
+        for ch in sorted(here, key=char_key):
             comp = here[ch]
             small = deeper.get(ch)
             if small is not None and small.shape[1] > 0:
@@ -427,6 +494,24 @@ def test_generators_take_one_eigendecomposition(name, named_split, monkeypatch):
     monkeypatch.setattr(linalg, "joint_eigenbasis", counted)
     _build_generators(split, DEFAULT)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["sect4", "torus_heisenberg3"])
+def test_each_weight_space_is_canonicalized_once(name, named_split, monkeypatch):
+    split = named_split(name)
+    mats = [split.torus[b].astype(complex) for b in range(split.torus.shape[0])]
+    _, chars, _ = linalg.joint_eigenbasis(mats, DEFAULT.cluster_scale, DEFAULT.num)
+    assert len(set(chars)) >= 2
+    calls = []
+    original = linalg.canon_columns
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "canon_columns", counted)
+    _build_generators(split, DEFAULT)
+    assert len(calls) == len(set(chars))
 
 
 def test_series_level_outside_the_weight_spaces_is_rejected(sect4_stages):
