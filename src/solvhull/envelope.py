@@ -125,11 +125,12 @@ def _build_generators(split, tolerances):
     series = split.shadow_series
     cls = split.shadow_class
     mats = [split.torus[b].astype(complex) for b in range(split.torus.shape[0])]
+    norms = [float(np.linalg.norm(m, 2)) for m in mats]
     tol = tolerances.alg
 
     if mats:
         vecs, col_chars, worst = linalg.joint_eigenbasis(
-            mats, tolerances.cluster_scale, tolerances.num
+            mats, tolerances.cluster_scale, tolerances.num, norms
         )
     else:
         vecs, col_chars, worst = np.eye(n, dtype=complex), [()] * n, 0.0
@@ -172,9 +173,9 @@ def _build_generators(split, tolerances):
 
     # Each letter must be an eigenvector of every torus element.
     lam = np.array(chars, dtype=complex).reshape(n, len(mats))
-    for b, m in enumerate(mats):
+    for b, (m, norm) in enumerate(zip(mats, norms)):
         err = float(np.max(np.abs(m @ gmat - gmat * lam[:, b])))
-        worst = max(worst, err / max(1.0, float(np.linalg.norm(m, 2))))
+        worst = max(worst, err / max(1.0, norm))
     cond = float(np.linalg.cond(gmat))
     ginv = np.linalg.inv(gmat)
     return gmat, ginv, weights, chars, worst, cond

@@ -9,6 +9,7 @@ Truncated transport series run on a sparse pattern closed under
 products, which holds every generator and every product of them.
 """
 
+import functools
 from dataclasses import dataclass
 from math import factorial
 
@@ -24,32 +25,51 @@ def _functional_value(functional, direction):
     return complex(np.dot(np.asarray(functional, dtype=complex), direction))
 
 
+@functools.lru_cache(maxsize=None)
+def _splitting_layout(n):
+    """Where j < k, and 1/(k - j)! at j <= k, zero above, for 0 <= j, k <= n.
+
+    The arrays are shared by every call, so they are read only.
+    """
+    lag = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
+    below = lag > 0
+    inverse_fact = np.array(
+        [[1.0 / factorial(d) if d >= 0 else 0.0 for d in row] for row in lag.tolist()]
+    )
+    below.setflags(write=False)
+    inverse_fact.setflags(write=False)
+    return below, inverse_fact
+
+
 def iterated_integral(functionals, path):
     """Iterated integral of a word of constant one forms along a path.
 
     functionals is the word, leftmost integrated at the earliest time.
-    Runs the word-splitting recursion segment by segment, quadratic in
-    the word length and linear in the number of segments.
+    Runs the word-splitting recursion segment by segment: state[j] is
+    the integral of the prefix of length j so far, and a segment of
+    duration t, on which letter i takes the value a_i, carries it to
+    state[k] = sum over j <= k of state[j] (t a_j) ... (t a_(k-1)) / (k-j)!.
+    That is one lower triangular matrix per segment, and all of them
+    are formed at once.
     """
-    word = [np.asarray(f, dtype=complex) for f in functionals]
-    n = len(word)
+    n = len(functionals)
     state = np.zeros(n + 1, dtype=complex)
     state[0] = 1.0
-    for seg in path:
-        a = [_functional_value(f, seg.vector) for f in word]
-        t = seg.duration
-        new = np.zeros_like(state)
-        for k in range(n + 1):
-            total = 0.0 + 0.0j
-            prod = 1.0 + 0.0j
-            # j runs down from k: contribution of the prefix of length j
-            # times the last k - j letters evaluated on this segment.
-            for j in range(k, -1, -1):
-                total += state[j] * prod * t ** (k - j) / factorial(k - j)
-                if j > 0:
-                    prod *= a[j - 1]
-            new[k] = total
-        state = new
+    if n == 0 or len(path) == 0:
+        return complex(state[n])
+    below, inverse_fact = _splitting_layout(n)
+    # Row n of the word only pads the letters to n + 1 columns; column n
+    # is never a factor.
+    word = np.array([*functionals, functionals[-1]], dtype=complex)
+    vectors = np.array([seg.direction for seg in path], dtype=complex)
+    durations = np.array([[seg.duration] for seg in path])
+    scaled = durations * (vectors @ word.T)
+    # factors[s, k, j] is t a_j where j < k and 1 elsewhere, so the
+    # cumulative product along each row from the right is
+    # (t a_(k-1)) ... (t a_j) at (k, j).
+    factors = np.where(below, scaled[:, None, :], 1.0)
+    for m in np.cumprod(factors[..., ::-1], axis=-1)[..., ::-1] * inverse_fact:
+        state = m @ state
     return complex(state[n])
 
 
@@ -182,14 +202,17 @@ def _pattern_series(pattern, matrices, depth):
     collects every product of l factors drawn from consecutive segments,
     which is the depth l part of the iterated integral series of the
     transport. Each segment's terms a^k/k! take one product each; the
-    first segment's terms are coeff, and for each later one the graded
-    Cauchy product with coeff is gathered, multiplied and summed over
-    the triples in one pass. No segment leaves the identity.
+    first segment's terms are coeff, and for each later one but the
+    last the graded Cauchy product with coeff is gathered, multiplied
+    and summed over the triples in one pass. Only the sum through the
+    depth is returned, so the last segment pairs coeff[l] with its own
+    partial sum through degree depth - l, one product instead of one
+    per degree. No segment leaves the identity.
     """
     terms = depth + 1
     identity = pattern.rows == pattern.cols
     coeff = None
-    for a in matrices:
+    for s, a in enumerate(matrices):
         powers = np.empty((terms, pattern.rows.size), dtype=complex)
         powers[0] = identity
         for k in range(1, terms):
@@ -198,8 +221,14 @@ def _pattern_series(pattern, matrices, depth):
         if coeff is None:
             coeff = powers
             continue
-        # np.take keeps the gathered rows contiguous for the loop below.
+        # np.take keeps the gathered rows contiguous for the loops below.
         lhs = np.take(coeff, pattern.left, axis=1)
+        if s == len(matrices) - 1:
+            partial = np.take(np.cumsum(powers, axis=0), pattern.right, axis=1)
+            prods = lhs[0] * partial[depth]
+            for lo in range(1, terms):
+                prods += lhs[lo] * partial[depth - lo]
+            return np.add.reduceat(prods, pattern.starts)
         rhs = np.take(powers, pattern.right, axis=1)
         prods = lhs[0] * rhs
         for lo in range(1, terms):

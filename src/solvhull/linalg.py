@@ -271,7 +271,7 @@ def rounded_key(values):
     return tuple((round(z.real, 9), round(z.imag, 9)) for z in values)
 
 
-def joint_eigenbasis(mats, cluster_scale=1e-7, tol=1e-8):
+def joint_eigenbasis(mats, cluster_scale=1e-7, tol=1e-8, norms=None):
     """Simultaneous eigenbasis of a commuting semisimple family.
 
     Returns (basis, chars, residual) where basis columns are joint
@@ -283,16 +283,18 @@ def joint_eigenbasis(mats, cluster_scale=1e-7, tol=1e-8):
     machine epsilon rather than a fractional power of it, so the
     clustering width is the plain tolerance scaled by the matrix norm.
     Using the defective-matrix width here would merge genuinely distinct
-    eigenvalues that happen to be close.
+    eigenvalues that happen to be close. norms, the spectral norm of each
+    matrix, are computed here when the caller has not already.
     """
     mats = [_as_matrix(m).astype(complex) for m in mats]
     if not mats:
         raise ValueError("joint_eigenbasis needs at least one matrix")
+    if norms is None:
+        norms = [float(np.linalg.norm(m, 2)) for m in mats]
     n = mats[0].shape[0]
     blocks = [np.eye(n, dtype=complex)]
     charlists = [[]]
-    for m in mats:
-        norm = float(np.linalg.norm(m, 2))
+    for m, norm in zip(mats, norms):
         width = cluster_scale * max(1.0, norm)
         new_blocks = []
         new_chars = []
@@ -327,10 +329,10 @@ def joint_eigenbasis(mats, cluster_scale=1e-7, tol=1e-8):
     basis = np.stack(cols, axis=1)
 
     resid = 0.0
-    for mi, m in enumerate(mats):
+    for mi, (m, norm) in enumerate(zip(mats, norms)):
         lam = np.array([c[mi] for c in chars])
         err = m @ basis - basis * lam[np.newaxis, :]
-        resid = max(resid, float(np.max(np.abs(err))) / max(1.0, float(np.linalg.norm(m, 2))))
+        resid = max(resid, float(np.max(np.abs(err))) / max(1.0, norm))
     return basis, chars, resid
 
 

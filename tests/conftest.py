@@ -259,6 +259,25 @@ def filiform_forms():
     return forms
 
 
+@pytest.fixture(scope="session")
+def filiform7_form():
+    """Connection form of the graded filiform algebra of rank 7."""
+    split = build_splitting(validate_algebra(graded_filiform_structure(7)))
+    return build_connection_form(build_enveloping_rep(split))
+
+
+def form_by_name(request, name):
+    """Connection form named corpus-<seed>, filiform-<rank> (4 to 7), sol or sect4."""
+    kind, _, arg = name.partition("-")
+    if kind == "corpus":
+        split = request.getfixturevalue("corpus_splittings")[int(arg)]
+        return build_connection_form(build_enveloping_rep(split))
+    if kind == "filiform":
+        forms = request.getfixturevalue("filiform_forms")
+        return forms[int(arg)] if int(arg) in forms else request.getfixturevalue("filiform7_form")
+    return request.getfixturevalue(f"{name}_stages")["form"]
+
+
 class _LazySplittings(Mapping):
     """Splittings keyed by corpus seed, each built on first access.
 

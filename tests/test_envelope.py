@@ -514,6 +514,26 @@ def test_each_weight_space_is_canonicalized_once(name, named_split, monkeypatch)
     assert len(calls) == len(set(chars))
 
 
+@pytest.mark.parametrize("name", ["sect4", "torus_heisenberg3", "filiform6"])
+def test_each_torus_spectral_norm_is_taken_once(name, named_split, monkeypatch):
+    split = named_split(name)
+    mats = [split.torus[b].astype(complex) for b in range(split.torus.shape[0])]
+    assert mats
+    spectral = []
+    original = np.linalg.norm
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            spectral.append(np.array(x))
+        return original(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    _build_generators(split, DEFAULT)
+    assert len(spectral) == len(mats)
+    for m, seen in zip(mats, spectral):
+        assert np.array_equal(m, seen)
+
+
 def test_series_level_outside_the_weight_spaces_is_rejected(sect4_stages):
     split = sect4_stages["splitting"]
     levels = list(split.shadow_series)

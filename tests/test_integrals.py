@@ -28,9 +28,10 @@ from solvhull import (
     transport_series,
     validate_algebra,
 )
+from solvhull.integrals import _pattern_series
 from solvhull.matfuncs import phi1_apply
 
-from conftest import diagonal_characters, graded_filiform_structure
+from conftest import diagonal_characters, form_by_name, graded_filiform_structure
 
 
 def random_path(rng, dim, segments, scale=1.0):
@@ -101,6 +102,49 @@ def test_integral_is_additive_under_subdivision():
     coarse = iterated_integral([f, g], path)
     fine = iterated_integral([f, g], path.subdivide(7))
     assert coarse == pytest.approx(fine, abs=1e-12)
+
+
+def scalar_iterated_integral(functionals, path):
+    """The scalar word-splitting loop iterated_integral replaced, kept as its oracle."""
+    word = [np.asarray(f, dtype=complex) for f in functionals]
+    n = len(word)
+    state = np.zeros(n + 1, dtype=complex)
+    state[0] = 1.0
+    for seg in path:
+        a = [complex(np.dot(f, seg.vector)) for f in word]
+        t = seg.duration
+        new = np.zeros_like(state)
+        for k in range(n + 1):
+            total = 0.0 + 0.0j
+            prod = 1.0 + 0.0j
+            # j runs down from k: contribution of the prefix of length j
+            # times the last k - j letters evaluated on this segment.
+            for j in range(k, -1, -1):
+                total += state[j] * prod * t ** (k - j) / factorial(k - j)
+                if j > 0:
+                    prod *= a[j - 1]
+            new[k] = total
+        state = new
+    return complex(state[n])
+
+
+def test_integral_matches_the_scalar_loop():
+    """200 random words of up to 5 letters over 1 to 4 segments, real and complex."""
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        dim = int(rng.integers(1, 6))
+        letters = int(rng.integers(0, 6))
+        word = [rng.standard_normal(dim) for _ in range(letters)]
+        pairs = [(rng.standard_normal(dim), float(rng.uniform(0.1, 1.0)))
+                 for _ in range(int(rng.integers(1, 5)))]
+        if trial % 2:
+            word = [f + 1j * rng.standard_normal(dim) for f in word]
+            pairs = [(v + 1j * rng.standard_normal(dim), t) for v, t in pairs]
+        path = PathWord(pairs)
+        want = scalar_iterated_integral(word, path)
+        got = iterated_integral(word, path)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (trial, got, want)
+    assert iterated_integral(word, PathWord([])) == scalar_iterated_integral(word, PathWord([]))
 
 
 # ------------------------------------------------------------- quadrature
@@ -326,12 +370,6 @@ SERIES_FORMS = [f"corpus-{seed}" for seed in range(25)] + [
 ]
 
 
-@pytest.fixture(scope="module")
-def filiform7_form():
-    split = build_splitting(validate_algebra(graded_filiform_structure(7)))
-    return build_connection_form(build_enveloping_rep(split))
-
-
 @pytest.mark.parametrize("name", SERIES_FORMS)
 def test_pattern_series_matches_dense_series(name, request):
     """The closure pattern series is the dense graded product series."""
@@ -355,6 +393,32 @@ def test_pattern_series_matches_dense_series(name, request):
     for depth in (0, 1, 20):
         dense = dense_product_series(mats, depth)
         value = transport_series(form, path, depth).value
+        scale = max(1.0, float(np.max(np.abs(dense))))
+        assert np.max(np.abs(value - dense)) <= 1e-14 * scale, depth
+
+
+@pytest.mark.parametrize("segments", [1, 2])
+@pytest.mark.parametrize("name", SERIES_FORMS)
+def test_pattern_series_matches_dense_series_on_short_paths(name, segments, request):
+    """One segment takes no Cauchy product; with two, the last is the only one."""
+    form = form_by_name(request, name)
+    rng = np.random.default_rng(300 + 10 * segments + len(name))
+    pairs = [
+        (rng.standard_normal(form.dim), float(rng.uniform(0.2, 0.8))) for _ in range(segments)
+    ]
+    growth = sum(t * float(np.linalg.norm(form.psi(v), "fro")) for v, t in pairs)
+    path = PathWord([(v, t * min(1.0, 3.0 / growth)) for v, t in pairs])
+    mats = [seg.duration * form.psi(seg.vector) for seg in path]
+    # One generator object on one more segment than the path has: the
+    # last segment is the last by position, whatever array it is.
+    repeated = [form.closure.gather(mats[0])] * (segments + 1)
+    for depth in (0, 1, 20):
+        dense = dense_product_series(mats, depth)
+        value = transport_series(form, path, depth).value
+        scale = max(1.0, float(np.max(np.abs(dense))))
+        assert np.max(np.abs(value - dense)) <= 1e-14 * scale, depth
+        dense = dense_product_series([mats[0]] * (segments + 1), depth)
+        value = form.closure.scatter(_pattern_series(form.closure, repeated, depth))
         scale = max(1.0, float(np.max(np.abs(dense))))
         assert np.max(np.abs(value - dense)) <= 1e-14 * scale, depth
 

@@ -1,30 +1,43 @@
 """Shortcuts on the evaluation path leave every value bit for bit the same.
 
 Each oracle below is the longer route the library used to take: the
-chain-sum kernel always runs its Newton pass and discards it where the
-Taylor value stands, the pattern series starts from a Cauchy product
-with the identity, and segment data is filled one segment vector at a
-time.
+chain-sum kernel works on full n by n exponentials, whose lower triangle
+stays zero, and can run its Newton pass and discard it where the Taylor
+value stands; the pattern series starts from a Cauchy product with the
+identity; and segment data is filled one segment vector at a time.
 """
+
+import importlib
 
 import numpy as np
 import pytest
 
-from solvhull import PathWord
+from solvhull import PathWord, entry_chain_value, matfuncs
 from solvhull.integrals import _pattern_series
 from solvhull.matfuncs import _TAYLOR_GAP, _taylor_degree, exp_chain_sum
 from solvhull.monodromy import _segment_data
 from solvhull.verify import _random_path
 
+from conftest import CORPUS_SEEDS, form_by_name
 
-def newton_always_exp_chain_sum(diag, sup, start):
-    """Oracle: exp_chain_sum with the Newton pass run on every input."""
+# The package rebinds the name monodromy to a function.
+monodromy_module = importlib.import_module("solvhull.monodromy")
+
+
+def dense_exp_chain_sum(diag, sup, start, newton_always=False):
+    """Oracle: the chain-sum kernel on full n by n segment exponentials.
+
+    With newton_always the Newton pass runs on every input, not only
+    when some pair of nodes is _TAYLOR_GAP or more apart.
+    """
     diag = np.asarray(diag, dtype=complex)
     sup = np.asarray(sup, dtype=complex)
     n = diag.shape[-1]
     w = diag[..., None, :] - diag[..., :, None]
-    radius = np.maximum.accumulate(np.triu(np.abs(w)), axis=-1)
-    degree = _taylor_degree(np.max(radius, where=np.abs(w) < _TAYLOR_GAP, initial=0.0))
+    dist = np.abs(w)
+    radius = np.maximum.accumulate(np.triu(dist), axis=-1)
+    near = dist < _TAYLOR_GAP
+    degree = _taylor_degree(np.max(radius, where=near, initial=0.0))
     links = np.zeros(w.shape, dtype=complex)
     links[..., :, 1:] = sup[..., None, :]
     links, flat_w = links.ravel()[1:], w.ravel()
@@ -38,14 +51,15 @@ def newton_always_exp_chain_sum(diag, sup, start):
         acc, step = step, acc
     exps = acc.reshape(w.shape) * np.exp(diag)[..., :, None]
     flat = exps.reshape(diag.shape[:-1] + (n * n,))
-    prev = flat[..., :: n + 1]
-    for k in range(1, n):
-        gap = diag[..., k:] - diag[..., :-k]
-        taylor = np.abs(gap) < _TAYLOR_GAP
-        newton = sup[..., : n - k] * prev[..., 1:] - sup[..., k - 1 :] * prev[..., :-1]
-        newton /= np.where(taylor, 1.0, gap)
-        prev = np.where(taylor, flat[..., k :: n + 1][..., : n - k], newton)
-        flat[..., k :: n + 1][..., : n - k] = prev
+    if newton_always or not near.all():
+        prev = flat[..., :: n + 1]
+        for k in range(1, n):
+            gap = diag[..., k:] - diag[..., :-k]
+            taylor = np.abs(gap) < _TAYLOR_GAP
+            newton = sup[..., : n - k] * prev[..., 1:] - sup[..., k - 1 :] * prev[..., :-1]
+            newton /= np.where(taylor, 1.0, gap)
+            prev = np.where(taylor, flat[..., k :: n + 1][..., : n - k], newton)
+            flat[..., k :: n + 1][..., : n - k] = prev
     x = np.zeros(diag.shape[:-3] + diag.shape[-2:], dtype=complex)
     x[..., np.arange(len(start)), start] = 1.0
     for s in range(diag.shape[-3]):
@@ -53,18 +67,33 @@ def newton_always_exp_chain_sum(diag, sup, start):
     return x[..., n - 1].sum(axis=-1)
 
 
+def newton_always_exp_chain_sum(diag, sup, start):
+    """Oracle: the dense kernel with the Newton pass run on every input."""
+    return dense_exp_chain_sum(diag, sup, start, newton_always=True)
+
+
 def identity_product_series(pattern, matrices, depth):
-    """Oracle: the pattern series with the first segment multiplied onto the identity."""
+    """Oracle: the pattern series with the first segment multiplied onto the identity.
+
+    The last segment pairs each degree with its partial sums, as in the
+    library, so only the identity product differs.
+    """
     terms = depth + 1
     coeff = np.zeros((terms, pattern.rows.size), dtype=complex)
     coeff[0] = pattern.rows == pattern.cols
-    for a in matrices:
+    for s, a in enumerate(matrices):
         powers = np.empty_like(coeff)
         powers[0] = pattern.rows == pattern.cols
         for k in range(1, terms):
             prods = powers[k - 1, pattern.left] * a[pattern.right]
             powers[k] = np.add.reduceat(prods, pattern.starts) / k
         lhs = np.take(coeff, pattern.left, axis=1)
+        if s == len(matrices) - 1:
+            partial = np.take(np.cumsum(powers, axis=0), pattern.right, axis=1)
+            prods = lhs[0] * partial[depth]
+            for lo in range(1, terms):
+                prods += lhs[lo] * partial[depth - lo]
+            return np.add.reduceat(prods, pattern.starts)
         rhs = np.take(powers, pattern.right, axis=1)
         prods = lhs[0] * rhs
         for lo in range(1, terms):
@@ -141,3 +170,111 @@ def test_segment_data_matches_per_segment_fill(sect4_stages):
     paths.insert(1, PathWord([]))
     for got, want in zip(_segment_data(form, paths), per_segment_data(form, paths)):
         assert got.tobytes() == want.tobytes()
+
+
+def assert_kernel_matches_dense(diag, sup, start):
+    got = exp_chain_sum(diag, sup, start)
+    want = dense_exp_chain_sum(diag, sup, start)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+def compared_kernel(monkeypatch):
+    """Route monodromy's kernel calls through a bit-for-bit check against the dense oracle."""
+    calls = []
+
+    def checked(diag, sup, start):
+        calls.append(np.shape(diag))
+        return assert_kernel_matches_dense(diag, sup, start)
+
+    monkeypatch.setattr(monodromy_module, "exp_chain_sum", checked)
+    return calls
+
+
+CHAIN_FORMS = [f"corpus-{seed}" for seed in CORPUS_SEEDS] + [
+    "sol", "sect4", "filiform-4", "filiform-5", "filiform-6", "filiform-7",
+]
+
+
+@pytest.mark.parametrize("name", CHAIN_FORMS)
+def test_packed_kernel_matches_the_dense_kernel_on_forms(name, request, monkeypatch):
+    """Every upper-triangle entry of the small forms, the last column of the filiform ones."""
+    form = form_by_name(request, name)
+    r = form.r
+    if name.startswith("filiform"):
+        entries = [(p, r - 1) for p in range(r)]
+    else:
+        entries = [(p, q) for p in range(r) for q in range(p, r)]
+    path = _random_path(np.random.default_rng(200 + len(name)), form.dim, 4, False, 3.0, form)
+    calls = compared_kernel(monkeypatch)
+    for p, q in entries:
+        entry_chain_value(form, path, p, q)
+    assert len(calls) == len(entries)
+
+
+def _mixed_batch(rng, variants, segments, chains, n):
+    """Seeded kernel input: each chain's nodes near one another, spread out, or far apart."""
+    noise = rng.uniform(-1, 1, (variants, segments, chains, n))
+    noise = noise + 1j * rng.uniform(-1, 1, noise.shape)
+    spread = rng.choice([0.2, 1.5], (variants, segments, chains, 1))
+    far = rng.choice([0.0, 1.5], (variants, segments, chains, 1)) * np.arange(n)
+    diag = spread * noise + far * rng.choice([-1, 1], (variants, segments, chains, 1))
+    sup = rng.standard_normal((variants, segments, chains, n - 1)) + 0j
+    sup[rng.uniform(size=sup.shape) < 0.2] = 0.0
+    start = rng.integers(0, n, chains)
+    return diag, sup, start
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8])
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_kernel_matches_the_dense_kernel_on_mixed_batches(n, seed):
+    rng = np.random.default_rng(1000 * n + seed)
+    diag, sup, start = _mixed_batch(rng, 3, 4, 7, n)
+    gaps = np.abs(diag[..., None, :] - diag[..., :, None])
+    if n > 1:
+        assert np.any(gaps >= _TAYLOR_GAP) and np.any(np.all(gaps < _TAYLOR_GAP, axis=(-2, -1)))
+    assert_kernel_matches_dense(diag, sup, start)
+    assert_kernel_matches_dense(diag[0], sup[0], start)
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_packed_kernel_edge_cases(n):
+    """Single-node chains, chains that start at the last slot, and the empty path."""
+    rng = np.random.default_rng(n)
+    diag, sup, start = _mixed_batch(rng, 2, 3, 5, n)
+    last = np.full(5, n - 1)
+    assert_kernel_matches_dense(diag, sup, last)
+    assert_kernel_matches_dense(diag[..., :1, :], sup[..., :1, :], last[:1])
+    single = assert_kernel_matches_dense(diag[..., -1:], sup[..., :0], np.zeros(5, dtype=int))
+    assert np.allclose(single, np.exp(diag[..., -1].sum(axis=-2)).sum(axis=-1))
+    empty = assert_kernel_matches_dense(diag[:, :0], sup[:, :0], start)
+    assert np.array_equal(empty, np.full(2, np.sum(start == n - 1), dtype=complex))
+
+
+def test_taylor_radius_is_the_running_maximum_over_near_entries(monkeypatch):
+    """All near, the largest gap is the largest running maximum; some far, only near entries count."""
+    radii = []
+    degree = matfuncs._taylor_degree
+
+    def recorded(radius):
+        radii.append(radius)
+        return degree(radius)
+
+    monkeypatch.setattr(matfuncs, "_taylor_degree", recorded)
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 7):
+        for scale in (0.01, 0.1, 0.35, 1.0):
+            diag = scale * (rng.uniform(-1, 1, (2, 3, 4, n)) + 1j * rng.uniform(-1, 1, (2, 3, 4, n)))
+            dist = np.abs(diag[..., None, :] - diag[..., :, None])
+            running = np.maximum.accumulate(np.triu(dist), axis=-1)
+            if scale < 0.5:
+                assert np.all(dist < _TAYLOR_GAP)
+                assert running.max() == dist.max()
+            elif n > 1:
+                assert np.any(dist >= _TAYLOR_GAP) and np.any(running[dist < _TAYLOR_GAP] > 0.5)
+            want = np.max(running, where=dist < _TAYLOR_GAP, initial=0.0)
+            sup = rng.standard_normal((2, 3, 4, n - 1)) + 0j
+            radii.clear()
+            assert_kernel_matches_dense(diag, sup, np.zeros(4, dtype=int))
+            assert radii == [want]
