@@ -19,7 +19,7 @@ from .errors import (
     NotSolvable,
     SolvHullError,
 )
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 @dataclass(frozen=True)

@@ -28,15 +28,10 @@ from .errors import (
 )
 from .groups import parse_word
 from .integrals import transport, transport_series
-from .monodromy import (
-    build_monodromy_rep,
-    path_independence_residual,
-    separation_demo,
-    word_monodromy,
-)
+from .monodromy import path_independence_residual, word_monodromy
 from .paths import PathWord
 from .report import canonical_json, digest
-from .specfile import parse_problem
+from .specfile import _complex_pair, _number, parse_problem
 from .tolerances import Tolerances
 from .verify import build_stages, run_verification
 
@@ -152,27 +147,38 @@ def cmd_monodromy(args):
 
 
 def _path_from_file(problem, path_file):
-    with open(path_file) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "segments" not in data:
+    """Path of a JSON file {"segments": [{"direction": [...], "duration": t}, ...]}.
+
+    A direction entry is a finite number or [re, im] pair; a duration is
+    a finite nonnegative number.
+    """
+    try:
+        with open(path_file) as fh:
+            data = json.load(fh)
+    except OSError as err:
+        raise ValidationError(f"cannot read path file: {err}") from err
+    except json.JSONDecodeError as err:
+        raise ValidationError(f"path file is not valid JSON: {err}") from err
+    if not isinstance(data, dict) or not isinstance(data.get("segments"), list):
         raise ValidationError("path file needs a segments list")
     segs = []
     for seg in data["segments"]:
-        direction = seg.get("direction")
-        duration = seg.get("duration")
-        if direction is None or duration is None:
+        if not isinstance(seg, dict) or "direction" not in seg or "duration" not in seg:
             raise ValidationError("every segment needs direction and duration")
-        vec = []
-        for entry in direction:
-            if isinstance(entry, (list, tuple)):
-                vec.append(complex(entry[0], entry[1]))
-            else:
-                vec.append(complex(entry))
-        if len(vec) != problem.algebra.dim:
-            raise ValidationError(
-                f"direction has {len(vec)} entries, need {problem.algebra.dim}"
-            )
-        segs.append((np.array(vec), float(duration)))
+        direction = seg["direction"]
+        if not isinstance(direction, list) or len(direction) != problem.algebra.dim:
+            raise ValidationError(f"direction must list {problem.algebra.dim} entries")
+        vec = np.array([
+            _complex_pair(z, "direction entry") if isinstance(z, list)
+            else _number(z, "direction entry")
+            for z in direction
+        ], dtype=complex)
+        if not np.isfinite(vec).all():
+            raise ValidationError("direction entries must be finite")
+        duration = _number(seg["duration"], "duration")
+        if not 0.0 <= duration < np.inf:
+            raise ValidationError("duration must be finite and nonnegative")
+        segs.append((vec, duration))
     return PathWord(segs)
 
 

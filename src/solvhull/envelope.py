@@ -62,8 +62,8 @@ def _letters_within(space, here, deeper, tol):
     coordinates in that basis, with span(deeper) inside span(here). The
     result is in ambient coordinates: empty when the two spans have one
     dimension, space itself when here fills it and deeper is empty, and
-    otherwise linalg.tied_canon_columns, so that rounding cannot reorder
-    letters whose pivot norms tie.
+    otherwise linalg.canon_columns, whose tie rule keeps rounding from
+    reordering letters whose pivot norms tie.
     """
     if here.shape[1] == deeper.shape[1]:
         return space[:, :0]
@@ -71,7 +71,7 @@ def _letters_within(space, here, deeper, tol):
         return space
     if deeper.shape[1] > 0:
         here = here @ linalg.nullspace(deeper.conj().T @ here, tol)
-    return linalg.tied_canon_columns(space @ here, tol)
+    return linalg.canon_columns(space @ here, tol)
 
 
 @dataclass(frozen=True)

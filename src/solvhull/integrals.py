@@ -1,22 +1,19 @@
 """Iterated integrals and transports along piecewise exponential paths.
 
-Ordinary iterated integrals of constant one forms have closed forms on
-each segment; crossing segments composes by splitting the word, which
-the dynamic programs below exploit. Exponential iterated integrals are
-evaluated as one entry of the transport of a small upper bidiagonal
-connection, so the same segment-by-segment product applies to them.
+An exponential iterated integral is one entry of the transport of a
+small upper bidiagonal connection, and a Chen iterated integral of
+constant one forms is the case with every exponent zero, so both are
+chain sums of matfuncs.exp_chain_sum, carried segment by segment.
 Truncated transport series run on a sparse pattern closed under
 products, which holds every generator and every product of them.
 """
 
-import functools
 from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
 from .matfuncs import exp_chain_sum, expm
-from .paths import PathWord
 
 _EPS = float(np.finfo(float).eps)
 
@@ -25,52 +22,40 @@ def _functional_value(functional, direction):
     return complex(np.dot(np.asarray(functional, dtype=complex), direction))
 
 
-@functools.lru_cache(maxsize=None)
-def _splitting_layout(n):
-    """Where j < k, and 1/(k - j)! at j <= k, zero above, for 0 <= j, k <= n.
+def _chain_data(exponents, factors, path):
+    """exp_chain_sum's (diag, sup, start) for a batch of words along a path.
 
-    The arrays are shared by every call, so they are read only.
+    exponents (words, n, dim) and factors (words, n - 1, dim) hold each
+    word's diagonal and between-slot functionals; every word is one
+    chain from slot 0. Segment s contributes t_s times each functional
+    on its direction.
     """
-    lag = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
-    below = lag > 0
-    inverse_fact = np.array(
-        [[1.0 / factorial(d) if d >= 0 else 0.0 for d in row] for row in lag.tolist()]
-    )
-    below.setflags(write=False)
-    inverse_fact.setflags(write=False)
-    return below, inverse_fact
+    words, n, dim = exponents.shape
+    vectors = np.array([seg.direction for seg in path], dtype=complex).reshape(len(path), dim)
+    durations = np.array([seg.duration for seg in path]).reshape(-1, 1, 1)
+    diag = np.einsum("wkd,sd->swk", exponents, vectors) * durations
+    sup = np.einsum("wkd,sd->swk", factors.reshape(words, n - 1, dim), vectors) * durations
+    return diag, sup, np.zeros(words, dtype=int)
+
+
+def _chen_sum(factors, path):
+    """Sum of the Chen iterated integrals of the words in factors (words, n, dim)."""
+    words, n, dim = factors.shape
+    return complex(exp_chain_sum(*_chain_data(np.zeros((words, n + 1, dim)), factors, path)))
 
 
 def iterated_integral(functionals, path):
     """Iterated integral of a word of constant one forms along a path.
 
     functionals is the word, leftmost integrated at the earliest time.
-    Runs the word-splitting recursion segment by segment: state[j] is
-    the integral of the prefix of length j so far, and a segment of
-    duration t, on which letter i takes the value a_i, carries it to
-    state[k] = sum over j <= k of state[j] (t a_j) ... (t a_(k-1)) / (k-j)!.
-    That is one lower triangular matrix per segment, and all of them
-    are formed at once.
+    It is the exponential iterated integral whose exponents are all zero
+    and whose factors are the letters, so the transport of the nilpotent
+    bidiagonal connection carries the prefixes across the segments.
     """
     n = len(functionals)
-    state = np.zeros(n + 1, dtype=complex)
-    state[0] = 1.0
-    if n == 0 or len(path) == 0:
-        return complex(state[n])
-    below, inverse_fact = _splitting_layout(n)
-    # Row n of the word only pads the letters to n + 1 columns; column n
-    # is never a factor.
-    word = np.array([*functionals, functionals[-1]], dtype=complex)
-    vectors = np.array([seg.direction for seg in path], dtype=complex)
-    durations = np.array([[seg.duration] for seg in path])
-    scaled = durations * (vectors @ word.T)
-    # factors[s, k, j] is t a_j where j < k and 1 elsewhere, so the
-    # cumulative product along each row from the right is
-    # (t a_(k-1)) ... (t a_j) at (k, j).
-    factors = np.where(below, scaled[:, None, :], 1.0)
-    for m in np.cumprod(factors[..., ::-1], axis=-1)[..., ::-1] * inverse_fact:
-        state = m @ state
-    return complex(state[n])
+    # An empty word has no letter to give the dimension; the path's serves.
+    factors = np.asarray(functionals, dtype=complex).reshape(1, n, -1 if n else path.dim)
+    return _chen_sum(factors, path)
 
 
 def iterated_integral_quadrature(functionals, path, points=10000):
@@ -115,8 +100,8 @@ def iterated_integral_quadrature(functionals, path, points=10000):
 def transport(form, path):
     """Ordered product of segment exponentials of the connection.
 
-    The first segment sits leftmost, matching the word-splitting
-    convention of the iterated integrals.
+    The first segment sits leftmost, matching the iterated integrals,
+    whose leftmost letter is integrated at the earliest time.
     """
     out = None
     for seg in path:
@@ -316,12 +301,9 @@ def exp_iterated_integral(word, path):
     matfuncs.exp_chain_sum, which carries the top row through the exact
     exponential of every segment's generator.
     """
-    n = word.size
-    mats = [word.segment_matrix(seg.vector) * seg.duration for seg in path]
-    steps = len(mats)
-    diag = np.array([np.diag(m) for m in mats], dtype=complex).reshape(steps, 1, n)
-    sup = np.array([np.diag(m, 1) for m in mats], dtype=complex).reshape(steps, 1, n - 1)
-    return complex(exp_chain_sum(diag, sup, [0]))
+    exponents = np.array([word.exponents], dtype=complex)
+    factors = np.array([word.factors], dtype=complex)
+    return complex(exp_chain_sum(*_chain_data(exponents, factors, path)))
 
 
 def exp_iterated_integral_series(word, path, depth):
@@ -366,12 +348,13 @@ def shuffle_identity_residual(functionals, word_a, word_b, path):
     """Defect of the shuffle identity on two index words.
 
     The product of two iterated integrals must equal the sum over all
-    shuffles; words index into the shared functional list.
+    shuffles; words index into the shared functional list. The shuffles,
+    each repeated by its multiplicity, are one batch of chains.
     """
-    fa = [functionals[i] for i in word_a]
-    fb = [functionals[i] for i in word_b]
-    lhs = iterated_integral(fa, path) * iterated_integral(fb, path)
-    rhs = 0.0 + 0.0j
-    for w, mult in shuffle_words(word_a, word_b).items():
-        rhs += mult * iterated_integral([functionals[i] for i in w], path)
-    return abs(lhs - rhs)
+    table = np.asarray(functionals, dtype=complex)
+    lhs = iterated_integral(table[list(word_a)], path) * iterated_integral(
+        table[list(word_b)], path
+    )
+    shuffles = [w for w, mult in shuffle_words(word_a, word_b).items() for _ in range(mult)]
+    words = np.array(shuffles, dtype=int).reshape(len(shuffles), len(word_a) + len(word_b))
+    return abs(lhs - _chen_sum(table[words], path))

@@ -95,23 +95,11 @@ def canon_columns(v, tol=1e-12):
 
     The result depends only on the subspace, not on the incoming basis:
     it is rebuilt from the orthogonal projector by greedy column pivoting
-    followed by QR with a positive-diagonal convention.
+    followed by QR with a positive-diagonal convention. Pivot norms
+    within tol of the largest count as tied and the lowest index wins, so
+    a subspace spanned by coordinate vectors, whose projector's column
+    norms tie exactly, gets the same basis whatever the rounding in v.
     """
-    return _pivoted_canon(v, tol, 0.0)
-
-
-def tied_canon_columns(v, tol=1e-12):
-    """canon_columns with pivot norms within tol of the largest counted as tied.
-
-    Ties go to the lowest index. A subspace spanned by coordinate vectors
-    has a projector whose column norms tie exactly, and canon_columns
-    lets rounding in the incoming basis pick among them; here the same
-    basis comes out whatever that rounding is.
-    """
-    return _pivoted_canon(v, tol, tol)
-
-
-def _pivoted_canon(v, tol, tie):
     q = orthonormal_columns(_as_matrix(v).astype(complex), tol)
     r = q.shape[1]
     if r == 0:
@@ -121,7 +109,7 @@ def _pivoted_canon(v, tol, tie):
     picked = []
     for _ in range(r):
         norms = np.linalg.norm(work, axis=0)
-        j = int(np.argmax(norms >= norms.max() - tie))
+        j = int(np.argmax(norms >= norms.max() - tol))
         picked.append(j)
         ucol = work[:, j] / max(np.linalg.norm(work[:, j]), _EPS)
         work = work - np.outer(ucol, ucol.conj() @ work)

@@ -124,7 +124,7 @@ def _integral_section(problem, form, seed, depth):
     quad_tol = 100.0 / 4000.0 * max(1.0, abs(exact))
 
     ok = (
-        shuffle_worst <= 1e-10
+        shuffle_worst <= problem.tolerances.exact
         and transport_diff <= series.tail_bound
         and exp_diff <= ser.tail_bound
         and quad_diff <= quad_tol

@@ -168,6 +168,34 @@ def test_integrate_rejects_malformed_path_file(heis_file, tmp_path):
     assert res.returncode == 2
 
 
+def _segments(direction, duration=1.0):
+    return json.dumps({"segments": [{"direction": direction, "duration": duration}]})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,
+        "{not json",
+        _segments([1.0, "0.5", 0.0]),
+        _segments([1.0, 0.0, 0.0], "1.0"),
+        _segments([1.0, 0.0, 0.0], -1.0),
+        _segments([1.0, [0.0, 1.0, 2.0], 0.0]),
+        _segments([True, 0.0, 0.0]),
+        _segments([float("nan"), 0.0, 0.0]),
+    ],
+    ids=["missing", "invalid-json", "string-entry", "string-duration",
+         "negative-duration", "three-element-entry", "boolean-entry", "nan-entry"],
+)
+def test_integrate_rejects_a_bad_path_file(text, heis_file, tmp_path, capsys):
+    path_file = tmp_path / "path.json"
+    if text is not None:
+        path_file.write_text(text)
+    code = cli.main(["integrate", "--spec", heis_file, "--path", str(path_file)])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ------------------------------------------------------------- verify
 
 

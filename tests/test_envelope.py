@@ -498,20 +498,37 @@ def test_generators_take_one_eigendecomposition(name, named_split, monkeypatch):
 
 @pytest.mark.parametrize("name", ["sect4", "torus_heisenberg3"])
 def test_each_weight_space_is_canonicalized_once(name, named_split, monkeypatch):
+    """One canon_columns call per weight space, and two more for the letters.
+
+    In both algebras one weight space holds a proper part of series level
+    2, so its letters of weight 2 and of weight 1 take one call each; every
+    other weight space is empty at level 2 or filled by it and takes none.
+    """
     split = named_split(name)
     mats = [split.torus[b].astype(complex) for b in range(split.torus.shape[0])]
     _, chars, _ = linalg.joint_eigenbasis(mats, DEFAULT.cluster_scale, DEFAULT.num)
     assert len(set(chars)) >= 2
     calls = []
+    inside_letters = []
     original = linalg.canon_columns
+    original_letters = envelope._letters_within
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(bool(inside_letters))
         return original(*args, **kwargs)
 
+    def letters(*args):
+        inside_letters.append(True)
+        try:
+            return original_letters(*args)
+        finally:
+            inside_letters.pop()
+
     monkeypatch.setattr(linalg, "canon_columns", counted)
+    monkeypatch.setattr(envelope, "_letters_within", letters)
     _build_generators(split, DEFAULT)
-    assert len(calls) == len(set(chars))
+    assert calls.count(False) == len(set(chars))
+    assert calls.count(True) == 2
 
 
 @pytest.mark.parametrize("name", ["sect4", "torus_heisenberg3", "filiform6"])

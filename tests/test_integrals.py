@@ -501,7 +501,7 @@ def test_zero_exponents_reduce_to_plain_iterated_integral():
     )
     path = random_path(rng, 3, 3)
     lhs = exp_iterated_integral(word, path)
-    rhs = iterated_integral(factors, path)
+    rhs = scalar_iterated_integral(factors, path)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 

@@ -82,6 +82,18 @@ def test_canon_columns_is_basis_independent():
     assert np.max(np.abs(a - b)) < 1e-10
 
 
+def test_coordinate_subspace_has_one_canonical_basis():
+    """Exact pivot ties are broken by index, not by the incoming basis's rounding."""
+    rng = np.random.default_rng(23)
+    for trial in range(200):
+        n = int(rng.integers(3, 7))
+        idx = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        coords = np.eye(n, dtype=complex)[:, idx]
+        a = canon_columns(coords)
+        b = canon_columns(coords @ random_unitary(rng, idx.size))
+        assert np.max(np.abs(a - b)) < 1e-10, (trial, n, idx)
+
+
 # ---------------------------------------------------------------- clustering
 
 
