@@ -2,8 +2,9 @@
 
 An exponential iterated integral is one entry of the transport of a
 small upper bidiagonal connection, and a Chen iterated integral of
-constant one forms is the case with every exponent zero, so both are
-chain sums of matfuncs.exp_chain_sum, carried segment by segment.
+constant one forms is the case with every exponent zero. chain_sums
+evaluates a batch of them, and the monodromy entry chains too, on
+matfuncs.exp_chain_sum, carried segment by segment.
 Truncated transport series run on a sparse pattern closed under
 products, which holds every generator and every product of them.
 """
@@ -22,26 +23,29 @@ def _functional_value(functional, direction):
     return complex(np.dot(np.asarray(functional, dtype=complex), direction))
 
 
-def _chain_data(exponents, factors, path):
-    """exp_chain_sum's (diag, sup, start) for a batch of words along a path.
+def chain_sums(exponents, factors, paths, start):
+    """Summed exponential iterated integrals of a batch of chains, one value per path.
 
-    exponents (words, n, dim) and factors (words, n - 1, dim) hold each
-    word's diagonal and between-slot functionals; every word is one
-    chain from slot 0. Segment s contributes t_s times each functional
-    on its direction.
+    exponents (chains, n, dim) and factors (chains, n - 1, dim) hold each
+    chain's diagonal and between-slot functionals, chains right aligned,
+    chain c starting at slot start[c]. The paths are stacked zero padded
+    to the longest, and segment s contributes t_s times each functional
+    on its direction; this is the one place that builds the input of
+    matfuncs.exp_chain_sum.
     """
-    words, n, dim = exponents.shape
-    vectors = np.array([seg.direction for seg in path], dtype=complex).reshape(len(path), dim)
-    durations = np.array([seg.duration for seg in path]).reshape(-1, 1, 1)
-    diag = np.einsum("wkd,sd->swk", exponents, vectors) * durations
-    sup = np.einsum("wkd,sd->swk", factors.reshape(words, n - 1, dim), vectors) * durations
-    return diag, sup, np.zeros(words, dtype=int)
-
-
-def _chen_sum(factors, path):
-    """Sum of the Chen iterated integrals of the words in factors (words, n, dim)."""
-    words, n, dim = factors.shape
-    return complex(exp_chain_sum(*_chain_data(np.zeros((words, n + 1, dim)), factors, path)))
+    chains, n, dim = exponents.shape
+    longest = max((len(path) for path in paths), default=0)
+    vectors = np.zeros((len(paths), longest, dim), dtype=complex)
+    durations = np.zeros((len(paths), longest, 1, 1))
+    for v, path in enumerate(paths):
+        if len(path):
+            vectors[v, : len(path)] = [seg.direction for seg in path]
+            durations[v, : len(path), 0, 0] = [seg.duration for seg in path]
+    lead = (len(paths), longest, chains)
+    diag = durations * (vectors @ exponents.reshape(chains * n, dim).T).reshape(lead + (n,))
+    sup = vectors @ factors.reshape(chains * (n - 1), dim).T
+    sup = durations * sup.reshape(lead + (n - 1,))
+    return exp_chain_sum(diag, sup, start)
 
 
 def iterated_integral(functionals, path):
@@ -55,7 +59,7 @@ def iterated_integral(functionals, path):
     n = len(functionals)
     # An empty word has no letter to give the dimension; the path's serves.
     factors = np.asarray(functionals, dtype=complex).reshape(1, n, -1 if n else path.dim)
-    return _chen_sum(factors, path)
+    return complex(chain_sums(np.zeros((1, n + 1, factors.shape[-1])), factors, [path], [0])[0])
 
 
 def iterated_integral_quadrature(functionals, path, points=10000):
@@ -303,7 +307,7 @@ def exp_iterated_integral(word, path):
     """
     exponents = np.array([word.exponents], dtype=complex)
     factors = np.array([word.factors], dtype=complex)
-    return complex(exp_chain_sum(*_chain_data(exponents, factors, path)))
+    return complex(chain_sums(exponents, factors, [path], [0])[0])
 
 
 def exp_iterated_integral_series(word, path, depth):
@@ -357,4 +361,5 @@ def shuffle_identity_residual(functionals, word_a, word_b, path):
     )
     shuffles = [w for w, mult in shuffle_words(word_a, word_b).items() for _ in range(mult)]
     words = np.array(shuffles, dtype=int).reshape(len(shuffles), len(word_a) + len(word_b))
-    return abs(lhs - _chen_sum(table[words], path))
+    exponents = np.zeros((len(words), words.shape[1] + 1, table.shape[-1]))
+    return abs(lhs - complex(chain_sums(exponents, table[words], [path], [0] * len(words))[0]))

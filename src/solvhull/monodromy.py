@@ -6,7 +6,8 @@ valued function of the group element alone. Every matrix entry of that
 function decomposes as a finite sum of exponential iterated integrals
 over strictly increasing index chains, which is how closedness of those
 integrals is certified here: the chain sums are recomputed over several
-paths with the same endpoint and compared.
+paths with the same endpoint and compared. Each entry's chains go
+through integrals.chain_sums in one call.
 """
 
 from dataclasses import dataclass
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownName
-from .integrals import transport
-from .matfuncs import exp_chain_sum
+from .integrals import chain_sums, transport
 from .paths import PathWord
 
 
@@ -126,38 +126,20 @@ def entry_chains(form, p, q):
     return chains
 
 
-def _segment_data(form, paths):
-    """Duration-scaled diagonal characters and live connection entries.
-
-    One row per path, zero padded to the longest; connection entries are
-    kept on the form's closure pattern, so a chain's bidiagonal
-    generator on a segment is read off by indexing.
-    """
-    longest = max((len(path) for path in paths), default=0)
-    vectors = np.zeros((len(paths), longest, form.dim), dtype=complex)
-    durations = np.zeros((len(paths), longest, 1))
-    for v, path in enumerate(paths):
-        if len(path):
-            vectors[v, : len(path)] = [seg.direction for seg in path]
-            durations[v, : len(path), 0] = [seg.duration for seg in path]
-    diag = durations * (vectors @ form.omega.T)
-    links = durations * (vectors @ form.closure_psi)
-    return diag, links
-
-
-def _chain_sum(form, chains, diag, links):
-    """Sum of the chains' exponential integrals on every path, in one kernel call.
+def _entry_sums(form, paths, p, q):
+    """Entry (p, q)'s chain sum on every path, in one chain_sums call.
 
     Chains are right aligned and the slots in front of a chain repeat
     its first node; the carried row starts at the chain's first slot,
-    so they never contribute.
+    so they never contribute. Only the rows of the characters and the
+    closure entries that the chains use are read.
     """
+    chains = entry_chains(form, p, q)
     size = max((len(c) for c in chains), default=1)
-    nodes = np.array([(c[0],) * (size - len(c)) + c for c in chains], dtype=int)
-    nodes = nodes.reshape(-1, size)
+    nodes = np.array([(c[0],) * (size - len(c)) + c for c in chains], dtype=int).reshape(-1, size)
     start = size - np.array([len(c) for c in chains], dtype=int)
     steps = form.closure.index[nodes[:, :-1], nodes[:, 1:]]
-    return exp_chain_sum(diag[..., nodes], links[..., steps], start)
+    return chain_sums(form.omega[nodes], form.closure_psi.T[steps], paths, start)
 
 
 def entry_chain_value(form, path, p, q):
@@ -168,14 +150,14 @@ def entry_chain_value(form, path, p, q):
     contributes one exponential iterated integral whose exponents are
     the diagonal characters along the chain and whose factors are the
     off diagonal entry functionals of the steps. All of them go through
-    one call of matfuncs.exp_chain_sum, and the dense r by r exponential
-    is never formed, so the sum stays a certificate independent of
+    one call of integrals.chain_sums, which reads only the characters and
+    closure entries on those chains; the dense r by r exponential is
+    never formed, so the sum stays a certificate independent of
     transport.
     """
     if p > q:
         return 0.0 + 0.0j
-    diag, links = _segment_data(form, [path])
-    return complex(_chain_sum(form, entry_chains(form, p, q), diag, links)[0])
+    return complex(_entry_sums(form, [path], p, q)[0])
 
 
 def closedness_residual(form, model, target, seed=0, entries=None, trials=3):
@@ -183,9 +165,9 @@ def closedness_residual(form, model, target, seed=0, entries=None, trials=3):
 
     Every selected entry is evaluated through its chain decomposition on
     several endpoint equal paths and compared against the transport.
-    Segment data is computed once for all paths, and each entry takes
-    one kernel call for all of them. Returns the worst spread across
-    paths and the worst disagreement with the transport entries.
+    Each entry takes one chain_sums call for all the paths, zero padded
+    to the longest. Returns the worst spread across paths and the worst
+    disagreement with the transport entries.
     """
     variants = path_variants(model, target, seed=seed, trials=trials)
     return _chain_closedness(form, variants, transport(form, variants[0]), entries)
@@ -198,14 +180,13 @@ def _chain_closedness(form, variants, base, entries=None):
     the whole upper triangle.
     """
     scale = max(1.0, float(np.max(np.abs(base))))
-    diag, links = _segment_data(form, variants)
     r = form.r
     if entries is None:
         entries = [(p, q) for p in range(r) for q in range(p, r)]
     spread = 0.0
     mismatch = 0.0
     for p, q in entries:
-        values = _chain_sum(form, entry_chains(form, p, q), diag, links)
+        values = _entry_sums(form, variants, p, q)
         mismatch = max(mismatch, float(np.max(np.abs(values - base[p, q]))) / scale)
         spread = max(spread, float(np.max(np.abs(values[1:] - values[0]))) / scale)
     return spread, mismatch

@@ -8,6 +8,7 @@ level, so typos fail loudly instead of being ignored.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from .algebra import validate_algebra
 from .errors import SpecFileError
 from .groups import GroupElement, Lattice, SemidirectModel, parse_word
 from .report import canonical_json, digest
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import Tolerances
 
 _TOP_KEYS = {"name", "basis_names", "structure", "model", "tolerances"}
 _MODEL_KEYS = {"translation_dim", "fiber_mats", "lattice"}
@@ -51,8 +52,9 @@ def _require_keys(d, allowed, where):
 
 
 def _number(v, where):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SpecFileError(f"{where} must be a number")
+    # The comparison is false for NaN, the infinities and ints past float range.
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise SpecFileError(f"{where} must be a finite number")
     return float(v)
 
 
@@ -99,11 +101,14 @@ def _parse_structure(entries, dim):
     return c
 
 
-def _parse_tolerances(data):
-    if data is None:
-        return DEFAULT
-    _require_keys(data, _TOL_KEYS, "tolerances")
-    values = {k: _number(v, f"tolerances.{k}") for k, v in data.items()}
+def _parse_tolerances(data, **given):
+    """Tolerances of a spec's block, a given value replacing its field; all finite and > 0."""
+    if data is not None:
+        _require_keys(data, _TOL_KEYS, "tolerances")
+    values = {k: _number(v, f"tolerances.{k}") for k, v in (data or {}).items()} | given
+    for key, value in values.items():
+        if not 0.0 < value < np.inf:
+            raise SpecFileError(f"tolerance {key} must be finite and positive, got {value!r}")
     return Tolerances(**values)
 
 
@@ -171,8 +176,8 @@ def _parse_lattice(data, model):
     return Lattice(model=model, generators=tuple(gens), relations=tuple(relations))
 
 
-def parse_problem(source, tolerances=None):
-    """Load and validate a problem from a dict, JSON text, or file path."""
+def _spec_data(source):
+    """Top level object of a problem given as a dict, JSON text, or file path."""
     if isinstance(source, (str, Path)):
         path = Path(source)
         if path.exists():
@@ -187,8 +192,13 @@ def parse_problem(source, tolerances=None):
         data = source
     else:
         raise SpecFileError(f"cannot read a problem from {type(source)}")
-
     _require_keys(data, _TOP_KEYS, "problem")
+    return data
+
+
+def parse_problem(source, tolerances=None):
+    """Load and validate a problem from a dict, JSON text, or file path."""
+    data = _spec_data(source)
     names = data.get("basis_names")
     if not isinstance(names, (list, tuple)) or not names:
         raise SpecFileError("basis_names must be a non empty list")

@@ -1,6 +1,8 @@
 """Shared fixtures: reference algebras and a seeded random solvable corpus."""
 
+import os
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,12 @@ from solvhull import (
     validate_algebra,
 )
 from solvhull.verify import build_stages
+
+# The CLI tests run `python -m solvhull` in child processes, which find
+# the package where this session imported it.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(solvhull.__file__).parent.parent), os.environ.get("PYTHONPATH")])
+)
 
 
 def abelian_structure(n):

@@ -259,6 +259,41 @@ def test_invalid_spec_file(tmp_path):
     assert res.returncode == 2
 
 
+def test_spec_tolerances_hold_under_each_flag(tmp_path, capsys):
+    """A spec's tolerances block counts; a --tol-* flag replaces only its own field."""
+    spec = tmp_path / "tight.json"
+    raw = solvhull.sol_spec()
+    raw["tolerances"] = {"num": 1e-30, "alg": 1e-30}
+    spec.write_text(json.dumps(raw))
+    assert cli.main(["verify", "--spec", str(spec)]) == cli.EXIT_INVARIANT
+    assert "exceeds budget" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(["analyze", "--spec", str(spec), "--tol-num", "1e-8"])
+    assert cli._load_problem(args).tolerances == solvhull.Tolerances(alg=1e-30, num=1e-8)
+    assert cli.main(["analyze", "--spec", str(spec), "--tol-num", "1e-8"]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "block, flags",
+    [
+        ({"num": float("nan")}, []),
+        (None, ["--tol-num", "nan"]),
+        (None, ["--tol-num", "inf"]),
+        (None, ["--tol-num", "-1"]),
+    ],
+    ids=["spec-nan", "flag-nan", "flag-inf", "flag-negative"],
+)
+def test_a_tolerance_that_is_not_finite_and_positive_is_bad_input(
+    block, flags, tmp_path, capsys
+):
+    raw = heis_spec_dict()
+    if block is not None:
+        raw["tolerances"] = block
+    spec = tmp_path / "heis.json"
+    spec.write_text(json.dumps(raw))
+    assert cli.main(["verify", "--spec", str(spec), *flags]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_example_name():
     res = run_cli("analyze", "--example", "nosuch")
     assert res.returncode == 2

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and only
+integrals imports the chain-sum kernel.
 
 The package's __init__.py imports names only to re-export them, so it
 is not checked.
@@ -34,3 +35,20 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def imported_names(source):
+    """Names that the from-imports in source take from other modules."""
+    tree = ast.parse(source)
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_only_integrals_imports_the_chain_kernel():
+    """Every chain sum goes through integrals.chain_sums, which alone builds the kernel's input."""
+    users = [m for m in MODULES if "exp_chain_sum" in imported_names((PACKAGE / m).read_text())]
+    assert users == ["integrals.py"]

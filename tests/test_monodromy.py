@@ -2,7 +2,6 @@
 
 import dataclasses
 import gc
-import importlib
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from solvhull import (
     entry_chain_value,
     entry_chains,
     exp_iterated_integral,
+    integrals,
     monodromy,
     parse_word,
     path_independence_residual,
@@ -28,9 +28,6 @@ from solvhull import (
 from solvhull.linalg import SparseStack
 
 from conftest import CORPUS_SEEDS
-
-# The package rebinds the name monodromy to a function.
-monodromy_module = importlib.import_module("solvhull.monodromy")
 
 
 @pytest.fixture(scope="module")
@@ -275,15 +272,15 @@ def test_batched_chain_value_on_empty_path(sect4_stages):
 
 
 def counting_kernel(monkeypatch):
-    """Record the shapes of every bidiagonal kernel call from monodromy."""
+    """Record the shapes of every bidiagonal kernel call, all of which integrals makes."""
     calls = []
-    kernel = monodromy_module.exp_chain_sum
+    kernel = integrals.exp_chain_sum
 
     def counted(diag, sup, start):
         calls.append(np.shape(diag))
         return kernel(diag, sup, start)
 
-    monkeypatch.setattr(monodromy_module, "exp_chain_sum", counted)
+    monkeypatch.setattr(integrals, "exp_chain_sum", counted)
     return calls
 
 

@@ -4,24 +4,19 @@ Each oracle below is the longer route the library used to take: the
 chain-sum kernel works on full n by n exponentials, whose lower triangle
 stays zero, and can run its Newton pass and discard it where the Taylor
 value stands; the pattern series starts from a Cauchy product with the
-identity; and segment data is filled one segment vector at a time.
+identity; and a batch of paths is evaluated one path at a time.
 """
-
-import importlib
 
 import numpy as np
 import pytest
 
-from solvhull import PathWord, entry_chain_value, matfuncs
+from solvhull import PathWord, entry_chain_value, entry_chains, integrals, matfuncs, path_variants
 from solvhull.integrals import _pattern_series
 from solvhull.matfuncs import _TAYLOR_GAP, _taylor_degree, exp_chain_sum
-from solvhull.monodromy import _segment_data
+from solvhull.monodromy import _entry_sums
 from solvhull.verify import _random_path
 
 from conftest import CORPUS_SEEDS, form_by_name
-
-# The package rebinds the name monodromy to a function.
-monodromy_module = importlib.import_module("solvhull.monodromy")
 
 
 def dense_exp_chain_sum(diag, sup, start, newton_always=False):
@@ -102,17 +97,6 @@ def identity_product_series(pattern, matrices, depth):
     return coeff.sum(axis=0)
 
 
-def per_segment_data(form, paths):
-    """Oracle: segment data filled from one segment vector at a time."""
-    longest = max((len(path) for path in paths), default=0)
-    vectors = np.zeros((len(paths), longest, form.dim), dtype=complex)
-    durations = np.zeros((len(paths), longest, 1))
-    for v, path in enumerate(paths):
-        for s, seg in enumerate(path):
-            vectors[v, s], durations[v, s] = seg.vector, seg.duration
-    return durations * (vectors @ form.omega.T), durations * (vectors @ form.closure_psi)
-
-
 def _nodes(rng, spread, shape):
     """Seeded chain nodes: near nodes within spread, far ones 1.5 apart per slot."""
     *lead, n = shape
@@ -161,15 +145,19 @@ def test_pattern_series_matches_the_identity_product(name, request):
             assert got.tobytes() == want.tobytes(), (segments, depth)
 
 
-def test_segment_data_matches_per_segment_fill(sect4_stages):
+def test_chain_sums_on_a_batch_match_each_path_alone(sect4_stages, sect4_problem):
+    """Paths of 0 to 3 segments, zero padded to the longest, keep each path's value."""
     form = sect4_stages["form"]
-    rng = np.random.default_rng(9)
-    paths = [
-        _random_path(rng, form.dim, segments, False, 3.0, form) for segments in (3, 1, 4)
-    ]
+    target = sect4_problem.lattice.generator("c")
+    paths = path_variants(sect4_problem.model, target, seed=2, trials=3)
     paths.insert(1, PathWord([]))
-    for got, want in zip(_segment_data(form, paths), per_segment_data(form, paths)):
-        assert got.tobytes() == want.tobytes()
+    assert {len(path) for path in paths} == {0, 1, 2, 3}
+    for p in range(form.r):
+        for q in range(p, form.r):
+            batch = _entry_sums(form, paths, p, q)
+            for v, path in enumerate(paths):
+                assert batch[v].tobytes() == _entry_sums(form, [path], p, q)[0].tobytes()
+    assert max(len(c) for c in entry_chains(form, 0, form.r - 1)) > 3
 
 
 def assert_kernel_matches_dense(diag, sup, start):
@@ -181,14 +169,14 @@ def assert_kernel_matches_dense(diag, sup, start):
 
 
 def compared_kernel(monkeypatch):
-    """Route monodromy's kernel calls through a bit-for-bit check against the dense oracle."""
+    """Route the kernel calls of integrals through a bit-for-bit check against the dense oracle."""
     calls = []
 
     def checked(diag, sup, start):
         calls.append(np.shape(diag))
         return assert_kernel_matches_dense(diag, sup, start)
 
-    monkeypatch.setattr(monodromy_module, "exp_chain_sum", checked)
+    monkeypatch.setattr(integrals, "exp_chain_sum", checked)
     return calls
 
 
