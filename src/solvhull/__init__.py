@@ -16,7 +16,6 @@ from .algebra import (
     SemisimpleAdjoint,
     derived_series,
     lower_central_series,
-    nilpotency_class,
     nilradical,
     restricted_structure,
     semisimple_adjoint,
@@ -127,7 +126,6 @@ __all__ = [
     "iterated_integral_quadrature",
     "lower_central_series",
     "monodromy",
-    "nilpotency_class",
     "nilradical",
     "parse_problem",
     "parse_word",

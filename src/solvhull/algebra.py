@@ -42,9 +42,6 @@ class LieAlgebra:
         x = np.asarray(x)
         return np.einsum("i,ijk->kj", x, self.structure)
 
-    def bracket(self, x, y):
-        return np.einsum("i,j,ijk->k", np.asarray(x), np.asarray(y), self.structure)
-
     def brackets(self, x, y):
         """Brackets of two column families: out[:, a, b] = [x[:, a], y[:, b]]."""
         return np.einsum("ia,jb,ijk->kab", np.asarray(x), np.asarray(y), self.structure)
@@ -163,11 +160,6 @@ def lower_central_series(alg, tolerances=DEFAULT):
         series.append(nxt)
         current = nxt
     return series
-
-
-def nilpotency_class(alg, tolerances=DEFAULT):
-    """Length of the lower central series, zero for the zero algebra."""
-    return len(lower_central_series(alg, tolerances)) - 1
 
 
 def _field_kernel(mat, is_complex, tol):
@@ -399,8 +391,6 @@ class SemisimpleAdjoint:
 
     tensor: np.ndarray = field(repr=False)
     cartan: np.ndarray = field(repr=False)
-    blocks: tuple = field(repr=False)
-    weights: tuple
     condition: float
     residuals: dict
 
@@ -477,8 +467,6 @@ def semisimple_adjoint(alg, nilrad=None, tolerances=DEFAULT):
     return SemisimpleAdjoint(
         tensor=tensor,
         cartan=cartan,
-        blocks=tuple(blocks),
-        weights=tuple(weights),
         condition=cond,
         residuals=residuals,
     )

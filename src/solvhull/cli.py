@@ -27,7 +27,7 @@ from .errors import (
 )
 from .groups import parse_word
 from .integrals import transport, transport_series
-from .monodromy import path_independence_residual, word_monodromy
+from .monodromy import path_independence_residual, path_variants, word_monodromy
 from .paths import PathWord
 from .report import canonical_json, digest
 from .specfile import _complex_pair, _number, _parse_tolerances, _spec_data, parse_problem
@@ -126,7 +126,8 @@ def cmd_monodromy(args):
     word = parse_word(args.word)
     rho = word_monodromy(form, problem.lattice, word)
     target = problem.lattice.element_of(word)
-    pi = path_independence_residual(form, problem.model, target, seed=args.seed)
+    variants = path_variants(problem.model, target, seed=args.seed)
+    pi = path_independence_residual(form, variants, transport(form, variants[0]))
     payload = {
         "problem": problem.name,
         "word": args.word,
@@ -233,6 +234,14 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
+def nonnegative_int(text):
+    """Type of --seed and --depth; argparse names the flag and exits 2 on a ValueError."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="solvhull",
@@ -240,10 +249,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, lattice_word=False):
+    def common(p):
         p.add_argument("--example", choices=sorted(BUILTINS), help="builtin problem")
         p.add_argument("--spec", help="path to a problem JSON file")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+        p.add_argument("--seed", type=nonnegative_int, default=0, help="seed for sampled checks")
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
         p.add_argument("--tol-alg", type=float, default=None, dest="tol_alg")
         p.add_argument("--tol-num", type=float, default=None, dest="tol_num")
@@ -267,12 +276,12 @@ def build_parser():
     common(p)
     p.add_argument("--word", help="lattice word")
     p.add_argument("--path", help="JSON file with a segments list")
-    p.add_argument("--depth", type=int, default=20, help="series truncation depth")
+    p.add_argument("--depth", type=nonnegative_int, default=20, help="series truncation depth")
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("verify", help="full deterministic invariant suite")
     common(p)
-    p.add_argument("--depth", type=int, default=20, help="series truncation depth")
+    p.add_argument("--depth", type=nonnegative_int, default=20, help="series truncation depth")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_verify)
 

@@ -199,10 +199,6 @@ class ConnectionForm:
     def dim(self):
         return self.psi_entries.n
 
-    @property
-    def words(self):
-        return self.envelope.words
-
     @cached_property
     def psi_tensor(self):
         """Dense (dim, r, r) stack: psi_tensor[i] is basis vector i's matrix."""

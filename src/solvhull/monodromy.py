@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownName
+from .errors import UnknownName, ValidationError
 from .integrals import chain_sums, transport
 from .paths import PathWord
 
 
-def monodromy(form, model, target, check=True):
+def monodromy(form, model, target):
     """Transport along the canonical path to a group element."""
-    return transport(form, model.loop_of(target, check=check))
+    return transport(form, model.loop_of(target))
 
 
 def word_monodromy(form, lattice, word):
@@ -91,14 +91,8 @@ def path_variants(model, target, seed=0, trials=4):
     return variants
 
 
-def path_independence_residual(form, model, target, seed=0, trials=4):
-    """Largest transport deviation across endpoint equal paths."""
-    variants = path_variants(model, target, seed=seed, trials=trials)
-    return _transport_spread(form, variants, transport(form, variants[0]))
-
-
-def _transport_spread(form, variants, base):
-    """Largest deviation of the variants' transports from base, the first's."""
+def path_independence_residual(form, variants, base):
+    """Largest deviation of the endpoint equal variants' transports from base, the first's."""
     scale = max(1.0, float(np.max(np.abs(base))))
     worst = 0.0
     for path in variants[1:]:
@@ -160,24 +154,15 @@ def entry_chain_value(form, path, p, q):
     return complex(_entry_sums(form, [path], p, q)[0])
 
 
-def closedness_residual(form, model, target, seed=0, entries=None, trials=3):
+def closedness_residual(form, variants, base, entries=None):
     """Certify that monodromy entries are closed exponential integrals.
 
     Every selected entry is evaluated through its chain decomposition on
-    several endpoint equal paths and compared against the transport.
-    Each entry takes one chain_sums call for all the paths, zero padded
-    to the longest. Returns the worst spread across paths and the worst
-    disagreement with the transport entries.
-    """
-    variants = path_variants(model, target, seed=seed, trials=trials)
-    return _chain_closedness(form, variants, transport(form, variants[0]), entries)
-
-
-def _chain_closedness(form, variants, base, entries=None):
-    """Chain sum spread across the variants and mismatch against base.
-
-    base is the transport along the first variant; entries default to
-    the whole upper triangle.
+    the endpoint equal paths of variants and compared against base, the
+    transport along the first of them. Each entry takes one chain_sums
+    call for all the paths, zero padded to the longest; entries default
+    to the whole upper triangle. Returns the worst spread across paths
+    and the worst disagreement with the transport entries.
     """
     scale = max(1.0, float(np.max(np.abs(base))))
     r = form.r
@@ -211,7 +196,7 @@ def separation_demo(form, lattice):
         else:
             fiber_names.append(name)
     if trans_name is None or not fiber_names:
-        raise ValueError("separation demo needs one translation and one fiber generator")
+        raise ValidationError("separation demo needs one translation and one fiber generator")
     fiber_name = None
     for name in fiber_names:
         g = lattice.generator(name)

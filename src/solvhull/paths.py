@@ -29,9 +29,6 @@ class Segment:
     def vector(self):
         return np.array(self.direction, dtype=complex)
 
-    def scaled(self, factor):
-        return Segment(self.direction, self.duration * factor)
-
     def reversed(self):
         return Segment(tuple(-z for z in self.direction), self.duration)
 
@@ -93,37 +90,6 @@ class PathWord:
         for s in self.segments:
             piece = Segment(s.direction, s.duration / parts)
             out.extend([piece] * parts)
-        return PathWord(out)
-
-    def reduced(self):
-        """Drop null segments and merge adjacent parallel ones.
-
-        Two adjacent segments along the same one-parameter subgroup
-        compose to a single arc, including exact backtracking which
-        cancels entirely. Parallelism is detected up to rounding.
-        """
-        out = []
-        for seg in self.segments:
-            vec = seg.vector
-            norm = float(np.linalg.norm(vec))
-            if seg.duration == 0.0 or norm == 0.0:
-                continue
-            if out:
-                prev = out[-1]
-                pvec = prev.vector
-                pnorm = float(np.linalg.norm(pvec))
-                # seg.direction = lam * prev.direction for a real lam
-                lam = float(np.real(np.vdot(pvec, vec))) / (pnorm * pnorm)
-                if np.linalg.norm(vec - lam * pvec) <= 1e-12 * max(norm, pnorm):
-                    total = prev.duration + lam * seg.duration
-                    out.pop()
-                    if abs(total) > 1e-15 * max(1.0, prev.duration):
-                        if total > 0:
-                            out.append(Segment(prev.direction, total))
-                        else:
-                            out.append(Segment(prev.reversed().direction, -total))
-                    continue
-            out.append(seg)
         return PathWord(out)
 
     def displacement(self):

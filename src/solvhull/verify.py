@@ -24,9 +24,8 @@ from .integrals import (
     transport_series,
 )
 from .monodromy import (
-    _chain_closedness,
-    _transport_spread,
     build_monodromy_rep,
+    closedness_residual,
     path_independence_residual,
     path_variants,
     separation_demo,
@@ -175,9 +174,10 @@ def _monodromy_section(problem, form, seed):
 
     pi_worst = 0.0
     for name in names[: min(2, len(names))]:
+        variants = path_variants(model, lattice.generator(name), seed=seed)
         pi_worst = max(
             pi_worst,
-            path_independence_residual(form, model, lattice.generator(name), seed=seed),
+            path_independence_residual(form, variants, transport(form, variants[0])),
         )
     # The target's paths and base transport serve both checks: four
     # detours for path independence, and the first three of them, which
@@ -185,12 +185,12 @@ def _monodromy_section(problem, form, seed):
     target = lattice.element_of(test_words[0])
     variants = path_variants(model, target, seed=seed, trials=4)
     base = transport(form, variants[0])
-    pi_worst = max(pi_worst, _transport_spread(form, variants, base))
+    pi_worst = max(pi_worst, path_independence_residual(form, variants, base))
 
     r = form.r
     entries = [(0, q) for q in range(r)] + [(p, p) for p in range(1, r)]
     entries += [(p, r - 1) for p in range(1, r - 1)]
-    spread, mismatch = _chain_closedness(form, variants[:-1], base, entries)
+    spread, mismatch = closedness_residual(form, variants[:-1], base, entries)
 
     demo = separation_demo(form, lattice)
 

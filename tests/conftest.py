@@ -13,6 +13,7 @@ from solvhull import (
     build_enveloping_rep,
     build_splitting,
     builtin_problem,
+    lower_central_series,
     validate_algebra,
 )
 from solvhull.verify import build_stages
@@ -199,6 +200,16 @@ def random_solvable_structure(seed):
 
 
 CORPUS_SEEDS = tuple(range(25))
+
+
+def bracket(alg, x, y):
+    """[x, y] of two coordinate vectors of alg."""
+    return np.einsum("i,j,ijk->k", np.asarray(x), np.asarray(y), alg.structure)
+
+
+def nilpotency_class(alg):
+    """Length of the lower central series, zero for the zero algebra."""
+    return len(lower_central_series(alg)) - 1
 
 
 def letter_matrices(env):

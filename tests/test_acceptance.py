@@ -24,13 +24,17 @@ from solvhull.integrals import (
     iterated_integral,
     iterated_integral_quadrature,
     shuffle_identity_residual,
+    transport,
 )
 from solvhull.monodromy import (
     build_monodromy_rep,
     path_independence_residual,
+    path_variants,
     word_monodromy,
 )
 from solvhull.paths import PathWord
+
+from conftest import bracket
 
 
 def embedding_defect(split):
@@ -42,11 +46,11 @@ def embedding_defect(split):
         for j in range(n):
             x = np.eye(n)[i]
             y = np.eye(n)[j]
-            lhs = alg.bracket(x, y)
+            lhs = bracket(alg, x, y)
             rhs = (
                 split.semisimple.apply(x) @ y.astype(complex)
                 - split.semisimple.apply(y) @ x.astype(complex)
-                + split.shadow.bracket(x, y).astype(complex)
+                + bracket(split.shadow, x, y).astype(complex)
             )
             worst = max(worst, float(np.max(np.abs(lhs.astype(complex) - rhs))))
     scale = max(1.0, float(np.max(np.abs(alg.structure))))
@@ -171,9 +175,8 @@ def test_criterion_06_monodromy_path_independence(request, name):
             worst = max(worst, float(np.max(np.abs(direct - composed))) / scale)
     assert worst < 1e-8
     for gen_name in lattice.names:
-        residual = path_independence_residual(
-            form, problem.model, lattice.generator(gen_name), seed=7, trials=20
-        )
+        variants = path_variants(problem.model, lattice.generator(gen_name), seed=7, trials=20)
+        residual = path_independence_residual(form, variants, transport(form, variants[0]))
         assert residual < 1e-8
 
 

@@ -227,7 +227,7 @@ def test_verify_reports_a_failed_check_as_not_ok(monkeypatch, capsys):
     import solvhull.verify as verify
 
     monkeypatch.setattr(
-        verify, "_chain_closedness", lambda *args, **kwargs: (0.0, np.float64(1.0))
+        verify, "closedness_residual", lambda *args, **kwargs: (0.0, np.float64(1.0))
     )
     code = cli.main(["verify", "--example", "sol"])
     report = json.loads(capsys.readouterr().out)
@@ -292,6 +292,35 @@ def test_a_tolerance_that_is_not_finite_and_positive_is_bad_input(
     spec.write_text(json.dumps(raw))
     assert cli.main(["verify", "--spec", str(spec), *flags]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["integrate", "--example", "sol", "--word", "a", "--depth", "-1"],
+        ["verify", "--example", "sol", "--depth", "-1"],
+        ["verify", "--example", "sol", "--seed", "-1"],
+    ],
+    ids=["integrate-depth", "verify-depth", "verify-seed"],
+)
+def test_a_negative_seed_or_depth_is_bad_input(args, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(args)
+    assert exit_info.value.code == cli.EXIT_VALIDATION
+    flag = args[-2]
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_verify_on_a_lattice_without_a_translation_is_bad_input(tmp_path, capsys):
+    """The separation check needs a translation and a fiber generator."""
+    raw = solvhull.sol_spec()
+    lattice = raw["model"]["lattice"]
+    del lattice["generators"]["a"]
+    lattice["relations"] = []
+    spec = tmp_path / "fiber_only.json"
+    spec.write_text(json.dumps(raw))
+    assert cli.main(["verify", "--spec", str(spec)]) == cli.EXIT_VALIDATION
+    assert "separation demo needs one translation" in capsys.readouterr().err
 
 
 def test_unknown_example_name():

@@ -31,6 +31,7 @@ from solvhull.verify import build_stages
 
 from conftest import (
     CORPUS_SEEDS,
+    bracket,
     filiform4_structure,
     graded_filiform_structure,
     letter_action,
@@ -152,7 +153,7 @@ def test_shadow_action_is_a_homomorphism(sect4_stages):
     for _ in range(4):
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        lhs = shadow_action(env, shadow.bracket(x, y))
+        lhs = shadow_action(env, bracket(shadow, x, y))
         rhs = shadow_action(env, x) @ shadow_action(env, y)
         rhs = rhs - shadow_action(env, y) @ shadow_action(env, x)
         assert np.max(np.abs(lhs - rhs)) < 1e-9

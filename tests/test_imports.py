@@ -1,16 +1,21 @@
-"""Every module of the package uses each name it imports, and only
-integrals imports the chain-sum kernel.
+"""Every module of the package uses each name it imports, only
+integrals imports the chain-sum kernel, and every function the package
+defines is read by the package, the benchmark or the README, whose
+quick start runs.
 
 The package's __init__.py imports names only to re-export them, so it
-is not checked.
+is not checked, and its exports do not count as reads.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "solvhull"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "solvhull"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -52,3 +57,84 @@ def test_only_integrals_imports_the_chain_kernel():
     """Every chain sum goes through integrals.chain_sums, which alone builds the kernel's input."""
     users = [m for m in MODULES if "exp_chain_sum" in imported_names((PACKAGE / m).read_text())]
     assert users == ["integrals.py"]
+
+
+def defined_functions(source):
+    """Qualified names of the functions and methods in source, dunders excepted."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and not child.name.startswith("__"):
+                    found.append(name)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def read_names(source):
+    """Names that source reads as a name, an attribute or a dotted part of a string."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.update(node.value.split("."))
+    return read
+
+
+def unread_functions(defining, reading):
+    """Qualified functions of the defining sources whose name no reading source reads."""
+    read = set().union(*(read_names(source) for source in reading))
+    return sorted(
+        name
+        for source in defining
+        for name in defined_functions(source)
+        if name.rpartition(".")[2] not in read
+    )
+
+
+def readme_example():
+    """The README's Python quick start."""
+    text = (REPO / "README.md").read_text()
+    return text.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_unread_functions_are_found():
+    source = (
+        "class A:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def spare(self): pass\n"
+        "def helper(): pass\n"
+        "def named(): pass\n"
+        "def idle(): pass\n"
+    )
+    reader = "A().used()\nhelper()\nTARGET = 'A.named'\n"
+    assert unread_functions([source], [reader]) == ["A.spare", "idle"]
+
+
+def test_every_function_is_read_by_the_package_benchmark_or_readme():
+    """A function that only the tests call belongs in the tests."""
+    sources = [(PACKAGE / m).read_text() for m in MODULES]
+    bench = [
+        p.read_text()
+        for p in sorted((REPO / "perfbench").glob("*.py"))
+        if p.name != "test_perfbench.py"
+    ]
+    assert unread_functions(sources, sources + bench + [readme_example()]) == []
+
+
+def test_readme_quick_start_runs():
+    """The documented API: the quick start exits 0 in a fresh interpreter."""
+    res = subprocess.run(
+        [sys.executable, "-c", readme_example()], capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr

@@ -22,6 +22,7 @@ from solvhull import (
     path_independence_residual,
     path_variants,
     separation_demo,
+    transport,
     transport_series,
     word_monodromy,
 )
@@ -178,17 +179,21 @@ def test_fewer_trials_give_a_prefix_of_the_variants(problem_name, sol_problem, s
 
 @pytest.mark.parametrize("gen", ["a", "b1", "b2"])
 def test_path_independence_for_sol_generators(gen, sol_stages, sol_problem):
-    resid = path_independence_residual(
-        sol_stages["form"], sol_problem.model, sol_problem.lattice.generator(gen), seed=1
+    form = sol_stages["form"]
+    variants = path_variants(
+        sol_problem.model, sol_problem.lattice.generator(gen), seed=1, trials=4
     )
+    resid = path_independence_residual(form, variants, transport(form, variants[0]))
     assert resid < 1e-8
 
 
 @pytest.mark.parametrize("gen", ["c", "g1", "g3"])
 def test_path_independence_for_sect4_generators(gen, sect4_stages, sect4_problem):
-    resid = path_independence_residual(
-        sect4_stages["form"], sect4_problem.model, sect4_problem.lattice.generator(gen), seed=1
+    form = sect4_stages["form"]
+    variants = path_variants(
+        sect4_problem.model, sect4_problem.lattice.generator(gen), seed=1, trials=4
     )
+    resid = path_independence_residual(form, variants, transport(form, variants[0]))
     assert resid < 1e-8
 
 
@@ -306,9 +311,10 @@ def test_closedness_takes_one_kernel_call_per_entry(sect4_stages, sect4_problem,
     variants = path_variants(model, target, seed=2, trials=2)
     assert len({len(path) for path in variants}) > 1
     entries = [(0, form.r - 1), (1, 1), (2, 5)]
+    base = transport(form, variants[0])
 
     calls = counting_kernel(monkeypatch)
-    closedness_residual(form, model, target, seed=2, entries=entries, trials=2)
+    closedness_residual(form, variants, base, entries=entries)
     assert len(calls) == len(entries)
     assert all(shape[:2] == (len(variants), max(map(len, variants))) for shape in calls)
 
@@ -378,7 +384,8 @@ def test_closedness_residual_on_lattice_targets(sol_stages, sol_problem):
     model = sol_problem.model
     lat = sol_problem.lattice
     target = model.multiply(lat.generator("a"), lat.generator("b2"))
-    spread, mismatch = closedness_residual(form, model, target, seed=0)
+    variants = path_variants(model, target, seed=0, trials=3)
+    spread, mismatch = closedness_residual(form, variants, transport(form, variants[0]))
     assert spread < 1e-9
     assert mismatch < 1e-9
 
@@ -387,8 +394,9 @@ def test_closedness_residual_subset_of_entries(sect4_stages, sect4_problem):
     form = sect4_stages["form"]
     model = sect4_problem.model
     target = sect4_problem.lattice.generator("c")
+    variants = path_variants(model, target, seed=2, trials=2)
     spread, mismatch = closedness_residual(
-        form, model, target, seed=2, entries=[(0, form.r - 1), (1, 1)], trials=2
+        form, variants, transport(form, variants[0]), entries=[(0, form.r - 1), (1, 1)]
     )
     assert spread < 1e-9
     assert mismatch < 1e-9
