@@ -65,7 +65,7 @@ from .monodromy import (
     separation_demo,
     word_monodromy,
 )
-from .paths import PathWord, Segment
+from .paths import PathWord
 from .report import canonical_json, digest
 from .specfile import Problem, parse_problem
 from .splitting import SplitAlgebra, build_splitting
@@ -96,7 +96,6 @@ __all__ = [
     "NotSolvable",
     "PathWord",
     "Problem",
-    "Segment",
     "SemidirectModel",
     "SemisimpleAdjoint",
     "SeriesResult",

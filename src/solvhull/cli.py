@@ -133,15 +133,15 @@ def cmd_monodromy(args):
         "word": args.word,
         "monodromy": rho,
         "path_independence_residual": pi,
-        "endpoint_translation": list(target.translation),
-        "endpoint_fiber": target.fiber,
+        "endpoint_translation": target.t,
+        "endpoint_fiber": target.v,
     }
     if args.json:
         print(canonical_json(payload))
     else:
         print(f"word: {args.word}")
-        print(f"endpoint translation: {target.translation}")
-        print(f"endpoint fiber: {target.fiber}")
+        print(f"endpoint translation: {tuple(target.t.tolist())}")
+        print(f"endpoint fiber: {tuple(target.v.tolist())}")
         print("monodromy matrix:")
         print(np.array2string(rho, precision=8, suppress_small=True))
         print(f"path independence residual: {pi:.3e}")

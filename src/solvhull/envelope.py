@@ -48,11 +48,7 @@ from .tolerances import DEFAULT
 
 def _snapped(char, tolerances):
     """The character with real and imaginary parts below char_snap set to zero."""
-    snap = tolerances.char_snap
-    return tuple(
-        complex(0.0 if abs(z.real) < snap else z.real, 0.0 if abs(z.imag) < snap else z.imag)
-        for z in char
-    )
+    return tuple(linalg.snap_to_zero(z, tolerances.char_snap) for z in char)
 
 
 def _letters_within(space, here, deeper, tol):

@@ -12,9 +12,10 @@ model memoizes phi(t) on the bytes of t and exp(x, duration) on the bytes
 of x and of the duration, each in its own least recently used memo of
 _MEMO_SIZE = 256 entries. The memo is exact: a hit returns the result a
 miss would compute, since the key holds every bit the computation reads
-and the result cannot be changed in place (phi's array is read-only,
-GroupElement is frozen). exp still validates its direction on every
-call, and every endpoint check still runs.
+and the result cannot be changed in place: phi's array and the t and v
+arrays of exp's GroupElement are read-only, and GroupElement is frozen.
+exp still validates its direction on every call, and every endpoint
+check still runs.
 """
 
 import functools
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EndpointMismatch, UnknownName, ValidationError
-from .linalg import SparseStack, bracket_residual
+from .linalg import SparseStack, bracket_residual, frozen_array
 from .matfuncs import expm, phi1_apply
 from .paths import PathWord
 from .tolerances import DEFAULT
@@ -31,26 +32,16 @@ from .tolerances import DEFAULT
 _MEMO_SIZE = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElement:
-    """Point of the semidirect product: translation part and fiber part."""
+    """Point of the semidirect product: real translation t, complex fiber v, read-only."""
 
-    translation: tuple
-    fiber: tuple
+    t: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "translation", tuple(float(x) for x in self.translation)
-        )
-        object.__setattr__(self, "fiber", tuple(complex(z) for z in self.fiber))
-
-    @property
-    def t(self):
-        return np.array(self.translation, dtype=float)
-
-    @property
-    def v(self):
-        return np.array(self.fiber, dtype=complex)
+        object.__setattr__(self, "t", frozen_array(self.t, float))
+        object.__setattr__(self, "v", frozen_array(self.v, complex))
 
 
 class SemidirectModel:
@@ -90,19 +81,17 @@ class SemidirectModel:
         return self.k + self.m
 
     def identity(self):
-        return GroupElement((0.0,) * self.k, (0.0,) * self.m)
+        return GroupElement(np.zeros(self.k), np.zeros(self.m))
 
     def phi(self, t):
         """Holonomy of the translation part on the fiber, read-only."""
         return self._phi_memo(np.asarray(t, dtype=float).tobytes())
 
     def multiply(self, g, h):
-        return GroupElement(
-            tuple(g.t + h.t), tuple(g.v + self.phi(g.t) @ h.v)
-        )
+        return GroupElement(g.t + h.t, g.v + self.phi(g.t) @ h.v)
 
     def inverse(self, g):
-        return GroupElement(tuple(-g.t), tuple(-(self.phi(-g.t) @ g.v)))
+        return GroupElement(-g.t, -(self.phi(-g.t) @ g.v))
 
     def power(self, g, n):
         n = int(n)
@@ -137,8 +126,8 @@ class SemidirectModel:
     def endpoint(self, path):
         """Fold a path word into its group endpoint from the identity."""
         out = self.identity()
-        for seg in path:
-            out = self.multiply(out, self.exp(seg.vector, seg.duration))
+        for x, t in path:
+            out = self.multiply(out, self.exp(x, t))
         return out
 
     def direction_of(self, t_part, fiber_part):
@@ -206,7 +195,7 @@ def _exp_of_bytes(mats, key, duration):
     s = float(np.frombuffer(duration, dtype=float)[0])
     t, z = x[: len(mats)].real, x[len(mats) :]
     fiber = phi1_apply(s * _action_generator(mats, t), s * z)
-    return GroupElement(tuple(s * t), tuple(fiber))
+    return GroupElement(s * t, fiber)
 
 
 @dataclass(frozen=True)

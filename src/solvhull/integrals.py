@@ -14,6 +14,8 @@ from math import factorial
 
 import numpy as np
 
+from .errors import ValidationError
+from .linalg import frozen_array
 from .matfuncs import exp_chain_sum, expm
 
 _EPS = float(np.finfo(float).eps)
@@ -39,8 +41,8 @@ def chain_sums(exponents, factors, paths, start):
     durations = np.zeros((len(paths), longest, 1, 1))
     for v, path in enumerate(paths):
         if len(path):
-            vectors[v, : len(path)] = [seg.direction for seg in path]
-            durations[v, : len(path), 0, 0] = [seg.duration for seg in path]
+            vectors[v, : len(path)] = [x for x, _ in path]
+            durations[v, : len(path), 0, 0] = [t for _, t in path]
     lead = (len(paths), longest, chains)
     diag = durations * (vectors @ exponents.reshape(chains * n, dim).T).reshape(lead + (n,))
     sup = vectors @ factors.reshape(chains * (n - 1), dim).T
@@ -81,12 +83,12 @@ def iterated_integral_quadrature(functionals, path, points=10000):
     total_time = path.total_duration
     cum = np.zeros(n + 1, dtype=complex)
     cum[0] = 1.0
-    for seg in path:
-        if seg.duration == 0.0:
+    for x, t in path:
+        if t == 0.0:
             continue
-        steps = max(1, int(round(points * seg.duration / max(total_time, 1e-300))))
-        h = seg.duration / steps
-        a = [_functional_value(f, seg.vector) for f in word]
+        steps = max(1, int(round(points * t / max(total_time, 1e-300))))
+        h = t / steps
+        a = [_functional_value(f, x) for f in word]
         below = np.full(steps + 1, cum[0])
         for k, c in enumerate(a, start=1):
             re, im = below.real[:-1], below.imag[:-1]
@@ -108,8 +110,8 @@ def transport(form, path):
     whose leftmost letter is integrated at the earliest time.
     """
     out = None
-    for seg in path:
-        m = expm(seg.duration * form.psi(seg.vector))
+    for x, t in path:
+        m = expm(t * form.psi(x))
         out = m if out is None else out @ m
     if out is None:
         return np.eye(form.r, dtype=complex)
@@ -236,10 +238,10 @@ def transport_series(form, path, depth):
     generators. The series runs on the form's closure pattern.
     """
     pattern = form.closure
-    mats = [seg.duration * (seg.vector @ form.closure_psi) for seg in path]
+    mats = [t * (x @ form.closure_psi) for x, t in path]
     growth = sum(float(np.linalg.norm(m)) for m in mats)
-    total = _pattern_series(pattern, mats, depth)
     tail = _tail_bound(growth, depth)
+    total = _pattern_series(pattern, mats, depth)
     return SeriesResult(
         value=pattern.scatter(total), tail_bound=tail, depth=depth, growth=growth
     )
@@ -251,32 +253,36 @@ def _tail_bound(x, depth):
     Every dropped term of total order l is bounded by x**l / l!, so the
     tail is at most x**(depth+1) e^x / (depth+1)!. A rounding allowance
     proportional to e^x keeps the bound honest at float precision.
+    A negative depth is rejected here, so both series call this first.
     """
+    if depth < 0:
+        raise ValidationError(f"series depth must be nonnegative, got {depth}")
     x = float(x)
     analytic = x ** (depth + 1) * np.exp(x) / factorial(depth + 1)
     noise = 100.0 * _EPS * np.exp(min(x, 300.0))
     return float(analytic + noise)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegralWord:
     """Word of an exponential iterated integral.
 
-    exponents are the diagonal functionals, one per slot; factors the
-    functionals between consecutive slots. The value is the top right
-    entry of the transport of the induced bidiagonal connection.
+    exponents (n, dim) are the diagonal functionals, one per slot;
+    factors (n - 1, dim) the functionals between consecutive slots, both
+    read-only complex copies. The value is the top right entry of the
+    transport of the induced bidiagonal connection.
     """
 
-    exponents: tuple
-    factors: tuple
+    exponents: np.ndarray
+    factors: np.ndarray
 
     def __post_init__(self):
-        exps = tuple(tuple(complex(z) for z in np.asarray(e).ravel()) for e in self.exponents)
-        facs = tuple(tuple(complex(z) for z in np.asarray(f).ravel()) for f in self.factors)
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "factors", facs)
         if len(self.exponents) != len(self.factors) + 1:
             raise ValueError("need exactly one more exponent than factors")
+        exps = frozen_array(self.exponents, complex).reshape(len(self.exponents), -1)
+        facs = frozen_array(self.factors, complex).reshape(len(self.factors), exps.shape[1])
+        object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "factors", facs)
 
     @property
     def size(self):
@@ -284,17 +290,12 @@ class IntegralWord:
 
     def segment_matrix(self, direction):
         """Bidiagonal generator evaluated on one direction vector."""
-        d = np.array(
-            [_functional_value(e, direction) for e in self.exponents], dtype=complex
-        )
-        s = np.array(
-            [_functional_value(f, direction) for f in self.factors], dtype=complex
-        )
         n = self.size
         m = np.zeros((n, n), dtype=complex)
-        m[np.diag_indices(n)] = d
-        for i in range(n - 1):
-            m[i, i + 1] = s[i]
+        for i, e in enumerate(self.exponents):
+            m[i, i] = _functional_value(e, direction)
+        for i, f in enumerate(self.factors):
+            m[i, i + 1] = _functional_value(f, direction)
         return m
 
 
@@ -305,9 +306,7 @@ def exp_iterated_integral(word, path):
     matfuncs.exp_chain_sum, which carries the top row through the exact
     exponential of every segment's generator.
     """
-    exponents = np.array([word.exponents], dtype=complex)
-    factors = np.array([word.factors], dtype=complex)
-    return complex(chain_sums(exponents, factors, [path], [0])[0])
+    return complex(chain_sums(word.exponents[None], word.factors[None], [path], [0])[0])
 
 
 def exp_iterated_integral_series(word, path, depth):
@@ -321,11 +320,11 @@ def exp_iterated_integral_series(word, path, depth):
     of the bidiagonal pattern.
     """
     n = word.size
-    mats = [word.segment_matrix(seg.vector) * seg.duration for seg in path]
+    mats = [word.segment_matrix(x) * t for x, t in path]
     growth = sum(float(np.linalg.norm(m, "fro")) for m in mats)
+    tail = _tail_bound(growth, depth)
     pattern = closure_pattern(np.eye(n, k=1, dtype=bool))
     total = _pattern_series(pattern, [pattern.gather(m) for m in mats], depth + n - 1)
-    tail = _tail_bound(growth, depth)
     return SeriesResult(
         value=complex(total[pattern.index[0, n - 1]]), tail_bound=tail, depth=depth, growth=growth
     )

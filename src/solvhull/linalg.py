@@ -20,6 +20,21 @@ from .errors import EigenClusterAmbiguity
 _EPS = float(np.finfo(float).eps)
 
 
+def frozen_array(x, dtype):
+    """Read-only copy of x as an array of the given dtype."""
+    out = np.array(x, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def snap_to_zero(z, threshold):
+    """The complex number z with real and imaginary parts below threshold set to zero."""
+    return complex(
+        0.0 if abs(z.real) < threshold else z.real,
+        0.0 if abs(z.imag) < threshold else z.imag,
+    )
+
+
 def _as_matrix(a):
     a = np.asarray(a)
     if a.ndim != 2:
@@ -206,14 +221,7 @@ def eigen_clusters(a, cluster_scale):
     width = max(cluster_scale * max(1.0, norm), 4.0 * norm * _EPS ** (1.0 / n))
     _, means, counts, gap = cluster_scalars(np.linalg.eigvals(a), width)
     snap = cluster_scale * max(1.0, norm)
-    means = [
-        complex(
-            0.0 if abs(m.real) < snap else m.real,
-            0.0 if abs(m.imag) < snap else m.imag,
-        )
-        for m in means
-    ]
-    return means, counts, gap
+    return [snap_to_zero(m, snap) for m in means], counts, gap
 
 
 def cluster_subspace(a, means, idx):

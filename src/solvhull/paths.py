@@ -1,52 +1,36 @@
 """Piecewise one-parameter paths described by direction and duration.
 
 A segment is the exponential of a fixed algebra element run for a given
-time; a path word is a finite concatenation of segments. All integral
-and transport routines consume these words: only the direction vectors
-and durations matter to them, base points never enter.
+time, held as a (direction, duration) pair: a read-only complex array
+and a nonnegative float. A path word is a finite concatenation of
+segments. All integral and transport routines consume these words: only
+the direction vectors and durations matter to them, base points never
+enter.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import frozen_array
 
-@dataclass(frozen=True)
-class Segment:
-    """One exponential arc: direction in algebra coordinates, time length."""
 
-    direction: tuple
-    duration: float
-
-    def __post_init__(self):
-        vec = tuple(complex(z) for z in self.direction)
-        object.__setattr__(self, "direction", vec)
-        object.__setattr__(self, "duration", float(self.duration))
-        if self.duration < 0:
-            raise ValueError("segment duration must be nonnegative")
-
-    @property
-    def vector(self):
-        return np.array(self.direction, dtype=complex)
-
-    def reversed(self):
-        return Segment(tuple(-z for z in self.direction), self.duration)
+def _segment(direction, duration):
+    """Checked pair: a read-only complex copy of the direction, a float duration."""
+    duration = float(duration)
+    if duration < 0:
+        raise ValueError("segment duration must be nonnegative")
+    return frozen_array(direction, complex).ravel(), duration
 
 
 class PathWord:
-    """Immutable sequence of segments with path algebra helpers."""
+    """Immutable sequence of (direction, duration) pairs with path algebra helpers."""
 
     __slots__ = ("segments",)
 
     def __init__(self, segments):
-        segs = []
-        for s in segments:
-            if isinstance(s, Segment):
-                segs.append(s)
-            else:
-                direction, duration = s
-                segs.append(Segment(tuple(np.asarray(direction).ravel()), duration))
-        object.__setattr__(self, "segments", tuple(segs))
+        segs = tuple(_segment(x, t) for x, t in segments)
+        if len({x.size for x, _ in segs}) > 1:
+            raise ValueError("segment directions must all have one length")
+        object.__setattr__(self, "segments", segs)
 
     def __setattr__(self, name, value):
         raise AttributeError("PathWord is immutable")
@@ -58,28 +42,27 @@ class PathWord:
         return len(self.segments)
 
     def __eq__(self, other):
-        return isinstance(other, PathWord) and self.segments == other.segments
-
-    def __hash__(self):
-        return hash(self.segments)
+        return isinstance(other, PathWord) and len(self) == len(other) and all(
+            s == t and np.array_equal(x, y) for (x, s), (y, t) in zip(self, other)
+        )
 
     def __repr__(self):
         return f"PathWord({len(self.segments)} segments, duration {self.total_duration:.6g})"
 
     @property
     def total_duration(self):
-        return sum(s.duration for s in self.segments)
+        return sum(t for _, t in self.segments)
 
     @property
     def dim(self):
-        return len(self.segments[0].direction) if self.segments else 0
+        return self.segments[0][0].size if self.segments else 0
 
     def concat(self, other):
         return PathWord(self.segments + tuple(other))
 
     def inverse(self):
         """Time reversal: segments reversed in order and direction."""
-        return PathWord(tuple(s.reversed() for s in reversed(self.segments)))
+        return PathWord((-x, t) for x, t in reversed(self.segments))
 
     def subdivide(self, parts):
         """Split every segment into the given number of equal pieces."""
@@ -87,9 +70,8 @@ class PathWord:
         if parts < 1:
             raise ValueError("parts must be at least 1")
         out = []
-        for s in self.segments:
-            piece = Segment(s.direction, s.duration / parts)
-            out.extend([piece] * parts)
+        for x, t in self.segments:
+            out.extend([(x, t / parts)] * parts)
         return PathWord(out)
 
     def displacement(self):
@@ -97,6 +79,6 @@ class PathWord:
         if not self.segments:
             return np.zeros(0, dtype=complex)
         acc = np.zeros(self.dim, dtype=complex)
-        for s in self.segments:
-            acc = acc + s.duration * s.vector
+        for x, t in self.segments:
+            acc = acc + t * x
         return acc

@@ -143,12 +143,12 @@ def test_criterion_05_series_convergence():
             segments.append((direction, duration))
         path = PathWord(segments)
         growth = sum(
-            float(np.linalg.norm(word.segment_matrix(seg.vector) * seg.duration, "fro"))
-            for seg in path
+            float(np.linalg.norm(word.segment_matrix(x) * t, "fro"))
+            for x, t in path
         )
         if growth > 4.0:
             factor = 3.9 / growth
-            path = PathWord([(seg.vector * factor, seg.duration) for seg in path])
+            path = PathWord([(x * factor, t) for x, t in path])
         exact = exp_iterated_integral(word, path)
         series = exp_iterated_integral_series(word, path, 25)
         assert series.growth <= 4.0

@@ -42,10 +42,31 @@ def random_element(model, rng, scale=1.0):
 
 def test_group_element_coerces_types():
     g = GroupElement((1, 2), (3, 4j))
-    assert g.translation == (1.0, 2.0)
-    assert g.fiber == (3 + 0j, 4j)
+    assert g.t.tolist() == [1.0, 2.0]
+    assert g.v.tolist() == [3 + 0j, 4j]
     assert g.t.dtype.kind == "f"
     assert g.v.dtype == complex
+
+
+def test_group_element_holds_read_only_copies():
+    t, v = np.array([1.0, 2.0]), np.array([3.0 + 0j, 4j])
+    g = GroupElement(t, v)
+    for given, held in ((t, g.t), (v, g.v)):
+        with pytest.raises(ValueError):
+            held[0] = 9.0
+        assert given.flags.writeable
+        assert not np.shares_memory(given, held)
+
+
+def test_exp_results_are_read_only(sol_model):
+    x = np.array([1.0, 0.5, -0.5])
+    g = sol_model.exp(x, 0.7)
+    for held in (g.t, g.v):
+        with pytest.raises(ValueError):
+            held[0] = 0.0
+    assert x.flags.writeable
+    assert not np.shares_memory(x, g.v)
+    assert sol_model.exp(x, 0.7) is g
 
 
 def test_model_requires_translation_directions():
@@ -206,8 +227,8 @@ def test_endpoint_folds_segments(sol_model):
         [((1.0, 0.0, 0.0), 0.5), ((0.0, 1.0, 0.0), 1.0), ((0.0, 0.0, 1.0), 2.0)]
     )
     step = sol_model.identity()
-    for seg in path:
-        step = sol_model.multiply(step, sol_model.exp(seg.vector, seg.duration))
+    for x, t in path:
+        step = sol_model.multiply(step, sol_model.exp(x, t))
     assert sol_model.distance(sol_model.endpoint(path), step) == 0.0
 
 

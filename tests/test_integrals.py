@@ -15,6 +15,7 @@ from scipy.integrate import solve_ivp
 from solvhull import (
     IntegralWord,
     PathWord,
+    ValidationError,
     build_connection_form,
     build_enveloping_rep,
     build_splitting,
@@ -110,9 +111,8 @@ def scalar_iterated_integral(functionals, path):
     n = len(word)
     state = np.zeros(n + 1, dtype=complex)
     state[0] = 1.0
-    for seg in path:
-        a = [complex(np.dot(f, seg.vector)) for f in word]
-        t = seg.duration
+    for x, t in path:
+        a = [complex(np.dot(f, x)) for f in word]
         new = np.zeros_like(state)
         for k in range(n + 1):
             total = 0.0 + 0.0j
@@ -177,12 +177,12 @@ def scalar_quadrature(functionals, path, points):
     total_time = path.total_duration
     cum = np.zeros(n + 1, dtype=complex)
     cum[0] = 1.0
-    for seg in path:
-        if seg.duration == 0.0:
+    for x, t in path:
+        if t == 0.0:
             continue
-        steps = max(1, int(round(points * seg.duration / max(total_time, 1e-300))))
-        h = seg.duration / steps
-        a = [complex(np.dot(f, seg.vector)) for f in word]
+        steps = max(1, int(round(points * t / max(total_time, 1e-300))))
+        h = t / steps
+        a = [complex(np.dot(f, x)) for f in word]
         for _ in range(steps):
             for k in range(n, 0, -1):
                 cum[k] = cum[k] + a[k - 1] * cum[k - 1] * h
@@ -301,15 +301,15 @@ def test_transport_against_ode_oracle(sol_stages, sect4_stages):
         rng = np.random.default_rng(3)
         path = random_path(rng, dim, 3, scale=0.8)
         y = np.eye(form.r, dtype=complex)
-        for seg in path:
-            a = form.psi(seg.vector)
+        for x, t in path:
+            a = form.psi(x)
 
             def rhs(_, flat):
                 return (flat.reshape(form.r, form.r) @ a).ravel()
 
             sol = solve_ivp(
                 rhs,
-                (0.0, seg.duration),
+                (0.0, t),
                 y.ravel(),
                 rtol=1e-12,
                 atol=1e-12,
@@ -389,7 +389,7 @@ def test_pattern_series_matches_dense_series(name, request):
     ]
     growth = sum(t * float(np.linalg.norm(form.psi(v), "fro")) for v, t in pairs)
     path = PathWord([(v, t * min(1.0, 3.0 / growth)) for v, t in pairs])
-    mats = [seg.duration * form.psi(seg.vector) for seg in path]
+    mats = [t * form.psi(x) for x, t in path]
     for depth in (0, 1, 20):
         dense = dense_product_series(mats, depth)
         value = transport_series(form, path, depth).value
@@ -408,7 +408,7 @@ def test_pattern_series_matches_dense_series_on_short_paths(name, segments, requ
     ]
     growth = sum(t * float(np.linalg.norm(form.psi(v), "fro")) for v, t in pairs)
     path = PathWord([(v, t * min(1.0, 3.0 / growth)) for v, t in pairs])
-    mats = [seg.duration * form.psi(seg.vector) for seg in path]
+    mats = [t * form.psi(x) for x, t in path]
     # One generator object on one more segment than the path has: the
     # last segment is the last by position, whatever array it is.
     repeated = [form.closure.gather(mats[0])] * (segments + 1)
@@ -441,6 +441,28 @@ def test_series_on_the_empty_path_is_the_identity(sect4_stages):
 def test_integral_word_validation():
     with pytest.raises(ValueError):
         IntegralWord(exponents=([1.0],), factors=([1.0],))
+
+
+def test_integral_word_holds_read_only_copies():
+    exponents, factors = np.zeros((2, 3)), np.ones((1, 3))
+    word = IntegralWord(exponents, factors)
+    assert word.exponents.shape == (2, 3)
+    assert word.factors.shape == (1, 3)
+    for given, held in ((exponents, word.exponents), (factors, word.factors)):
+        with pytest.raises(ValueError):
+            held[0, 0] = 5.0
+        assert given.flags.writeable
+        assert not np.shares_memory(given, held)
+
+
+def test_a_negative_series_depth_is_a_validation_error(sol_stages):
+    form = sol_stages["form"]
+    path = PathWord([(np.ones(form.dim), 0.5)])
+    word = IntegralWord(exponents=(np.ones(form.dim),), factors=())
+    with pytest.raises(ValidationError):
+        transport_series(form, path, -1)
+    with pytest.raises(ValidationError):
+        exp_iterated_integral_series(word, path, -1)
 
 
 def test_integral_word_segment_matrix():

@@ -348,8 +348,8 @@ def mp_last_column(form, path, dps=40):
     with mpmath.workdps(dps):
         column = [mpmath.mpc(0)] * form.r
         column[-1] = mpmath.mpc(1)
-        for seg in reversed(list(path)):
-            m = seg.duration * form.psi(seg.vector)
+        for x, duration in reversed(list(path)):
+            m = duration * form.psi(x)
             entries = [
                 (i, j, mpmath.mpc(complex(m[i, j]))) for i, j in zip(*np.nonzero(m))
             ]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from solvhull import PathWord, Segment
+from solvhull import PathWord
 
 
 def reduced(path):
@@ -14,61 +14,75 @@ def reduced(path):
     cancels entirely. Parallelism is detected up to rounding.
     """
     out = []
-    for seg in path.segments:
-        vec = seg.vector
+    for vec, duration in path:
         norm = float(np.linalg.norm(vec))
-        if seg.duration == 0.0 or norm == 0.0:
+        if duration == 0.0 or norm == 0.0:
             continue
         if out:
-            prev = out[-1]
-            pvec = prev.vector
+            pvec, pduration = out[-1]
             pnorm = float(np.linalg.norm(pvec))
-            # seg.direction = lam * prev.direction for a real lam
+            # vec = lam * pvec for a real lam
             lam = float(np.real(np.vdot(pvec, vec))) / (pnorm * pnorm)
             if np.linalg.norm(vec - lam * pvec) <= 1e-12 * max(norm, pnorm):
-                total = prev.duration + lam * seg.duration
+                total = pduration + lam * duration
                 out.pop()
-                if abs(total) > 1e-15 * max(1.0, prev.duration):
+                if abs(total) > 1e-15 * max(1.0, pduration):
                     if total > 0:
-                        out.append(Segment(prev.direction, total))
+                        out.append((pvec, total))
                     else:
-                        out.append(Segment(prev.reversed().direction, -total))
+                        out.append((-pvec, -total))
                 continue
-        out.append(seg)
+        out.append((vec, duration))
     return PathWord(out)
 
 
-def test_segment_coerces_direction_to_complex_tuple():
-    seg = Segment((1, 0, -2), 1.5)
-    assert seg.direction == (1 + 0j, 0j, -2 + 0j)
-    assert seg.duration == 1.5
-    assert seg.vector.dtype == complex
+def test_segment_coerces_direction_to_read_only_complex_array():
+    ((x, t),) = PathWord([((1, 0, -2), 1.5)])
+    assert x.tolist() == [1 + 0j, 0j, -2 + 0j]
+    assert t == 1.5
+    assert x.dtype == complex
+    with pytest.raises(ValueError):
+        x[0] = 5.0
+
+
+def test_segment_direction_is_a_copy_of_the_callers_array():
+    given = np.array([1.0, 2.0])
+    ((x, _),) = PathWord([(given, 1.0)])
+    given[0] = 7.0
+    assert given.flags.writeable
+    assert x.tolist() == [1 + 0j, 2 + 0j]
+    assert not np.shares_memory(x, given)
 
 
 def test_segment_rejects_negative_duration():
     with pytest.raises(ValueError):
-        Segment((1.0, 0.0), -0.25)
+        PathWord([((1.0, 0.0), -0.25)])
+
+
+def test_pathword_rejects_directions_of_different_lengths():
+    with pytest.raises(ValueError):
+        PathWord([((1, 0, 0), 0.5), ((1, 0), 0.5)])
 
 
 def test_segment_reversed():
-    seg = Segment((2.0, -1.0), 0.5)
-    rev = seg.reversed()
-    assert rev.direction == (-2 + 0j, 1 + 0j)
-    assert rev.duration == 0.5
+    ((rev, t),) = PathWord([((2.0, -1.0), 0.5)]).inverse()
+    assert rev.tolist() == [-2 + 0j, 1 + 0j]
+    assert t == 0.5
 
 
 def test_pathword_accepts_pairs_and_segments():
-    a = PathWord([((1.0, 0.0), 1.0), Segment((0.0, 1.0), 2.0)])
+    a = PathWord([((1.0, 0.0), 1.0), *PathWord([((0.0, 1.0), 2.0)])])
     assert len(a) == 2
     assert a.dim == 2
     assert a.total_duration == 3.0
 
 
-def test_pathword_is_immutable_and_hashable():
+def test_pathword_is_immutable_and_compares_by_value():
     a = PathWord([((1.0,), 1.0)])
     b = PathWord([((1.0,), 1.0)])
     assert a == b
-    assert hash(a) == hash(b)
+    assert a != PathWord([((1.0,), 2.0)])
+    assert a != PathWord([((2.0,), 1.0)])
     with pytest.raises(AttributeError):
         a.segments = ()
 
@@ -78,12 +92,12 @@ def test_concat_and_inverse():
     b = PathWord([((1.0, 1.0), 0.5)])
     ab = a.concat(b)
     assert len(ab) == 3
-    assert ab.segments[2].direction == (1 + 0j, 1 + 0j)
+    assert ab.segments[2][0].tolist() == [1 + 0j, 1 + 0j]
     inv = a.inverse()
     # time reversal runs the segments backwards with flipped directions
-    assert inv.segments[0].direction == (0j, -1 + 0j)
-    assert inv.segments[0].duration == 2.0
-    assert inv.segments[1].direction == (-1 + 0j, 0j)
+    assert inv.segments[0][0].tolist() == [0j, -1 + 0j]
+    assert inv.segments[0][1] == 2.0
+    assert inv.segments[1][0].tolist() == [-1 + 0j, 0j]
 
 
 @pytest.mark.parametrize("parts", [1, 2, 5])
@@ -112,8 +126,8 @@ def test_reduced_drops_null_segments():
     )
     r = reduced(a)
     assert len(r) == 2
-    assert r.segments[0].direction == (1 + 0j, 0j)
-    assert r.segments[1].direction == (0j, 1 + 0j)
+    assert r.segments[0][0].tolist() == [1 + 0j, 0j]
+    assert r.segments[1][0].tolist() == [0j, 1 + 0j]
 
 
 def test_reduced_merges_adjacent_parallel_segments():
@@ -141,8 +155,8 @@ def test_reduced_keeps_net_motion_after_overshoot():
     a = PathWord([((1.0, 0.0), 1.0), ((-1.0, 0.0), 3.0)])
     r = reduced(a)
     assert len(r) == 1
-    assert r.segments[0].direction == (-1 + 0j, 0j)
-    assert np.isclose(r.segments[0].duration, 2.0)
+    assert r.segments[0][0].tolist() == [-1 + 0j, 0j]
+    assert np.isclose(r.segments[0][1], 2.0)
 
 
 def test_reduced_leaves_nonparallel_segments_alone():

@@ -138,7 +138,7 @@ def test_pattern_series_matches_the_identity_product(name, request):
     pattern = form.closure
     for segments in (0, 1, 4):
         path = _random_path(rng, form.dim, segments, False, 3.0, form)
-        mats = [seg.duration * (seg.vector @ form.closure_psi) for seg in path]
+        mats = [t * (x @ form.closure_psi) for x, t in path]
         for depth in (0, 1, 20):
             got = _pattern_series(pattern, mats, depth)
             want = identity_product_series(pattern, mats, depth)
