@@ -11,6 +11,7 @@ validation failure, 3 resource cap exceeded, 4 loop endpoint mismatch.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -288,9 +289,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built on its first call; parse_args returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except TruncationOverflow as err:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import frozen_array
-from .matfuncs import exp_chain_sum, expm
+from .matfuncs import exp_chain_sum
 
 _EPS = float(np.finfo(float).eps)
 
@@ -107,15 +107,17 @@ def transport(form, path):
     """Ordered product of segment exponentials of the connection.
 
     The first segment sits leftmost, matching the iterated integrals,
-    whose leftmost letter is integrated at the earliest time.
+    whose leftmost letter is integrated at the earliest time. Each
+    segment comes from the form's memo; the result is a fresh array, so
+    a one-segment path's read-only entry is copied.
     """
     out = None
     for x, t in path:
-        m = expm(t * form.psi(x))
+        m = form.segment_exp(x, t)
         out = m if out is None else out @ m
     if out is None:
         return np.eye(form.r, dtype=complex)
-    return out
+    return out if out.flags.writeable else out.copy()
 
 
 @dataclass(frozen=True)

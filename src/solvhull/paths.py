@@ -1,12 +1,14 @@
 """Piecewise one-parameter paths described by direction and duration.
 
 A segment is the exponential of a fixed algebra element run for a given
-time, held as a (direction, duration) pair: a read-only complex array
-and a nonnegative float. A path word is a finite concatenation of
-segments. All integral and transport routines consume these words: only
-the direction vectors and durations matter to them, base points never
-enter.
+time, held as a (direction, duration) pair: a read-only finite complex
+array and a finite nonnegative float. A path word is a finite
+concatenation of segments. All integral and transport routines consume
+these words: only the direction vectors and durations matter to them,
+base points never enter.
 """
+
+import math
 
 import numpy as np
 
@@ -14,11 +16,18 @@ from .linalg import frozen_array
 
 
 def _segment(direction, duration):
-    """Checked pair: a read-only complex copy of the direction, a float duration."""
+    """Checked pair: a read-only complex copy of the direction, a float duration.
+
+    Both must be finite, and the duration nonnegative: a NaN or an
+    infinity would make every transport along the path non-finite.
+    """
     duration = float(duration)
-    if duration < 0:
-        raise ValueError("segment duration must be nonnegative")
-    return frozen_array(direction, complex).ravel(), duration
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"segment duration must be finite and nonnegative, got {duration}")
+    x = frozen_array(direction, complex).ravel()
+    if not np.isfinite(x).all():
+        raise ValueError("segment direction entries must be finite")
+    return x, duration
 
 
 class PathWord:

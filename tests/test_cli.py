@@ -342,6 +342,34 @@ def test_truncation_overflow_exit_code(tmp_path):
     assert "error" in res.stderr
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    build = cli.build_parser
+    built = []
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    argv = ["monodromy", "--example", "sol", "--word", "a b1 a^-1"]
+    assert cli.main(argv + ["--json"]) == 0
+    as_json = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    as_text = capsys.readouterr().out
+    assert as_text != as_json
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--example", "sol", "--seed", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # Each call parses into a fresh namespace: no flag of an earlier call carries over.
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == as_text
+    assert cli.main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out == as_json
+    assert built == [1]
+
+
 def test_endpoint_mismatch_exit_code(monkeypatch, capsys):
     def boom(form, lattice, word):
         raise EndpointMismatch(1.0, 1e-8)

@@ -13,11 +13,14 @@ from solvhull import (
     SemidirectModel,
     Tolerances,
     ValidationError,
+    build_connection_form,
     builtin_problem,
     cli,
+    connection,
     groups,
     matfuncs,
     parse_word,
+    word_monodromy,
 )
 
 
@@ -391,9 +394,20 @@ def test_memo_changes_no_verify_output(example, monkeypatch, capsys):
         assert verify_stdout(capsys, example, seed) == text
 
 
-# Measured on sol and sect4 after phi and exp were memoized (372 and 443
-# before); the count does not depend on the seed.
-EXPM_CALLS = {"sol": 121, "sect4": 134}
+@pytest.mark.parametrize("example", ["sol", "sect4"])
+def test_segment_memo_changes_no_verify_output(example, monkeypatch, capsys):
+    memoized = {seed: verify_stdout(capsys, example, seed) for seed in (0, 1, 7)}
+    # With no room in entries or bytes, every segment exponential is computed.
+    monkeypatch.setattr(connection, "_MEMO_SIZE", 0)
+    monkeypatch.setattr(connection, "_MEMO_BYTES", 0)
+    for seed, text in memoized.items():
+        assert verify_stdout(capsys, example, seed) == text
+
+
+# Measured on sol and sect4 after each form memoized its segment
+# exponentials (121 and 134 before, 372 and 443 before phi and exp were
+# memoized); the count does not depend on the seed.
+EXPM_CALLS = {"sol": 66, "sect4": 70}
 
 
 @pytest.mark.parametrize("example", ["sol", "sect4"])
@@ -411,3 +425,25 @@ def test_verify_expm_call_count(example, monkeypatch, capsys):
             monkeypatch.setattr(module, "expm", counted)
     verify_stdout(capsys, example, 0)
     assert 0 < len(calls) <= EXPM_CALLS[example]
+
+
+def test_word_monodromy_exponentiates_each_distinct_segment_once(
+    sol_problem, sol_stages, monkeypatch
+):
+    form = build_connection_form(sol_stages["envelope"])
+    word = parse_word("a^3 b1 a^-3")
+    path = sol_problem.lattice.path_of(word)
+    distinct = {(x.tobytes(), np.float64(t).tobytes()) for x, t in path}
+    assert len(distinct) < len(path)
+    expm = connection.expm
+    calls = []
+
+    def counted(a):
+        calls.append(1)
+        return expm(a)
+
+    monkeypatch.setattr(connection, "expm", counted)
+    rho = word_monodromy(form, sol_problem.lattice, word)
+    assert len(calls) == len(distinct)
+    assert np.array_equal(word_monodromy(form, sol_problem.lattice, word), rho)
+    assert len(calls) == len(distinct)

@@ -19,6 +19,7 @@ from solvhull import (
     build_connection_form,
     build_enveloping_rep,
     build_splitting,
+    connection,
     exp_iterated_integral,
     exp_iterated_integral_series,
     iterated_integral,
@@ -30,7 +31,7 @@ from solvhull import (
     validate_algebra,
 )
 from solvhull.integrals import _pattern_series
-from solvhull.matfuncs import phi1_apply
+from solvhull.matfuncs import expm, phi1_apply
 
 from conftest import diagonal_characters, form_by_name, graded_filiform_structure
 
@@ -318,6 +319,54 @@ def test_transport_against_ode_oracle(sol_stages, sect4_stages):
             y = sol.y[:, -1].reshape(form.r, form.r)
         exact = transport(form, path)
         assert np.max(np.abs(exact - y)) < 1e-7
+
+
+def test_transport_reads_each_segment_from_the_memo_exactly(sol_stages):
+    form = build_connection_form(sol_stages["envelope"])
+    path = random_path(np.random.default_rng(5), 3, 3)
+    (x, t), *rest = path
+    expected = expm(t * form.psi(x))
+    assert np.array_equal(transport(form, PathWord([(x, t)])), expected)
+    for y, s in rest:
+        expected = expected @ expm(s * form.psi(y))
+    for _ in range(2):
+        assert np.array_equal(transport(form, path), expected)
+
+
+@pytest.mark.parametrize("segments", [1, 3])
+def test_writing_into_a_transport_leaves_the_next_one_unchanged(sol_stages, segments):
+    form = sol_stages["form"]
+    path = random_path(np.random.default_rng(6), 3, segments)
+    first = transport(form, path)
+    kept = first.copy()
+    assert first.flags.writeable
+    first[:] = 7.0
+    assert np.array_equal(transport(form, path), kept)
+
+
+def test_segment_memo_is_bounded_in_entries(sol_stages, monkeypatch):
+    monkeypatch.setattr(connection, "_MEMO_SIZE", 3)
+    form = build_connection_form(sol_stages["envelope"])
+    for i in range(10):
+        transport(form, PathWord([((1.0, 0.5, -0.25), 0.1 * (i + 1))]))
+        assert form._segment_memo.cache_info().currsize == min(i + 1, 3)
+
+
+def test_segment_memo_is_bounded_in_bytes_at_rank_8():
+    """At r = 291 an entry is 1.35 MB; more distinct segments than fit never hold more."""
+    split = build_splitting(validate_algebra(graded_filiform_structure(8)))
+    form = build_connection_form(build_enveloping_rep(split))
+    assert form.r == 291
+    entry = 16 * form.r**2
+    fits = connection._MEMO_BYTES // entry
+    assert fits < connection._MEMO_SIZE
+    rng = np.random.default_rng(8)
+    for i in range(fits + 3):
+        x = rng.standard_normal(form.dim)
+        assert form.segment_exp(x, 0.01).nbytes == entry
+        held = form._segment_memo.cache_info().currsize
+        assert held == min(i + 1, fits)
+        assert held * entry <= connection._MEMO_BYTES
 
 
 def test_transport_series_matches_transport_within_tail(sol_stages):

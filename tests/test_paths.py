@@ -59,6 +59,21 @@ def test_segment_rejects_negative_duration():
         PathWord([((1.0, 0.0), -0.25)])
 
 
+@pytest.mark.parametrize(
+    "direction, duration",
+    [
+        ((1.0, 0.0, 0.0), float("nan")),
+        ((1.0, 0.0, 0.0), float("inf")),
+        ((float("inf"), 0.0, 0.0), 1.0),
+        ((0.0, float("nan"), 0.0), 1.0),
+        ((0.0, 0.0, complex(0.0, float("-inf"))), 1.0),
+    ],
+)
+def test_segment_rejects_non_finite_values(direction, duration):
+    with pytest.raises(ValueError):
+        PathWord([(direction, duration)])
+
+
 def test_pathword_rejects_directions_of_different_lengths():
     with pytest.raises(ValueError):
         PathWord([((1, 0, 0), 0.5), ((1, 0), 0.5)])
