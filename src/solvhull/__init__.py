@@ -4,8 +4,9 @@ Build pipeline: validate structure constants, extract the nilradical,
 split every adjoint operator into commuting semisimple and nilpotent
 parts, assemble the semisimple splitting (a torus acting on a nilpotent
 shadow algebra), truncate the shadow's enveloping algebra to a strictly
-triangular module, and read off the flat connection form whose diagonal
-is integral in a small character lattice.  On top of that sit Chen
+triangular module, keep its smallest faithful quotient, and read off
+the flat connection form whose diagonal is integral in a small
+character lattice.  On top of that sit Chen
 iterated integrals, exponential iterated integrals, and lattice
 monodromy with closedness cross checks.
 """
@@ -23,7 +24,7 @@ from .algebra import (
 )
 from .builtin_models import BUILTINS, builtin_problem, sect4_spec, sol_spec
 from .connection import ConnectionForm, build_connection_form, integer_lattice_basis
-from .envelope import EnvelopingTruncation, build_enveloping_rep
+from .envelope import EnvelopingTruncation, build_enveloping_rep, faithful_quotient
 from .errors import (
     AntisymmetryViolation,
     BudgetExceeded,
@@ -120,6 +121,7 @@ __all__ = [
     "entry_chains",
     "exp_iterated_integral",
     "exp_iterated_integral_series",
+    "faithful_quotient",
     "integer_lattice_basis",
     "iterated_integral",
     "iterated_integral_quadrature",

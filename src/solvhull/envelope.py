@@ -34,9 +34,20 @@ The action is kept as the nonzero entries of the letter matrices (a
 linalg.SparseStack, well under one percent of n r^2 at r in the hundreds),
 and the triangularity, homomorphism and torus Leibniz checks run on those
 entries alone; the dense stack is never formed.
+
+The pipeline evaluates on faithful_quotient, the quotient by the span of
+the words outside S, the least set of word ids that holds the empty word
+and the letters and every column k of a nonzero letter entry (j, k) with
+j in S. No entry leads from a row in S to a column outside it, so that
+span is a submodule and the quotient action is the S x S block of every
+letter matrix: the quotient is exact, its transport is the S x S block
+of the full transport, and its homomorphism and Leibniz residuals are
+restrictions of the full module's. It is faithful on the shadow: x
+times the empty word has x's letter coordinates, and those rows are in
+S. The torus still acts diagonally on the kept words.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -370,4 +381,38 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
         letter_entries=letter_entries,
         condition=cond,
         residuals=residuals,
+    )
+
+
+def faithful_quotient(env):
+    """The quotient of env by the span of the words outside S.
+
+    S, described in the module docstring, starts from the empty word and
+    the letters. Entries are strictly upper, so one pass over the rows
+    in increasing order closes it. The generators, their characters,
+    gamma and the residuals stay env's; the quotient's own residuals are
+    restrictions of them. Returns env itself when S holds every word.
+    """
+    letters = env.letter_entries
+    keep = np.array([len(word) <= 1 for word in env.words])
+    ends = np.searchsorted(letters.rows, np.arange(env.r + 1))
+    for j in range(env.r):
+        if keep[j]:
+            keep[letters.cols[ends[j]:ends[j + 1]]] = True
+    if keep.all():
+        return env
+    ids = np.flatnonzero(keep)
+    new_id = np.cumsum(keep) - 1
+    inside = keep[letters.rows]
+    return replace(
+        env,
+        words=tuple(env.words[w] for w in ids),
+        word_weights=env.word_weights[ids],
+        word_chars=env.word_chars[ids],
+        letter_entries=linalg.SparseStack(
+            ids.size,
+            new_id[letters.rows[inside]],
+            new_id[letters.cols[inside]],
+            letters.values[:, inside],
+        ),
     )

@@ -25,17 +25,14 @@ def _functional_value(functional, direction):
     return complex(np.dot(np.asarray(functional, dtype=complex), direction))
 
 
-def chain_sums(exponents, factors, paths, start):
-    """Summed exponential iterated integrals of a batch of chains, one value per path.
+def stack_paths(paths, dim):
+    """The paths as one zero padded stack, the input chain_sums reads.
 
-    exponents (chains, n, dim) and factors (chains, n - 1, dim) hold each
-    chain's diagonal and between-slot functionals, chains right aligned,
-    chain c starting at slot start[c]. The paths are stacked zero padded
-    to the longest, and segment s contributes t_s times each functional
-    on its direction; this is the one place that builds the input of
-    matfuncs.exp_chain_sum.
+    Returns vectors (paths, longest, dim), each path's directions in
+    order, and durations (paths, longest, 1, 1); padding segments have
+    duration zero. A caller that sums many batches of chains over the
+    same paths stacks them once.
     """
-    chains, n, dim = exponents.shape
     longest = max((len(path) for path in paths), default=0)
     vectors = np.zeros((len(paths), longest, dim), dtype=complex)
     durations = np.zeros((len(paths), longest, 1, 1))
@@ -43,7 +40,22 @@ def chain_sums(exponents, factors, paths, start):
         if len(path):
             vectors[v, : len(path)] = [x for x, _ in path]
             durations[v, : len(path), 0, 0] = [t for _, t in path]
-    lead = (len(paths), longest, chains)
+    return vectors, durations
+
+
+def chain_sums(exponents, factors, stacked, start):
+    """Summed exponential iterated integrals of a batch of chains, one value per path.
+
+    exponents (chains, n, dim) and factors (chains, n - 1, dim) hold each
+    chain's diagonal and between-slot functionals, chains right aligned,
+    chain c starting at slot start[c]. stacked is stack_paths of the
+    paths, and segment s contributes t_s times each functional on its
+    direction; this is the one place that builds the input of
+    matfuncs.exp_chain_sum.
+    """
+    chains, n, dim = exponents.shape
+    vectors, durations = stacked
+    lead = vectors.shape[:2] + (chains,)
     diag = durations * (vectors @ exponents.reshape(chains * n, dim).T).reshape(lead + (n,))
     sup = vectors @ factors.reshape(chains * (n - 1), dim).T
     sup = durations * sup.reshape(lead + (n - 1,))
@@ -61,7 +73,8 @@ def iterated_integral(functionals, path):
     n = len(functionals)
     # An empty word has no letter to give the dimension; the path's serves.
     factors = np.asarray(functionals, dtype=complex).reshape(1, n, -1 if n else path.dim)
-    return complex(chain_sums(np.zeros((1, n + 1, factors.shape[-1])), factors, [path], [0])[0])
+    dim = factors.shape[-1]
+    return complex(chain_sums(np.zeros((1, n + 1, dim)), factors, stack_paths([path], dim), [0])[0])
 
 
 def iterated_integral_quadrature(functionals, path, points=10000):
@@ -308,7 +321,8 @@ def exp_iterated_integral(word, path):
     matfuncs.exp_chain_sum, which carries the top row through the exact
     exponential of every segment's generator.
     """
-    return complex(chain_sums(word.exponents[None], word.factors[None], [path], [0])[0])
+    stacked = stack_paths([path], word.exponents.shape[1])
+    return complex(chain_sums(word.exponents[None], word.factors[None], stacked, [0])[0])
 
 
 def exp_iterated_integral_series(word, path, depth):
@@ -363,4 +377,5 @@ def shuffle_identity_residual(functionals, word_a, word_b, path):
     shuffles = [w for w, mult in shuffle_words(word_a, word_b).items() for _ in range(mult)]
     words = np.array(shuffles, dtype=int).reshape(len(shuffles), len(word_a) + len(word_b))
     exponents = np.zeros((len(words), words.shape[1] + 1, table.shape[-1]))
-    return abs(lhs - complex(chain_sums(exponents, table[words], [path], [0] * len(words))[0]))
+    stacked = stack_paths([path], table.shape[-1])
+    return abs(lhs - complex(chain_sums(exponents, table[words], stacked, [0] * len(words))[0]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownName, ValidationError
-from .integrals import chain_sums, transport
+from .integrals import chain_sums, stack_paths, transport
 from .paths import PathWord
 
 
@@ -120,8 +120,8 @@ def entry_chains(form, p, q):
     return chains
 
 
-def _entry_sums(form, paths, p, q):
-    """Entry (p, q)'s chain sum on every path, in one chain_sums call.
+def _entry_sums(form, stacked, p, q):
+    """Entry (p, q)'s chain sum on every path of stacked, in one chain_sums call.
 
     Chains are right aligned and the slots in front of a chain repeat
     its first node; the carried row starts at the chain's first slot,
@@ -133,7 +133,7 @@ def _entry_sums(form, paths, p, q):
     nodes = np.array([(c[0],) * (size - len(c)) + c for c in chains], dtype=int).reshape(-1, size)
     start = size - np.array([len(c) for c in chains], dtype=int)
     steps = form.closure.index[nodes[:, :-1], nodes[:, 1:]]
-    return chain_sums(form.omega[nodes], form.closure_psi.T[steps], paths, start)
+    return chain_sums(form.omega[nodes], form.closure_psi.T[steps], stacked, start)
 
 
 def entry_chain_value(form, path, p, q):
@@ -151,7 +151,7 @@ def entry_chain_value(form, path, p, q):
     """
     if p > q:
         return 0.0 + 0.0j
-    return complex(_entry_sums(form, [path], p, q)[0])
+    return complex(_entry_sums(form, stack_paths([path], form.dim), p, q)[0])
 
 
 def closedness_residual(form, variants, base, entries=None):
@@ -159,19 +159,21 @@ def closedness_residual(form, variants, base, entries=None):
 
     Every selected entry is evaluated through its chain decomposition on
     the endpoint equal paths of variants and compared against base, the
-    transport along the first of them. Each entry takes one chain_sums
-    call for all the paths, zero padded to the longest; entries default
-    to the whole upper triangle. Returns the worst spread across paths
-    and the worst disagreement with the transport entries.
+    transport along the first of them. The paths are stacked once, zero
+    padded to the longest, and each entry takes one chain_sums call on
+    that stack; entries default to the whole upper triangle. Returns the
+    worst spread across paths and the worst disagreement with the
+    transport entries.
     """
     scale = max(1.0, float(np.max(np.abs(base))))
     r = form.r
     if entries is None:
         entries = [(p, q) for p in range(r) for q in range(p, r)]
+    stacked = stack_paths(variants, form.dim)
     spread = 0.0
     mismatch = 0.0
     for p, q in entries:
-        values = _entry_sums(form, variants, p, q)
+        values = _entry_sums(form, stacked, p, q)
         mismatch = max(mismatch, float(np.max(np.abs(values - base[p, q]))) / scale)
         spread = max(spread, float(np.max(np.abs(values[1:] - values[0]))) / scale)
     return spread, mismatch

@@ -1,10 +1,13 @@
 """End to end construction and invariant verification.
 
 build_stages runs the full pipeline on a validated problem and returns
-every intermediate object. run_verification re-derives the key
-invariants with deterministic seeded sampling and renders them into a
-plain dict of numbers and booleans, suitable for canonical JSON output:
-two runs with the same inputs produce byte identical reports.
+every intermediate object. Its envelope is the faithful quotient of the
+truncated enveloping module, so every transport, chain sum and
+closedness check downstream runs on the quotient. run_verification
+re-derives the key invariants with deterministic seeded sampling and
+renders them into a plain dict of numbers and booleans, suitable for
+canonical JSON output: two runs with the same inputs produce byte
+identical reports.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import numpy as np
 from . import linalg
 from .algebra import derived_series, nilradical, semisimple_adjoint, _jacobi_residual
 from .connection import build_connection_form
-from .envelope import build_enveloping_rep, word_label
+from .envelope import build_enveloping_rep, faithful_quotient, word_label
 from .integrals import (
     IntegralWord,
     exp_iterated_integral,
@@ -43,7 +46,7 @@ def build_stages(problem):
     nil = nilradical(alg, tol)
     ads = semisimple_adjoint(alg, nil, tol)
     split = build_splitting(alg, semisimple=ads, nilrad=nil, tolerances=tol)
-    env = build_enveloping_rep(split, tol)
+    env = faithful_quotient(build_enveloping_rep(split, tol))
     form = build_connection_form(env, tol)
     return {
         "algebra": alg,

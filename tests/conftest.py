@@ -260,6 +260,18 @@ def sect4_stages(sect4_problem):
 
 
 @pytest.fixture(scope="session")
+def sect4_full_stages(sect4_problem, sect4_stages):
+    """sect4's stages with the full truncation in place of its faithful quotient.
+
+    The pipeline evaluates on the quotient (r = 4); this is the module
+    build_enveloping_rep builds (r = 10), on the same splitting.
+    """
+    tol = sect4_problem.tolerances
+    env = build_enveloping_rep(sect4_stages["splitting"], tol)
+    return {**sect4_stages, "envelope": env, "form": build_connection_form(env, tol)}
+
+
+@pytest.fixture(scope="session")
 def corpus():
     """25 validated random solvable algebras, keyed by seed."""
     return {
@@ -295,6 +307,29 @@ def form_by_name(request, name):
         forms = request.getfixturevalue("filiform_forms")
         return forms[int(arg)] if int(arg) in forms else request.getfixturevalue("filiform7_form")
     return request.getfixturevalue(f"{name}_stages")["form"]
+
+
+@pytest.fixture(scope="module")
+def named_split(corpus_splittings, sol_stages, sect4_stages):
+    """Splitting of a corpus seed, a builtin or a scaling family, built once."""
+    builtins = {"sol": sol_stages, "sect4": sect4_stages}
+    built = {}
+
+    def get(name):
+        if name not in built:
+            if name.startswith("corpus"):
+                built[name] = corpus_splittings[int(name[len("corpus"):])]
+            elif name in builtins:
+                built[name] = builtins[name]["splitting"]
+            elif name.startswith("filiform"):
+                m = int(name[len("filiform"):])
+                built[name] = build_splitting(validate_algebra(graded_filiform_structure(m)))
+            else:
+                k = int(name[len("torus_heisenberg"):])
+                built[name] = build_splitting(validate_algebra(torus_heisenberg_structure(k)))
+        return built[name]
+
+    return get
 
 
 class _LazySplittings(Mapping):

@@ -95,8 +95,9 @@ def test_criterion_02_semisimple_adjoint_kernel(
         assert kernel_distance < 1e-8
 
 
-def test_criterion_03_flatness(sol_stages, sect4_stages):
-    for stages, expected_r in ((sol_stages, 4), (sect4_stages, 10)):
+def test_criterion_03_flatness(sol_stages, sect4_stages, sect4_full_stages):
+    cases = ((sol_stages, 4), (sect4_stages, 4), (sect4_full_stages, 10))
+    for stages, expected_r in cases:
         form = stages["form"]
         assert form.r == expected_r
         c = form.envelope.split.base.structure
@@ -111,15 +112,16 @@ def test_criterion_03_flatness(sol_stages, sect4_stages):
                 assert float(np.max(np.abs(lhs - rhs))) / scale < 1e-9
 
 
-def test_criterion_04_characters_in_lattice(sol_stages, sect4_stages):
-    for stages in (sol_stages, sect4_stages):
+def test_criterion_04_characters_in_lattice(sol_stages, sect4_stages, sect4_full_stages):
+    for stages in (sol_stages, sect4_stages, sect4_full_stages):
         assert stages["form"].residuals["character_rounding"] < 1e-6
-    form = sect4_stages["form"]
-    assert len(form.char_basis) == 1
-    basis = np.asarray(form.char_basis[0])
-    assert abs(basis[0] - 1j * np.pi) < 1e-9
-    assert np.max(np.abs(basis[1:])) < 1e-12
-    assert set(int(c) for c in form.char_coeffs[:, 0]) == {0, 1, 2}
+    for stages, coeffs in ((sect4_full_stages, {0, 1, 2}), (sect4_stages, {0, 1})):
+        form = stages["form"]
+        assert len(form.char_basis) == 1
+        basis = np.asarray(form.char_basis[0])
+        assert abs(basis[0] - 1j * np.pi) < 1e-9
+        assert np.max(np.abs(basis[1:])) < 1e-12
+        assert set(int(c) for c in form.char_coeffs[:, 0]) == coeffs
 
 
 def test_criterion_05_series_convergence():

@@ -84,7 +84,7 @@ def test_hull_sol_json():
 def test_hull_sect4_text():
     res = run_cli("hull", "--example", "sect4")
     assert res.returncode == 0
-    assert "module dimension: 10" in res.stdout
+    assert "module dimension: 4" in res.stdout
 
 
 # ------------------------------------------------------------- monodromy

@@ -29,8 +29,8 @@ def test_sol_connection_shape(sol_stages):
     assert form.flatness < 1e-12
 
 
-def test_sect4_connection_shape(sect4_stages):
-    form = sect4_stages["form"]
+def test_sect4_connection_shape(sect4_full_stages):
+    form = sect4_full_stages["form"]
     assert form.r == 10
     assert form.flatness < 1e-12
 
@@ -86,8 +86,8 @@ def test_sol_character_lattice(sol_stages):
     assert set(np.unique(form.char_coeffs)) <= {-1, 0, 1}
 
 
-def test_sect4_character_lattice(sect4_stages):
-    form = sect4_stages["form"]
+def test_sect4_character_lattice(sect4_full_stages):
+    form = sect4_full_stages["form"]
     assert len(form.char_basis) == 1
     base = form.char_basis[0]
     expected = np.array([1j * np.pi, 0.0, 0.0])

@@ -33,7 +33,6 @@ from conftest import (
     CORPUS_SEEDS,
     bracket,
     filiform4_structure,
-    graded_filiform_structure,
     letter_action,
     letter_matrices,
     shadow_action,
@@ -55,8 +54,8 @@ def test_sol_envelope_shape(sol_stages):
     assert env.words == ((0,), (1,), (2,), ())
 
 
-def test_sect4_envelope_shape(sect4_stages):
-    env = sect4_stages["envelope"]
+def test_sect4_envelope_shape(sect4_full_stages):
+    env = sect4_full_stages["envelope"]
     assert env.mode == "plain"
     assert env.cap == 2
     assert env.r == 10
@@ -72,6 +71,15 @@ def test_sect4_envelope_shape(sect4_stages):
         (2,),
         (),
     )
+
+
+def test_sect4_quotient_shape(sect4_stages):
+    """The pipeline's module: sect4's letters and the empty word."""
+    env = sect4_stages["envelope"]
+    assert env.mode == "plain"
+    assert env.cap == 2
+    assert env.r == 4
+    assert env.words == ((0,), (1,), (2,), ())
 
 
 def test_sect4_generator_weights_and_characters(sect4_stages):
@@ -319,29 +327,6 @@ def test_build_with_a_non_default_num(num, sol_stages, sect4_stages, filiform_sp
         assert np.array_equal(env.word_chars, default.word_chars)
         for name, value in default.residuals.items():
             assert env.residuals[name] == value, name
-
-
-@pytest.fixture(scope="module")
-def named_split(corpus_splittings, sol_stages, sect4_stages):
-    """Splitting of a corpus seed, a builtin or a scaling family, built once."""
-    builtins = {"sol": sol_stages, "sect4": sect4_stages}
-    built = {}
-
-    def get(name):
-        if name not in built:
-            if name.startswith("corpus"):
-                built[name] = corpus_splittings[int(name[len("corpus"):])]
-            elif name in builtins:
-                built[name] = builtins[name]["splitting"]
-            elif name.startswith("filiform"):
-                m = int(name[len("filiform"):])
-                built[name] = build_splitting(validate_algebra(graded_filiform_structure(m)))
-            else:
-                k = int(name[len("torus_heisenberg"):])
-                built[name] = build_splitting(validate_algebra(torus_heisenberg_structure(k)))
-        return built[name]
-
-    return get
 
 
 def rotated_series(split, seed):

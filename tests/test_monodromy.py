@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import importlib
 
 import numpy as np
 import pytest
@@ -303,9 +304,9 @@ def test_chain_value_takes_one_kernel_call_per_entry(filiform_forms, monkeypatch
     assert calls == [(1, len(path), len(chains), max(len(c) for c in chains))]
 
 
-def test_closedness_takes_one_kernel_call_per_entry(sect4_stages, sect4_problem, monkeypatch):
+def test_closedness_takes_one_kernel_call_per_entry(sect4_full_stages, sect4_problem, monkeypatch):
     """Every path variant of an entry goes through the same kernel call."""
-    form = sect4_stages["form"]
+    form = sect4_full_stages["form"]
     model = sect4_problem.model
     target = sect4_problem.lattice.generator("c")
     variants = path_variants(model, target, seed=2, trials=2)
@@ -317,6 +318,26 @@ def test_closedness_takes_one_kernel_call_per_entry(sect4_stages, sect4_problem,
     closedness_residual(form, variants, base, entries=entries)
     assert len(calls) == len(entries)
     assert all(shape[:2] == (len(variants), max(map(len, variants))) for shape in calls)
+
+
+def test_closedness_stacks_its_variants_once(sect4_full_stages, sect4_problem, monkeypatch):
+    """One closedness call stacks its paths once, however many entries it checks."""
+    form = sect4_full_stages["form"]
+    target = sect4_problem.lattice.generator("c")
+    variants = path_variants(sect4_problem.model, target, seed=2, trials=2)
+    base = transport(form, variants[0])
+    stacked = []
+    stack_paths = integrals.stack_paths
+
+    def counted(paths, dim):
+        stacked.append(len(paths))
+        return stack_paths(paths, dim)
+
+    monkeypatch.setattr(importlib.import_module("solvhull.monodromy"), "stack_paths", counted)
+    calls = counting_kernel(monkeypatch)
+    closedness_residual(form, variants, base)
+    assert stacked == [len(variants)]
+    assert len(calls) == form.r * (form.r + 1) // 2
 
 
 def test_live_pattern_is_computed_once_per_form(filiform_forms, monkeypatch):

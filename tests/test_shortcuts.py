@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from solvhull import PathWord, entry_chain_value, entry_chains, integrals, matfuncs, path_variants
-from solvhull.integrals import _pattern_series
+from solvhull.integrals import _pattern_series, stack_paths
 from solvhull.matfuncs import _TAYLOR_GAP, _taylor_degree, exp_chain_sum
 from solvhull.monodromy import _entry_sums
 from solvhull.verify import _random_path
@@ -145,18 +145,19 @@ def test_pattern_series_matches_the_identity_product(name, request):
             assert got.tobytes() == want.tobytes(), (segments, depth)
 
 
-def test_chain_sums_on_a_batch_match_each_path_alone(sect4_stages, sect4_problem):
+def test_chain_sums_on_a_batch_match_each_path_alone(sect4_full_stages, sect4_problem):
     """Paths of 0 to 3 segments, zero padded to the longest, keep each path's value."""
-    form = sect4_stages["form"]
+    form = sect4_full_stages["form"]
     target = sect4_problem.lattice.generator("c")
     paths = path_variants(sect4_problem.model, target, seed=2, trials=3)
     paths.insert(1, PathWord([]))
     assert {len(path) for path in paths} == {0, 1, 2, 3}
     for p in range(form.r):
         for q in range(p, form.r):
-            batch = _entry_sums(form, paths, p, q)
+            batch = _entry_sums(form, stack_paths(paths, form.dim), p, q)
             for v, path in enumerate(paths):
-                assert batch[v].tobytes() == _entry_sums(form, [path], p, q)[0].tobytes()
+                alone = _entry_sums(form, stack_paths([path], form.dim), p, q)
+                assert batch[v].tobytes() == alone[0].tobytes()
     assert max(len(c) for c in entry_chains(form, 0, form.r - 1)) > 3
 
 
