@@ -24,6 +24,12 @@ _MEMO_SIZE entries and _MEMO_BYTES bytes (an entry is 16 r^2 bytes, 1.35
 MB at r = 291). The memo is exact: a hit returns the result a miss
 would compute, since the key holds every bit the exponential reads and
 the entries are read-only. expm is looked up when a miss runs.
+
+The strictly increasing chains of live steps from p to q, over which
+entry (p, q) of a transport expands, depend on the live pattern alone.
+Each form plans an entry's chains once, on first use, as the integer ids
+of their nodes and of the closure entries of their steps, in a least
+recently used memo of at most _MEMO_SIZE entries.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +40,7 @@ from math import gcd
 import numpy as np
 
 from . import linalg
-from .errors import NotInLattice
+from .errors import NotInLattice, ValidationError
 from .integrals import closure_pattern
 from .matfuncs import expm
 from .tolerances import DEFAULT
@@ -191,6 +197,50 @@ def _segment_exp_of_bytes(psi_entries, key, duration):
     return out
 
 
+def _walk_chains(steps, p, q):
+    """Strictly increasing chains from p to q along steps, in lexicographic order."""
+    chains = []
+    # Depth first with an explicit stack; successors are pushed in
+    # reverse so chains come out in lexicographic order.
+    stack = [(p,)]
+    while stack:
+        chain = stack.pop()
+        node = chain[-1]
+        if node == q:
+            chains.append(chain)
+            continue
+        for nxt in reversed(steps[node]):
+            if nxt <= q:
+                stack.append(chain + (nxt,))
+    return chains
+
+
+@dataclass(frozen=True, eq=False)
+class ChainPlan:
+    """Everything about entry (p, q)'s chains that no path changes.
+
+    nodes holds the chains in lexicographic order, right aligned, one row
+    each, the slots in front of a chain repeating its first node; chain c
+    starts at slot start[c]. steps holds the closure pattern's index of
+    each step between consecutive slots. The arrays are read-only.
+    """
+
+    start: np.ndarray
+    nodes: np.ndarray
+    steps: np.ndarray
+
+
+def _plan_chains(steps, index, p, q):
+    chains = _walk_chains(steps, p, q)
+    size = max((len(c) for c in chains), default=1)
+    nodes = np.array([(c[0],) * (size - len(c)) + c for c in chains], dtype=int).reshape(-1, size)
+    start = size - np.array([len(c) for c in chains], dtype=int)
+    plan = ChainPlan(start, nodes, index[nodes[:, :-1], nodes[:, 1:]])
+    for a in (plan.start, plan.nodes, plan.steps):
+        a.flags.writeable = False
+    return plan
+
+
 @dataclass(frozen=True)
 class ConnectionForm:
     """Upper triangular matrix-valued one form with diagonal characters.
@@ -263,6 +313,23 @@ class ConnectionForm:
         """exp(t psi(x)), the transport along one segment, read-only."""
         key = np.asarray(x, dtype=complex).tobytes()
         return self._segment_memo(key, np.float64(t).tobytes())
+
+    @cached_property
+    def _chain_plans(self):
+        # Closes over the steps and the closure's index, not the form, so
+        # a form holds no reference cycle.
+        return lru_cache(maxsize=_MEMO_SIZE)(partial(_plan_chains, self.chain_steps, self.closure.index))
+
+    def chain_plan(self, p, q):
+        """The ChainPlan of entry (p, q), planned on first use.
+
+        Below the diagonal an entry has no chain; an index outside 0 to
+        r - 1 is a ValidationError.
+        """
+        r = self.r
+        if not (0 <= p < r and 0 <= q < r):
+            raise ValidationError(f"entry ({p}, {q}) outside a {r} by {r} form")
+        return self._chain_plans(p, q)
 
     def entry_functional(self, p, q):
         """The (p, q) matrix entry of psi as a functional on the algebra."""

@@ -221,8 +221,9 @@ def _pattern_series(pattern, matrices, depth):
     for s, a in enumerate(matrices):
         powers = np.empty((terms, pattern.rows.size), dtype=complex)
         powers[0] = identity
+        right = a[pattern.right]
         for k in range(1, terms):
-            prods = powers[k - 1, pattern.left] * a[pattern.right]
+            prods = powers[k - 1, pattern.left] * right
             powers[k] = np.add.reduceat(prods, pattern.starts) / k
         if coeff is None:
             coeff = powers

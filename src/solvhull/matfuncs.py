@@ -85,11 +85,10 @@ def exp_chain_sum(diag, sup, start):
     square = diag.shape[:-1] + (n * n,)
     w = np.take(diag, cols, axis=-1) - np.take(diag, rows, axis=-1)
     dist = np.abs(w)
-    near = dist < _TAYLOR_GAP
-    all_near = near.all()
-    if all_near:
-        radius = dist.max(initial=0.0)
-    else:
+    radius = dist.max(initial=0.0)
+    all_near = radius < _TAYLOR_GAP
+    if not all_near:
+        near = dist < _TAYLOR_GAP
         running = np.zeros(square)
         running[..., dense_slot] = dist
         running = np.maximum.accumulate(running.reshape(diag.shape + (n,)), axis=-1)

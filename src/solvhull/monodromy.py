@@ -6,8 +6,11 @@ valued function of the group element alone. Every matrix entry of that
 function decomposes as a finite sum of exponential iterated integrals
 over strictly increasing index chains, which is how closedness of those
 integrals is certified here: the chain sums are recomputed over several
-paths with the same endpoint and compared. Each entry's chains go
-through integrals.chain_sums in one call.
+paths with the same endpoint and compared. The chains depend on the
+connection form alone, so each form plans an entry's chains once
+(ConnectionForm.chain_plan); each entry's chains then go through
+integrals.chain_sums in one call. The sums never form the dense
+exponential, so they stay a certificate independent of transport.
 """
 
 from dataclasses import dataclass
@@ -102,38 +105,21 @@ def path_independence_residual(form, variants, base):
 
 
 def entry_chains(form, p, q):
-    """Strictly increasing index chains from p to q with live steps."""
-    steps = form.chain_steps
-    chains = []
-    # Depth first with an explicit stack; successors are pushed in
-    # reverse so chains come out in lexicographic order.
-    stack = [(p,)]
-    while stack:
-        chain = stack.pop()
-        node = chain[-1]
-        if node == q:
-            chains.append(chain)
-            continue
-        for nxt in reversed(steps[node]):
-            if nxt <= q:
-                stack.append(chain + (nxt,))
-    return chains
+    """Strictly increasing index chains from p to q with live steps, read off the form's plan."""
+    plan = form.chain_plan(p, q)
+    return [tuple(row[s:]) for row, s in zip(plan.nodes.tolist(), plan.start.tolist())]
 
 
 def _entry_sums(form, stacked, p, q):
     """Entry (p, q)'s chain sum on every path of stacked, in one chain_sums call.
 
-    Chains are right aligned and the slots in front of a chain repeat
-    its first node; the carried row starts at the chain's first slot,
-    so they never contribute. Only the rows of the characters and the
-    closure entries that the chains use are read.
+    The form plans the chains once; each call reads only the rows of
+    the characters and the closure entries that they use. The slots in
+    front of a right aligned chain repeat its first node; the carried row
+    starts at the chain's first slot, so they never contribute.
     """
-    chains = entry_chains(form, p, q)
-    size = max((len(c) for c in chains), default=1)
-    nodes = np.array([(c[0],) * (size - len(c)) + c for c in chains], dtype=int).reshape(-1, size)
-    start = size - np.array([len(c) for c in chains], dtype=int)
-    steps = form.closure.index[nodes[:, :-1], nodes[:, 1:]]
-    return chain_sums(form.omega[nodes], form.closure_psi.T[steps], stacked, start)
+    plan = form.chain_plan(p, q)
+    return chain_sums(form.omega[plan.nodes], form.closure_psi.T[plan.steps], stacked, plan.start)
 
 
 def entry_chain_value(form, path, p, q):
@@ -143,14 +129,15 @@ def entry_chain_value(form, path, p, q):
     expands each entry over strictly increasing chains; every chain
     contributes one exponential iterated integral whose exponents are
     the diagonal characters along the chain and whose factors are the
-    off diagonal entry functionals of the steps. All of them go through
-    one call of integrals.chain_sums, which reads only the characters and
-    closure entries on those chains; the dense r by r exponential is
-    never formed, so the sum stays a certificate independent of
-    transport.
+    off diagonal entry functionals of the steps. An entry below the
+    diagonal has no chain and is 0; an index outside the form is a
+    ValidationError. The chains depend on the form alone, so each form
+    plans an entry's chains once (ConnectionForm.chain_plan) and every
+    later call only evaluates them, all in one call of
+    integrals.chain_sums, which reads only the characters and closure
+    entries on those chains. The dense r by r exponential is never
+    formed, so the sum stays a certificate independent of transport.
     """
-    if p > q:
-        return 0.0 + 0.0j
     return complex(_entry_sums(form, stack_paths([path], form.dim), p, q)[0])
 
 

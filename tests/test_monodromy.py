@@ -14,6 +14,7 @@ from solvhull import (
     build_enveloping_rep,
     build_monodromy_rep,
     closedness_residual,
+    connection,
     entry_chain_value,
     entry_chains,
     exp_iterated_integral,
@@ -27,9 +28,11 @@ from solvhull import (
     transport_series,
     word_monodromy,
 )
+from solvhull.errors import ValidationError
 from solvhull.linalg import SparseStack
+from solvhull.monodromy import _entry_sums
 
-from conftest import CORPUS_SEEDS
+from conftest import CORPUS_SEEDS, form_by_name
 
 
 @pytest.fixture(scope="module")
@@ -500,3 +503,111 @@ def test_entry_chains_leave_no_reference_cycles(sect4_stages):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ------------------------------------------------------------ chain plans
+
+
+PLAN_FORMS = ["sol", "sect4", "sect4-full"] + [f"corpus-{seed}" for seed in CORPUS_SEEDS] + [
+    "filiform-4", "filiform-5", "filiform-6",
+]
+
+
+def _unplanned_entry_sums(form, stacked, p, q):
+    """Entry (p, q)'s chain sum with the chains walked and gathered on every call.
+
+    The route taken before each form planned its chains; the planned
+    route hands the kernel the same arrays, so the values agree bit for bit.
+    """
+    chains = _recursive_chains(form, p, q)
+    size = max((len(c) for c in chains), default=1)
+    nodes = np.array([(c[0],) * (size - len(c)) + c for c in chains], dtype=int).reshape(-1, size)
+    start = size - np.array([len(c) for c in chains], dtype=int)
+    steps = form.closure.index[nodes[:, :-1], nodes[:, 1:]]
+    return integrals.chain_sums(form.omega[nodes], form.closure_psi.T[steps], stacked, start)
+
+
+@pytest.mark.parametrize("name", PLAN_FORMS)
+def test_chain_plans_walk_once_per_entry_and_keep_every_value(name, request, monkeypatch):
+    """Two passes over the last column walk each entry's chains once and match the old route."""
+    if name == "sect4-full":
+        built = request.getfixturevalue("sect4_full_stages")["form"]
+    else:
+        built = form_by_name(request, name)
+    # A copy starts with no plans, whatever other tests asked of the fixture.
+    form = dataclasses.replace(built)
+    walks = []
+    walk = connection._walk_chains
+
+    def counted(steps, p, q):
+        walks.append((p, q))
+        return walk(steps, p, q)
+
+    monkeypatch.setattr(connection, "_walk_chains", counted)
+    rng = np.random.default_rng(700 + len(name))
+    paths = [capped_path(rng, form, segments) for segments in (4, 2)]
+    column = [(p, form.r - 1) for p in range(form.r)]
+    alone = integrals.stack_paths(paths[:1], form.dim)
+    both = integrals.stack_paths(paths, form.dim)
+    expected = {
+        (p, q): (_unplanned_entry_sums(form, alone, p, q)[0], _unplanned_entry_sums(form, both, p, q))
+        for p, q in column
+    }
+    for _ in range(2):
+        for p, q in column:
+            value = entry_chain_value(form, paths[0], p, q)
+            assert value == expected[p, q][0], (p, q)
+            assert np.array_equal(_entry_sums(form, both, p, q), expected[p, q][1])
+    assert walks == column
+    assert form._chain_plans.cache_info().misses == len(column)
+    for p, q in column:
+        assert entry_chains(form, p, q) == _recursive_chains(form, p, q)
+        plan = form.chain_plan(p, q)
+        for a in (plan.start, plan.nodes, plan.steps):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.reshape(-1)[:1] = 0
+
+
+def test_chain_plan_memo_leaves_no_reference_cycles(sect4_full_stages):
+    """A form and its plans are freed when the last reference goes, not by the collector."""
+    form = sect4_full_stages["form"]
+    assert form._chain_plans.cache_info().maxsize == connection._MEMO_SIZE
+    dataclasses.replace(form).chain_plan(0, form.r - 1)
+    gc.collect()
+    gc.disable()
+    try:
+        fresh = dataclasses.replace(form)
+        for p in range(fresh.r):
+            assert fresh.chain_plan(p, fresh.r - 1).nodes.size
+        del fresh
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("p, q", [(0, 10**6), (-1, 3), (-1, -1), (4, 0), (0, -5)])
+def test_entry_indices_outside_the_form_are_rejected(sect4_stages, sect4_problem, p, q):
+    form = sect4_stages["form"]
+    assert form.r == 4
+    variants = path_variants(sect4_problem.model, sect4_problem.lattice.generator("c"), trials=1)
+    base = transport(form, variants[0])
+    with pytest.raises(ValidationError):
+        entry_chain_value(form, variants[0], p, q)
+    with pytest.raises(ValidationError):
+        entry_chains(form, p, q)
+    with pytest.raises(ValidationError):
+        closedness_residual(form, variants, base, entries=[(p, q)])
+
+
+def test_entries_below_the_diagonal_are_zero(sect4_stages, sect4_problem):
+    form = sect4_stages["form"]
+    variants = path_variants(sect4_problem.model, sect4_problem.lattice.generator("c"), trials=1)
+    base = transport(form, variants[0])
+    for p in range(1, form.r):
+        for q in range(p):
+            assert entry_chains(form, p, q) == []
+            assert entry_chain_value(form, variants[0], p, q) == 0
+            assert base[p, q] == 0
+    below = [(p, q) for p in range(form.r) for q in range(p)]
+    assert closedness_residual(form, variants, base, entries=below) == (0.0, 0.0)
