@@ -124,42 +124,37 @@ def _pairwise_bracket_span(alg, left, right, tol):
     return linalg.orthonormal_columns(mat, tol)
 
 
+def _bracket_series(alg, tolerances, with_whole, error, name):
+    """Orthonormal bases from the whole algebra down to the zero space.
+
+    Each level is the span of the brackets of the previous level with the
+    whole algebra (with_whole) or with itself. Raises error, its message
+    naming the series, when a level above zero does not shrink.
+    """
+    tol = tolerances.alg
+    dtype = complex if alg.is_complex else float
+    full = np.eye(alg.dim, dtype=dtype)
+    series = [full]
+    while series[-1].shape[1] > 0:
+        current = series[-1]
+        nxt = _pairwise_bracket_span(alg, full if with_whole else current, current, tol)
+        if nxt.shape[1] >= current.shape[1]:
+            raise error(f"{name} stalls at dimension {current.shape[1]}")
+        series.append(nxt)
+    return series
+
+
 def derived_series(alg, tolerances=DEFAULT):
     """Derived series as orthonormal bases, ending at the zero space.
 
     Raises NotSolvable when the series stops shrinking above zero.
     """
-    tol = tolerances.alg
-    dtype = complex if alg.is_complex else float
-    current = np.eye(alg.dim, dtype=dtype)
-    series = [current]
-    while current.shape[1] > 0:
-        nxt = _pairwise_bracket_span(alg, current, current, tol)
-        if nxt.shape[1] >= current.shape[1]:
-            raise NotSolvable(
-                f"derived series stalls at dimension {current.shape[1]}"
-            )
-        series.append(nxt)
-        current = nxt
-    return series
+    return _bracket_series(alg, tolerances, False, NotSolvable, "derived series")
 
 
 def lower_central_series(alg, tolerances=DEFAULT):
     """Lower central series bases; raises NotNilpotent if it stalls."""
-    tol = tolerances.alg
-    dtype = complex if alg.is_complex else float
-    full = np.eye(alg.dim, dtype=dtype)
-    current = full
-    series = [current]
-    while current.shape[1] > 0:
-        nxt = _pairwise_bracket_span(alg, full, current, tol)
-        if nxt.shape[1] >= current.shape[1]:
-            raise NotNilpotent(
-                f"lower central series stalls at dimension {current.shape[1]}"
-            )
-        series.append(nxt)
-        current = nxt
-    return series
+    return _bracket_series(alg, tolerances, True, NotNilpotent, "lower central series")
 
 
 def _field_kernel(mat, is_complex, tol):

@@ -12,7 +12,6 @@ validation failure, 3 resource cap exceeded, 4 loop endpoint mismatch.
 
 import argparse
 import functools
-import json
 import sys
 import time
 
@@ -29,9 +28,8 @@ from .errors import (
 from .groups import parse_word
 from .integrals import transport, transport_series
 from .monodromy import path_independence_residual, path_variants, word_monodromy
-from .paths import PathWord
 from .report import canonical_json, digest
-from .specfile import _complex_pair, _number, _parse_tolerances, _spec_data, parse_problem
+from .specfile import parse_path_file, parse_problem, parse_tolerances, spec_data
 from .verify import build_stages, run_verification
 
 EXIT_OK = 0
@@ -46,12 +44,12 @@ def _load_problem(args):
     if getattr(args, "example", None):
         data = BUILTINS[args.example]()
     elif getattr(args, "spec", None):
-        data = _spec_data(args.spec)
+        data = spec_data(args.spec)
     else:
         raise ValidationError("provide either --example or --spec")
     given = {name: getattr(args, f"tol_{name}") for name in ("alg", "num", "exact", "integer")}
     given = {k: v for k, v in given.items() if v is not None}
-    return parse_problem(data, tolerances=_parse_tolerances(data.get("tolerances"), **given))
+    return parse_problem(data, tolerances=parse_tolerances(data.get("tolerances"), **given))
 
 
 def cmd_analyze(args):
@@ -95,7 +93,6 @@ def cmd_hull(args):
     payload = {
         "problem": problem.name,
         "module_dimension": env.r,
-        "truncation_mode": env.mode,
         "truncation_cap": env.cap,
         "monomials": monomials,
         "generator_weights": [int(x) for x in env.gen_weights],
@@ -107,7 +104,7 @@ def cmd_hull(args):
         print(canonical_json(payload))
     else:
         print(f"problem: {problem.name}")
-        print(f"module dimension: {env.r} (mode {env.mode}, cap {env.cap})")
+        print(f"module dimension: {env.r} (cap {env.cap})")
         print(f"monomial order: {' > '.join(monomials)}")
         print(f"flatness residual: {form.flatness:.3e}")
         print(f"character basis size: {len(form.char_basis)}")
@@ -149,40 +146,6 @@ def cmd_monodromy(args):
     return EXIT_OK
 
 
-def _path_from_file(problem, path_file):
-    """Path of a JSON file {"segments": [{"direction": [...], "duration": t}, ...]}.
-
-    A direction entry is a finite number or [re, im] pair; a duration is
-    a finite nonnegative number.
-    """
-    try:
-        with open(path_file) as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise ValidationError(f"cannot read path file: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"path file is not valid JSON: {err}") from err
-    if not isinstance(data, dict) or not isinstance(data.get("segments"), list):
-        raise ValidationError("path file needs a segments list")
-    segs = []
-    for seg in data["segments"]:
-        if not isinstance(seg, dict) or "direction" not in seg or "duration" not in seg:
-            raise ValidationError("every segment needs direction and duration")
-        direction = seg["direction"]
-        if not isinstance(direction, list) or len(direction) != problem.algebra.dim:
-            raise ValidationError(f"direction must list {problem.algebra.dim} entries")
-        vec = np.array([
-            _complex_pair(z, "direction entry") if isinstance(z, list)
-            else _number(z, "direction entry")
-            for z in direction
-        ], dtype=complex)
-        duration = _number(seg["duration"], "duration")
-        if duration < 0.0:
-            raise ValidationError("duration must be nonnegative")
-        segs.append((vec, duration))
-    return PathWord(segs)
-
-
 def cmd_integrate(args):
     problem = _load_problem(args)
     stages = build_stages(problem)
@@ -192,7 +155,7 @@ def cmd_integrate(args):
             raise ValidationError("--word needs a lattice")
         path = problem.lattice.path_of(parse_word(args.word))
     elif args.path:
-        path = _path_from_file(problem, args.path)
+        path = parse_path_file(args.path, problem.algebra.dim)
     else:
         raise ValidationError("provide --word or --path")
     full = transport(form, path)

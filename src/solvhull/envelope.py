@@ -14,14 +14,12 @@ series weight of a monomial, so ordering monomials by descending weight
 makes every action matrix strictly upper triangular, while the torus
 acts diagonally with the monomial's accumulated character.
 
-Truncation drops monomials beyond a cap. Two regimes are used. For
-shadows of nilpotency class at most two, plain total degree is capped at
-the class; left multiplication is then an exact Lie homomorphism because
-every discarded commutator correction already vanishes. From class three
-on, plain-degree truncation stops being a homomorphism, so the cap
-switches to the series-weighted degree: the span of monomials above any
-weight cap is a two sided ideal, and the quotient action is exact for
-every class.
+Truncation drops the monomials whose series weight exceeds a cap, the
+shadow's nilpotency class unless given. The series weight filters the
+enveloping algebra, commutator corrections included, so the span of the
+monomials above any cap is a two sided ideal and the quotient action is
+an exact Lie homomorphism for every class. Plain total degree is no
+substitute: from class three on its truncation is not a homomorphism.
 
 Products are computed on integer word ids, the positions of the words
 in that order. A letter a <= the first letter of a word prepends to it,
@@ -100,7 +98,6 @@ class EnvelopingTruncation:
     gen_weights: tuple
     gen_chars: tuple
     gamma: np.ndarray = field(repr=False)
-    mode: str
     cap: int
     words: tuple
     word_weights: np.ndarray = field(repr=False)
@@ -215,26 +212,23 @@ def _generator_table(split, gmat, ginv, weights, chars, tolerances):
     return gamma, forbidden
 
 
-def _enumerate_words(n, weights, mode, cap, max_dim):
-    """Normally ordered words of length at most cap, by length, then lexically.
+def _enumerate_words(n, weights, cap, max_dim):
+    """Normally ordered words of weight at most cap, by length, then lexically.
 
-    In weighted mode a word is kept only while its weight is at most cap.
     Letter weights are positive, so a word over the cap has no kept
     extension and is never extended.
     """
     words = []
     level = [((), 0)]
-    for length in range(cap + 1):
+    while level:
         longer = []
         for word, weight in level:
             words.append(word)
             if len(words) > max_dim:
                 raise TruncationOverflow(len(words), max_dim)
-            if length == cap:
-                continue
             for a in range(word[-1] if word else 0, n):
                 w = weight + weights[a]
-                if mode == "plain" or w <= cap:
+                if w <= cap:
                     longer.append((word + (a,), w))
         level = longer
     return words
@@ -286,24 +280,18 @@ def _commute(products, brackets, a, b, rest):
     return {w: c for w, c in out.items() if c != 0.0}
 
 
-def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=None):
-    """Build the truncated enveloping module and its action matrices."""
-    shadow = split.shadow
-    n = shadow.dim
-    cls = max(1, split.shadow_class)
-    if mode is None:
-        mode = "plain" if cls <= 2 else "weighted"
-    if mode not in ("plain", "weighted"):
-        raise ValueError(f"unknown truncation mode {mode!r}")
+def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None):
+    """Build the enveloping module truncated at series weight cap, the class by default."""
+    n = split.shadow.dim
     if cap is None:
-        cap = cls
+        cap = max(1, split.shadow_class)
 
     gmat, ginv, weights, chars, gen_resid, cond = _build_generators(split, tolerances)
     gamma, forbidden = _generator_table(split, gmat, ginv, weights, chars, tolerances)
 
     t_dim = split.torus.shape[0]
     words, word_weights, word_chars = _order_words(
-        _enumerate_words(n, weights, mode, cap, max_dim), weights, chars, t_dim
+        _enumerate_words(n, weights, cap, max_dim), weights, chars, t_dim
     )
     index = {w: i for i, w in enumerate(words)}
     r = len(words)
@@ -373,7 +361,6 @@ def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None, mode=
         gen_weights=weights,
         gen_chars=chars,
         gamma=gamma,
-        mode=mode,
         cap=cap,
         words=tuple(words),
         word_weights=word_weights,

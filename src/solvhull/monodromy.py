@@ -141,21 +141,17 @@ def entry_chain_value(form, path, p, q):
     return complex(_entry_sums(form, stack_paths([path], form.dim), p, q)[0])
 
 
-def closedness_residual(form, variants, base, entries=None):
+def closedness_residual(form, variants, base, entries):
     """Certify that monodromy entries are closed exponential integrals.
 
-    Every selected entry is evaluated through its chain decomposition on
-    the endpoint equal paths of variants and compared against base, the
-    transport along the first of them. The paths are stacked once, zero
-    padded to the longest, and each entry takes one chain_sums call on
-    that stack; entries default to the whole upper triangle. Returns the
-    worst spread across paths and the worst disagreement with the
-    transport entries.
+    Every (p, q) of entries is evaluated through its chain decomposition
+    on the endpoint equal paths of variants and compared against base,
+    the transport along the first of them. The paths are stacked once,
+    zero padded to the longest, and each entry takes one chain_sums call
+    on that stack. Returns the worst spread across paths and the worst
+    disagreement with the transport entries.
     """
     scale = max(1.0, float(np.max(np.abs(base))))
-    r = form.r
-    if entries is None:
-        entries = [(p, q) for p in range(r) for q in range(p, r)]
     stacked = stack_paths(variants, form.dim)
     spread = 0.0
     mismatch = 0.0
@@ -193,7 +189,7 @@ def separation_demo(form, lattice):
             model.multiply(lattice.generator(trans_name), g),
             model.inverse(lattice.generator(trans_name)),
         )
-        if model.distance(conj, g) > 1e-6:
+        if model.distance(conj, g) > model.tolerances.report_limit:
             fiber_name = name
             break
     if fiber_name is None:

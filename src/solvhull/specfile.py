@@ -4,7 +4,9 @@ The on-disk format is JSON. Structure entries are zero based
 [i, j, k, re, im] rows meaning the e_k component of [e_i, e_j]; the
 antisymmetric counterpart of every entry is filled in automatically and
 conflicting duplicates are rejected. Unknown keys are errors at every
-level, so typos fail loudly instead of being ignored.
+level, so typos fail loudly instead of being ignored. Path files, read
+by parse_path_file for the CLI's integrate --path, are JSON too and
+share the number checks.
 """
 
 import json
@@ -15,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import validate_algebra
-from .errors import SpecFileError
+from .errors import SpecFileError, ValidationError
 from .groups import GroupElement, Lattice, SemidirectModel, parse_word
+from .paths import PathWord
 from .report import canonical_json, digest
 from .tolerances import Tolerances
 
@@ -64,6 +67,40 @@ def _complex_pair(v, where):
     return complex(_number(v[0], where), _number(v[1], where))
 
 
+def parse_path_file(path_file, dim):
+    """Path of a JSON file {"segments": [{"direction": [...], "duration": t}, ...]}.
+
+    A direction lists dim entries, each a finite number or [re, im] pair;
+    a duration is a finite nonnegative number.
+    """
+    try:
+        with open(path_file) as fh:
+            data = json.load(fh)
+    except OSError as err:
+        raise ValidationError(f"cannot read path file: {err}") from err
+    except json.JSONDecodeError as err:
+        raise ValidationError(f"path file is not valid JSON: {err}") from err
+    if not isinstance(data, dict) or not isinstance(data.get("segments"), list):
+        raise ValidationError("path file needs a segments list")
+    segs = []
+    for seg in data["segments"]:
+        if not isinstance(seg, dict) or "direction" not in seg or "duration" not in seg:
+            raise ValidationError("every segment needs direction and duration")
+        direction = seg["direction"]
+        if not isinstance(direction, list) or len(direction) != dim:
+            raise ValidationError(f"direction must list {dim} entries")
+        vec = np.array([
+            _complex_pair(z, "direction entry") if isinstance(z, list)
+            else _number(z, "direction entry")
+            for z in direction
+        ], dtype=complex)
+        duration = _number(seg["duration"], "duration")
+        if duration < 0.0:
+            raise ValidationError("duration must be nonnegative")
+        segs.append((vec, duration))
+    return PathWord(segs)
+
+
 def _parse_structure(entries, dim):
     if not isinstance(entries, (list, tuple)):
         raise SpecFileError("structure must be a list of entries")
@@ -101,7 +138,7 @@ def _parse_structure(entries, dim):
     return c
 
 
-def _parse_tolerances(data, **given):
+def parse_tolerances(data, **given):
     """Tolerances of a spec's block, a given value replacing its field; all finite and > 0."""
     if data is not None:
         _require_keys(data, _TOL_KEYS, "tolerances")
@@ -176,7 +213,7 @@ def _parse_lattice(data, model):
     return Lattice(model=model, generators=tuple(gens), relations=tuple(relations))
 
 
-def _spec_data(source):
+def spec_data(source):
     """Top level object of a problem given as a dict, JSON text, or file path."""
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -198,7 +235,7 @@ def _spec_data(source):
 
 def parse_problem(source, tolerances=None):
     """Load and validate a problem from a dict, JSON text, or file path."""
-    data = _spec_data(source)
+    data = spec_data(source)
     names = data.get("basis_names")
     if not isinstance(names, (list, tuple)) or not names:
         raise SpecFileError("basis_names must be a non empty list")
@@ -208,7 +245,7 @@ def parse_problem(source, tolerances=None):
     if "structure" not in data:
         raise SpecFileError("problem needs a structure list")
 
-    tol = tolerances if tolerances is not None else _parse_tolerances(data.get("tolerances"))
+    tol = tolerances if tolerances is not None else parse_tolerances(data.get("tolerances"))
     table = _parse_structure(data["structure"], dim)
     algebra = validate_algebra(table, names=names, tolerances=tol)
 

@@ -283,7 +283,6 @@ def run_verification(problem, seed=0, depth=20):
 
     env_section = {
         "r": env.r,
-        "mode": env.mode,
         "cap": env.cap,
         "monomials": [word_label(w) for w in env.words],
         "generator_weights": [int(w) for w in env.gen_weights],

@@ -264,7 +264,7 @@ def sect4_full_stages(sect4_problem, sect4_stages):
     """sect4's stages with the full truncation in place of its faithful quotient.
 
     The pipeline evaluates on the quotient (r = 4); this is the module
-    build_enveloping_rep builds (r = 10), on the same splitting.
+    build_enveloping_rep builds (r = 7), on the same splitting.
     """
     tol = sect4_problem.tolerances
     env = build_enveloping_rep(sect4_stages["splitting"], tol)

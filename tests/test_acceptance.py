@@ -96,7 +96,7 @@ def test_criterion_02_semisimple_adjoint_kernel(
 
 
 def test_criterion_03_flatness(sol_stages, sect4_stages, sect4_full_stages):
-    cases = ((sol_stages, 4), (sect4_stages, 4), (sect4_full_stages, 10))
+    cases = ((sol_stages, 4), (sect4_stages, 4), (sect4_full_stages, 7))
     for stages, expected_r in cases:
         form = stages["form"]
         assert form.r == expected_r

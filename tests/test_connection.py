@@ -31,7 +31,7 @@ def test_sol_connection_shape(sol_stages):
 
 def test_sect4_connection_shape(sect4_full_stages):
     form = sect4_full_stages["form"]
-    assert form.r == 10
+    assert form.r == 7
     assert form.flatness < 1e-12
 
 

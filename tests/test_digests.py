@@ -1,10 +1,10 @@
 """Byte identity of the canonical verify report.
 
 The sha256 digests of `solvhull verify --example NAME --seed SEED`
-stdout: sol's recorded at commit fb817a9, sect4's when the pipeline
-moved to the faithful quotient of the enveloping module (r 10 -> 4). A
-change that alters a verify output on purpose updates the digest here
-and lists the old and new values in CHANGES.md.
+stdout, recorded when the envelope section lost its "mode" key (the
+module is always truncated by series weight). A change that alters a
+verify output on purpose updates the digest here and lists the old and
+new values in CHANGES.md.
 """
 
 import hashlib
@@ -14,16 +14,16 @@ import pytest
 from solvhull import cli
 
 DIGESTS = {
-    ("sol", 0): "b5b6ecd6a0d57a6139640dab43c0467082dbbe427d11e023100aa2e9d4546bea",
-    ("sol", 850624): "e5880f0761f5f24ff93dc8cd667d3bf5c4bdf10524ff3f18850cb749bb72df50",
-    ("sol", 636961): "ca17e9957ab67549dd236191993d9a80d428e2b423430d16b7d8f60d3334fb6d",
-    ("sol", 511136): "6e8fe4adc62f1e045b5c5a3ef88c930ce4072e82b048054a44aafd5c50469e71",
-    ("sol", 269786): "2fa7a7665968a20abd5a037466e7735285020bf5a9cf7edecba840e0408c6a60",
-    ("sect4", 0): "f9f94ef097ca890ce6c199ab0133dbfa9feafa25cdb741ba1339676ac0a8cac0",
-    ("sect4", 850624): "6677efdfd7031501f328522f2b4d12bf5d22c27ff984e23b0cffc57b5078104e",
-    ("sect4", 636961): "50c005d8ece9c1aef22b49b6831e65e7669334388721520adeeb4a04d23ca195",
-    ("sect4", 511136): "0e29689df90862354dd06efa56ba8f3c823c0f476fbe8cdd2a4658294c21d09b",
-    ("sect4", 269786): "4118ab2ac0bb48784aeb8f06b0f4508a9e694698e030a57910ba9b2d4e4696e2",
+    ("sol", 0): "979c0ed3f7531327216eeb6e57fbf83b010af3cf41817869c2ffd420ccee81f4",
+    ("sol", 850624): "f541de5e62c7c1e9f133918c5fe75000f2ac3614c468d98455aa962849b2416b",
+    ("sol", 636961): "50fa79ae6ed377d65656241e7d6f8b3599cedbe9e11221babd5e51af718f8cf9",
+    ("sol", 511136): "0f1097df0565a5b9ae8ad6fd3f0445728692a9222560ea1a10aa8f387322653a",
+    ("sol", 269786): "bed4280e0382838dddca9ddb06b746142bfaf593bcfffff2b378ad81dc91ed0c",
+    ("sect4", 0): "a978c3d083444e7595e8657b54bed11a9813e58006159f6270fc32a650626b5c",
+    ("sect4", 850624): "eb81cb43eaa8ee29cb34fdb9bfffccc69ec8de84496b09185a287dd1a56fa3dc",
+    ("sect4", 636961): "cca0b673ad54ab8515e086e523c04fe7dd05d90a42caea0c50a61348b05e9451",
+    ("sect4", 511136): "fb98c8bb78dc8c8e4905dad91eea5d4e19b9fe2ae5e37f2ad433a2098db335db",
+    ("sect4", 269786): "df21f0ccd334a0640a5a85aa9e7df4b8119b76294cab52a598e507702283c443",
 }
 
 

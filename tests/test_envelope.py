@@ -48,7 +48,6 @@ def filiform_split():
 
 def test_sol_envelope_shape(sol_stages):
     env = sol_stages["envelope"]
-    assert env.mode == "plain"
     assert env.cap == 1
     assert env.r == 4
     assert env.words == ((0,), (1,), (2,), ())
@@ -56,13 +55,10 @@ def test_sol_envelope_shape(sol_stages):
 
 def test_sect4_envelope_shape(sect4_full_stages):
     env = sect4_full_stages["envelope"]
-    assert env.mode == "plain"
     assert env.cap == 2
-    assert env.r == 10
+    assert env.r == 7
+    # g0 has series weight 2, so it takes no second letter
     assert env.words == (
-        (0, 0),
-        (0, 1),
-        (0, 2),
         (1, 1),
         (1, 2),
         (2, 2),
@@ -76,7 +72,6 @@ def test_sect4_envelope_shape(sect4_full_stages):
 def test_sect4_quotient_shape(sect4_stages):
     """The pipeline's module: sect4's letters and the empty word."""
     env = sect4_stages["envelope"]
-    assert env.mode == "plain"
     assert env.cap == 2
     assert env.r == 4
     assert env.words == ((0,), (1,), (2,), ())
@@ -178,7 +173,6 @@ def test_torus_diagonal_accumulates_characters(sect4_stages):
 
 def test_class_three_shadow_uses_weighted_mode(filiform_split):
     env = build_enveloping_rep(filiform_split)
-    assert env.mode == "weighted"
     assert env.cap == 3
     assert env.r == 14
     assert env.residuals["action_homomorphism"] < 1e-10
@@ -187,21 +181,26 @@ def test_class_three_shadow_uses_weighted_mode(filiform_split):
         assert np.all(np.tril(mats[a]) == 0)
 
 
-def test_plain_truncation_fails_beyond_class_two(filiform_split):
+def plain_words(n, weights, cap, max_dim):
+    """Every multiset of length at most cap: plain degree truncation."""
+    return [
+        combo
+        for length in range(cap + 1)
+        for combo in combinations_with_replacement(range(n), length)
+    ]
+
+
+def test_plain_truncation_fails_beyond_class_two(filiform_split, monkeypatch):
     # plain degree truncation is not a homomorphism from class three on,
     # and the residual budget notices
+    monkeypatch.setattr(envelope, "_enumerate_words", plain_words)
     with pytest.raises(SolvHullError):
-        build_enveloping_rep(filiform_split, mode="plain", cap=3)
+        build_enveloping_rep(filiform_split)
 
 
 def test_weighted_mode_override_on_class_one(sol_stages):
-    env = build_enveloping_rep(sol_stages["splitting"], mode="weighted", cap=1)
+    env = build_enveloping_rep(sol_stages["splitting"], cap=1)
     assert env.r == 4  # all weights are one, so the module is unchanged
-
-
-def test_unknown_mode_rejected(sol_stages):
-    with pytest.raises(ValueError):
-        build_enveloping_rep(sol_stages["splitting"], mode="cubic")
 
 
 def test_truncation_overflow(filiform_split):
@@ -209,12 +208,12 @@ def test_truncation_overflow(filiform_split):
         build_enveloping_rep(filiform_split, max_dim=3)
 
 
-def exhaustive_words(n, weights, mode, cap, max_dim):
+def exhaustive_words(n, weights, cap, max_dim):
     """Every multiset of length at most cap, filtered by weight afterwards."""
     words = []
     for length in range(cap + 1):
         for combo in combinations_with_replacement(range(n), length):
-            if mode == "weighted" and sum(weights[a] for a in combo) > cap:
+            if sum(weights[a] for a in combo) > cap:
                 continue
             words.append(combo)
             if len(words) > max_dim:
@@ -232,13 +231,12 @@ def words_or_overflow(enumerate_words, *args):
 def test_pruned_word_enumeration_matches_exhaustive_filter():
     rng = np.random.default_rng(12)
     # The rank 8 graded filiform shadow: 291 of 11440 multisets survive.
-    cases = [(9, (7, 6, 5, 4, 3, 2, 1, 1, 1), "weighted", 7, 512)]
+    cases = [(9, (7, 6, 5, 4, 3, 2, 1, 1, 1), 7, 512)]
     for _ in range(300):
         n = int(rng.integers(0, 7))
         weights = tuple(sorted(rng.integers(1, 4, size=n).tolist(), reverse=True))
         cases.append(
-            (n, weights, str(rng.choice(["plain", "weighted"])), int(rng.integers(0, 5)),
-             int(rng.choice([0, 1, 6, 30, 512])))
+            (n, weights, int(rng.integers(0, 5)), int(rng.choice([0, 1, 6, 30, 512])))
         )
     overflows = 0
     for case in cases:
@@ -280,7 +278,7 @@ def test_envelope_postconditions_on_corpus(seed, corpus):
         assert val < 1e-8, (key, val)
 
 
-@pytest.mark.parametrize("k, r", [(1, 15), (2, 36), (3, 66)])
+@pytest.mark.parametrize("k, r", [(1, 11), (2, 29), (3, 56)])
 def test_torus_heisenberg_builds(k, r):
     """The rank-k torus on H_{2k+1} builds through the connection form."""
     alg = validate_algebra(torus_heisenberg_structure(k))
@@ -439,6 +437,25 @@ ROTATION_NAMES = (
 )
 
 
+CAP_NAMES = (
+    [f"corpus{seed}" for seed in CORPUS_SEEDS]
+    + ["sol", "sect4"]
+    + [f"torus_heisenberg{k}" for k in (1, 2, 3)]
+    + [f"filiform{m}" for m in (4, 5, 6)]
+)
+
+
+@pytest.mark.parametrize("name", CAP_NAMES)
+def test_every_word_has_series_weight_at_most_the_cap(name, named_split):
+    """The module is truncated by series weight, never by plain degree."""
+    env = build_enveloping_rep(named_split(name))
+    weights = [sum(env.gen_weights[a] for a in word) for word in env.words]
+    assert max(weights) <= env.cap
+    assert env.word_weights.tolist() == weights
+    n = len(env.gen_weights)
+    assert sorted(env.words) == sorted(exhaustive_words(n, env.gen_weights, env.cap, 512))
+
+
 @pytest.mark.parametrize("name", ROTATION_NAMES)
 def test_generators_depend_only_on_the_series_subspaces(name, named_split):
     split = named_split(name)
@@ -556,7 +573,7 @@ def tuple_keyed_products(env):
     n = env.gamma.shape[0]
     t_dim = env.split.torus.shape[0]
     words, word_weights, word_chars = _order_words(
-        _enumerate_words(n, env.gen_weights, env.mode, env.cap, 512),
+        _enumerate_words(n, env.gen_weights, env.cap, 512),
         env.gen_weights, env.gen_chars, t_dim,
     )
     index = {w: i for i, w in enumerate(words)}
@@ -618,23 +635,23 @@ def tuple_keyed_products(env):
     }
 
 
+# (name, num, cap); None is the default tolerances or cap.
 ORACLE_CASES = [(name, None, None) for name in ALL_NAMES] + [
-    ("corpus3", "plain", None),
-    ("corpus3", "weighted", None),
-    ("corpus3", "plain", 2),
-    ("sol", "weighted", 3),
+    ("corpus3", None, 2),
+    ("sol", None, 3),
     ("sect4", None, 3),
-    ("sect4", "weighted", 4),
-    ("filiform5", "weighted", 3),
+    ("sect4", None, 4),
+    ("sect4", 1e-5, None),
+    ("filiform5", None, 3),
     ("filiform6", None, 4),
-    ("torus_heisenberg2", "weighted", None),
-    ("torus_heisenberg2", "plain", 3),
+    ("torus_heisenberg2", None, 3),
 ]
 
 
-@pytest.mark.parametrize("name, mode, cap", ORACLE_CASES)
-def test_word_id_products_match_the_tuple_keyed_recursion(name, mode, cap, named_split):
-    env = build_enveloping_rep(named_split(name), mode=mode, cap=cap)
+@pytest.mark.parametrize("name, num, cap", ORACLE_CASES)
+def test_word_id_products_match_the_tuple_keyed_recursion(name, num, cap, named_split):
+    tolerances = DEFAULT if num is None else Tolerances(num=num)
+    env = build_enveloping_rep(named_split(name), tolerances, cap=cap)
     oracle = tuple_keyed_products(env)
     assert env.words == oracle["words"]
     ours = {

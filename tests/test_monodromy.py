@@ -63,6 +63,11 @@ def capped_path(rng, form, segments, growth_cap=3.0):
     return PathWord([(v, t * scale) for v, t in pairs])
 
 
+def upper_triangle(r):
+    """Every entry (p, q) with p <= q of an r by r matrix."""
+    return [(p, q) for p in range(r) for q in range(p, r)]
+
+
 def pairwise_chain_steps(form):
     """Live steps found one entry at a time, the scan the adjacency replaced."""
     steps = [[] for _ in range(form.r)]
@@ -338,7 +343,7 @@ def test_closedness_stacks_its_variants_once(sect4_full_stages, sect4_problem, m
 
     monkeypatch.setattr(importlib.import_module("solvhull.monodromy"), "stack_paths", counted)
     calls = counting_kernel(monkeypatch)
-    closedness_residual(form, variants, base)
+    closedness_residual(form, variants, base, upper_triangle(form.r))
     assert stacked == [len(variants)]
     assert len(calls) == form.r * (form.r + 1) // 2
 
@@ -409,7 +414,9 @@ def test_closedness_residual_on_lattice_targets(sol_stages, sol_problem):
     lat = sol_problem.lattice
     target = model.multiply(lat.generator("a"), lat.generator("b2"))
     variants = path_variants(model, target, seed=0, trials=3)
-    spread, mismatch = closedness_residual(form, variants, transport(form, variants[0]))
+    spread, mismatch = closedness_residual(
+        form, variants, transport(form, variants[0]), upper_triangle(form.r)
+    )
     assert spread < 1e-9
     assert mismatch < 1e-9
 

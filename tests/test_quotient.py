@@ -19,10 +19,10 @@ from conftest import CORPUS_SEEDS
 # (r of the full truncation, r of the quotient); corpus seeds are bounded below.
 SIZES = {
     "sol": (4, 4),
-    "sect4": (10, 4),
-    "torus_heisenberg1": (15, 5),
-    "torus_heisenberg2": (36, 8),
-    "torus_heisenberg3": (66, 11),
+    "sect4": (7, 4),
+    "torus_heisenberg1": (11, 5),
+    "torus_heisenberg2": (29, 8),
+    "torus_heisenberg3": (56, 11),
     **{f"filiform{m}": (full, 2 * m - 1) for m, full in zip(range(4, 9), (25, 51, 96, 171, 291))},
 }
 NAMES = [f"corpus{seed}" for seed in CORPUS_SEEDS] + list(SIZES)

@@ -10,7 +10,7 @@ identity; and a batch of paths is evaluated one path at a time.
 import numpy as np
 import pytest
 
-from solvhull import PathWord, entry_chain_value, entry_chains, integrals, matfuncs, path_variants
+from solvhull import PathWord, entry_chain_value, entry_chains, integrals, matfuncs
 from solvhull.integrals import _pattern_series, stack_paths
 from solvhull.matfuncs import _TAYLOR_GAP, _taylor_degree, exp_chain_sum
 from solvhull.monodromy import _entry_sums
@@ -145,11 +145,11 @@ def test_pattern_series_matches_the_identity_product(name, request):
             assert got.tobytes() == want.tobytes(), (segments, depth)
 
 
-def test_chain_sums_on_a_batch_match_each_path_alone(sect4_full_stages, sect4_problem):
+def test_chain_sums_on_a_batch_match_each_path_alone(request):
     """Paths of 0 to 3 segments, zero padded to the longest, keep each path's value."""
-    form = sect4_full_stages["form"]
-    target = sect4_problem.lattice.generator("c")
-    paths = path_variants(sect4_problem.model, target, seed=2, trials=3)
+    form = form_by_name(request, "filiform-4")
+    rng = np.random.default_rng(2)
+    paths = [_random_path(rng, form.dim, segments, False, 3.0, form) for segments in (3, 1, 2, 3)]
     paths.insert(1, PathWord([]))
     assert {len(path) for path in paths} == {0, 1, 2, 3}
     for p in range(form.r):
