@@ -40,7 +40,8 @@ j in S. No entry leads from a row in S to a column outside it, so that
 span is a submodule and the quotient action is the S x S block of every
 letter matrix: the quotient is exact, its transport is the S x S block
 of the full transport, and its homomorphism and Leibniz residuals are
-restrictions of the full module's. It is faithful on the shadow: x
+restrictions of the full module's. It is faithful on the shadow when
+the cap is at least the largest generator weight, as the default is: x
 times the empty word has x's letter coordinates, and those rows are in
 S. The torus still acts diagonally on the kept words.
 """
@@ -51,7 +52,7 @@ from itertools import chain
 import numpy as np
 
 from . import linalg
-from .errors import SolvHullError, TruncationOverflow
+from .errors import SolvHullError, TruncationOverflow, ValidationError
 from .tolerances import DEFAULT
 
 
@@ -190,7 +191,10 @@ def _generator_table(split, gmat, ginv, weights, chars, tolerances):
 
     A bracket of weight-j and weight-k generators lies in series step
     j + k and carries the summed character; components violating either
-    rule are rounding noise and are removed after being measured.
+    rule are rounding noise and are removed after being measured. So are
+    components at most tolerances.char_snap times the largest: the
+    faithful quotient follows every nonzero letter entry, so without
+    this its size would depend on the rounding in the generator basis.
     """
     n = split.shadow.dim
     coords = ginv @ split.shadow.brackets(gmat, gmat).reshape(n, n * n)
@@ -202,9 +206,11 @@ def _generator_table(split, gmat, ginv, weights, chars, tolerances):
     ch = np.asarray(chars, dtype=complex).reshape(n, split.torus.shape[0])
     low_weight = w[None, None, :] < (w[:, None] + w[None, :])[:, :, None]
     off_char = np.abs(ch[None, None] - (ch[:, None] + ch[None, :])[:, :, None])
+    size = np.abs(gamma)
+    scale = max(1.0, float(np.max(size)))
     forbid = low_weight | np.any(off_char > tolerances.char_match, axis=-1)
-    scale = max(1.0, float(np.max(np.abs(gamma))))
-    forbidden = float(np.max(np.abs(gamma[forbid]), initial=0.0))
+    forbid |= size <= tolerances.char_snap * scale
+    forbidden = float(np.max(size[forbid], initial=0.0))
     gamma[forbid] = 0.0
     tolerances.check(
         "envelope", {"forbidden_bracket_components": forbidden}, tolerances.num * scale
@@ -281,10 +287,16 @@ def _commute(products, brackets, a, b, rest):
 
 
 def build_enveloping_rep(split, tolerances=DEFAULT, max_dim=512, cap=None):
-    """Build the enveloping module truncated at series weight cap, the class by default."""
+    """Build the enveloping module truncated at series weight cap, the class by default.
+
+    A cap below 1 would keep only the empty word, on which every letter
+    acts as 0, so it raises ValidationError.
+    """
     n = split.shadow.dim
     if cap is None:
         cap = max(1, split.shadow_class)
+    elif cap < 1:
+        raise ValidationError(f"the truncation cap must be at least 1, got {cap}")
 
     gmat, ginv, weights, chars, gen_resid, cond = _build_generators(split, tolerances)
     gamma, forbidden = _generator_table(split, gmat, ginv, weights, chars, tolerances)
@@ -376,9 +388,12 @@ def faithful_quotient(env):
 
     S, described in the module docstring, starts from the empty word and
     the letters. Entries are strictly upper, so one pass over the rows
-    in increasing order closes it. The generators, their characters,
-    gamma and the residuals stay env's; the quotient's own residuals are
-    restrictions of them. Returns env itself when S holds every word.
+    in increasing order closes it. The quotient is faithful on the
+    shadow only when env.cap is at least the largest generator weight,
+    which the default cap, the shadow's class, is: a lower cap drops the
+    letters above it. The generators, their characters, gamma and the
+    residuals stay env's; the quotient's own residuals are restrictions
+    of them. Returns env itself when S holds every word.
     """
     letters = env.letter_entries
     keep = np.array([len(word) <= 1 for word in env.words])

@@ -217,29 +217,34 @@ def _pattern_series(pattern, matrices, depth):
     """
     terms = depth + 1
     identity = pattern.rows == pattern.cols
+    # The gathered rows take megabytes at r in the hundreds, so they live
+    # in buffers made once per call: fresh ones per segment and degree
+    # would each be mapped and unmapped by malloc. The indices are in
+    # range, and mode="clip" lets np.take write to out unbuffered.
+    lhs, rhs, prods, scratch = np.empty((4, terms, pattern.left.size), dtype=complex)
     coeff = None
     for s, a in enumerate(matrices):
         powers = np.empty((terms, pattern.rows.size), dtype=complex)
         powers[0] = identity
         right = a[pattern.right]
         for k in range(1, terms):
-            prods = powers[k - 1, pattern.left] * right
-            powers[k] = np.add.reduceat(prods, pattern.starts) / k
+            step = powers[k - 1, pattern.left] * right
+            powers[k] = np.add.reduceat(step, pattern.starts) / k
         if coeff is None:
             coeff = powers
             continue
-        # np.take keeps the gathered rows contiguous for the loops below.
-        lhs = np.take(coeff, pattern.left, axis=1)
+        np.take(coeff, pattern.left, axis=1, out=lhs, mode="clip")
         if s == len(matrices) - 1:
-            partial = np.take(np.cumsum(powers, axis=0), pattern.right, axis=1)
-            prods = lhs[0] * partial[depth]
+            partial = np.cumsum(powers, axis=0)
+            partial = np.take(partial, pattern.right, axis=1, out=rhs, mode="clip")
+            total = lhs[0] * partial[depth]
             for lo in range(1, terms):
-                prods += lhs[lo] * partial[depth - lo]
-            return np.add.reduceat(prods, pattern.starts)
-        rhs = np.take(powers, pattern.right, axis=1)
-        prods = lhs[0] * rhs
+                total += lhs[lo] * partial[depth - lo]
+            return np.add.reduceat(total, pattern.starts)
+        np.take(powers, pattern.right, axis=1, out=rhs, mode="clip")
+        np.multiply(lhs[0], rhs, out=prods)
         for lo in range(1, terms):
-            prods[lo:] += lhs[lo] * rhs[: terms - lo]
+            prods[lo:] += np.multiply(lhs[lo], rhs[: terms - lo], out=scratch[: terms - lo])
         coeff = np.add.reduceat(prods, pattern.starts, axis=-1)
     if coeff is None:
         return identity.astype(complex)

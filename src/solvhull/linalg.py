@@ -6,14 +6,23 @@ SparseStack and bracket_residual are the exception: they hold and check
 stacks of matrices of size up to a few hundred that are almost all zero
 (the enveloping module's action matrices are about 0.1 % nonzero), so
 they touch only the nonzero entries and never form a dense stack.
+cluster_subspace computes ordered Schur subspaces itself, by adjacent
+swaps on triangular input and by deflation with numpy's eigenvalues and
+SVD otherwise, so the package needs no LAPACK beyond numpy's.
 All randomness is excluded; ties are broken by lowest index so repeated runs
 produce identical output.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+
+# numpy's LAPACK gufuncs, which np.linalg.solve, eigvals and svd wrap.
+# Called directly they skip the wrappers' argument checks, which cost
+# about as much as the factorization itself at the sizes here; the
+# results are the same.
+from numpy.linalg import _umath_linalg as lapack
 
 from .errors import EigenClusterAmbiguity
 
@@ -33,6 +42,20 @@ def snap_to_zero(z, threshold):
         0.0 if abs(z.real) < threshold else z.real,
         0.0 if abs(z.imag) < threshold else z.imag,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def strict_triangles(n):
+    """Flat indices of the strictly lower and upper triangles of n by n matrices.
+
+    The arrays are shared by every call, so they are read only.
+    """
+    out = tuple(
+        np.ravel_multi_index(ix, (n, n)) for ix in (np.tril_indices(n, -1), np.triu_indices(n, 1))
+    )
+    for x in out:
+        x.setflags(write=False)
+    return out
 
 
 def _as_matrix(a):
@@ -227,19 +250,109 @@ def eigen_clusters(a, cluster_scale):
 def cluster_subspace(a, means, idx):
     """Orthonormal basis of the invariant subspace of cluster idx.
 
-    An eigenvalue belongs to the cluster whose mean is nearest. The
-    basis comes from an ordered Schur decomposition, so no matrix powers
-    are formed and clustered or defective eigenvalues stay well
-    conditioned. Returns (basis, dimension).
+    An eigenvalue belongs to the cluster whose mean is nearest, the
+    lowest index winning ties. The basis is the leading columns of an
+    ordered Schur decomposition, so no matrix powers are formed and
+    clustered or defective eigenvalues stay well conditioned. A diagonal
+    input gives coordinate vectors. Any other triangular input is its
+    own Schur form and is only reordered, exactly where the entries it
+    moves past are zero (_reorder_triangular); a general input is
+    deflated one eigenvalue at a time (_deflate). Returns
+    (basis, dimension).
     """
     a = _as_matrix(a).astype(complex)
+    means = np.asarray(means, dtype=complex)
 
-    def selector(x):
-        dists = [abs(x - m) for m in means]
-        return int(np.argmin(dists)) == idx
+    def selected(values):
+        return np.argmin(np.abs(values[:, None] - means), axis=1) == idx
 
-    _, z, sdim = scipy.linalg.schur(a, output="complex", sort=selector)
-    return z[:, :sdim], int(sdim)
+    lower_at, upper_at = strict_triangles(a.shape[0])
+    lower, upper = np.count_nonzero(a.take(lower_at)), np.count_nonzero(a.take(upper_at))
+    if not (lower or upper):
+        picked = np.flatnonzero(selected(a.diagonal()))
+        return np.eye(a.shape[0], dtype=complex)[:, picked], picked.size
+    if not lower:
+        return _reorder_triangular(a, selected)
+    if not upper:
+        # Reversing the basis order makes a lower triangular input upper.
+        q, sdim = _reorder_triangular(a[::-1, ::-1], selected)
+        return q[::-1], sdim
+    return _deflate(a, selected)
+
+
+def _reorder_triangular(t, selected):
+    """Leading Schur vectors of upper triangular t for the selected entries.
+
+    As LAPACK's trsen does, each selected diagonal entry in turn moves up
+    past the unselected ones by adjacent swaps. Neighbours with a zero
+    entry between them are decoupled and swap by an exact permutation;
+    others by the Givens rotation of LAPACK's trexc, which keeps the
+    matrix upper triangular with the two diagonal entries exchanged.
+    """
+    t = t.copy()
+    n = t.shape[0]
+    q = np.eye(n, dtype=complex)
+    sdim = 0
+    for k in np.flatnonzero(selected(t.diagonal())):
+        for j in range(k - 1, sdim - 1, -1):
+            pair = [j, j + 1]
+            f, g = t[j, j + 1], t[j + 1, j + 1] - t[j, j]
+            if f == 0.0:
+                t[pair, j + 2:] = t[pair[::-1], j + 2:]
+                t[:j, pair] = t[:j, pair[::-1]]
+                q[:, pair] = q[:, pair[::-1]]
+            else:
+                # [c s; -conj(s) c] takes (f, g) to (r, 0): LAPACK's lartg.
+                r = np.hypot(abs(f), abs(g))
+                c, s = abs(f) / r, f / abs(f) * np.conj(g) / r
+                rot = np.array([[c, -s], [np.conj(s), c]])
+                t[pair, j + 2:] = rot.conj().T @ t[pair, j + 2:]
+                t[:j, pair] = t[:j, pair] @ rot
+                q[:, pair] = q[:, pair] @ rot
+            t[j, j], t[j + 1, j + 1] = t[j + 1, j + 1], t[j, j]
+        sdim += 1
+    return q[:, :sdim], sdim
+
+
+def _deflate(a, selected):
+    """Leading Schur vectors of a general a for the selected eigenvalues.
+
+    Each step takes the first selected eigenvalue of the trailing block
+    of the partly reduced matrix, its eigenvector as the last right
+    singular vector of the block at that shift, and a Householder
+    reflector h = h^H = h^-1 with h e_1 parallel to the eigenvector;
+    h block h then has the eigenvalue in its corner and the next
+    trailing block below it. Each eigenvector is scaled so that its
+    largest entry is real and positive, which fixes its phase, and the
+    last step just writes it. The steps stop when the trailing block has
+    no selected eigenvalue left.
+    """
+    n = a.shape[0]
+    values = lapack.eigvals(a, signature="D->D")
+    picked = selected(values)
+    count = int(np.count_nonzero(picked))
+    q = np.eye(n, dtype=complex)
+    block = a
+    for j in range(count):
+        if j:
+            values = lapack.eigvals(block, signature="D->D")
+            picked = selected(values)
+        hits = np.flatnonzero(picked)
+        if hits.size == 0:
+            return q[:, :j], j
+        shifted = block - values[hits[0]] * np.eye(n - j)
+        v = lapack.svd_f(shifted, signature="D->DdD")[2][-1].conj()
+        big = v[np.argmax(np.abs(v))]
+        v *= abs(big) / big
+        if j == count - 1:
+            q[:, j] = q[:, j:] @ v
+            break
+        w = v.copy()
+        w[0] += v[0] / abs(v[0]) if v[0] != 0 else 1.0
+        h = np.eye(n - j) - np.outer(w, w.conj()) * (2.0 / np.vdot(w, w).real)
+        block = (h @ block @ h)[1:, 1:]
+        q[:, j:] = q[:, j:] @ h
+    return q[:, :count], count
 
 
 def nilpotency_residual(a, tol=1e-9):

@@ -25,7 +25,7 @@ from solvhull.envelope import (
     _order_words,
     _snapped,
 )
-from solvhull.errors import SolvHullError
+from solvhull.errors import SolvHullError, ValidationError
 from solvhull.tolerances import DEFAULT, Tolerances
 from solvhull.verify import build_stages
 
@@ -201,6 +201,23 @@ def test_plain_truncation_fails_beyond_class_two(filiform_split, monkeypatch):
 def test_weighted_mode_override_on_class_one(sol_stages):
     env = build_enveloping_rep(sol_stages["splitting"], cap=1)
     assert env.r == 4  # all weights are one, so the module is unchanged
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_below_one_is_rejected(cap, sect4_stages):
+    with pytest.raises(ValidationError, match="cap must be at least 1"):
+        build_enveloping_rep(sect4_stages["splitting"], cap=cap)
+
+
+def test_cap_below_the_largest_weight_builds_an_unfaithful_module(sect4_stages):
+    # Allowed as a negative control: sect4 has a letter of weight 2,
+    # which a cap of 1 drops, so the letters no longer act faithfully.
+    env = build_enveloping_rep(sect4_stages["splitting"], cap=1)
+    assert (env.cap, env.r, max(env.gen_weights)) == (1, 3, 2)
+    quotient = envelope.faithful_quotient(env)
+    n = env.generators.shape[1]
+    flat = quotient.letter_entries.dense().reshape(n, -1)
+    assert np.linalg.matrix_rank(flat) < n
 
 
 def test_truncation_overflow(filiform_split):

@@ -1,13 +1,14 @@
 """Every module of the package uses each name it imports, only
-integrals imports the chain-sum kernel, and every function the package
+integrals imports the chain-sum kernel, every function the package
 defines is read by the package, the benchmark or the README, whose
-quick start runs.
+quick start runs, and a verify run never imports scipy.
 
 The package's __init__.py imports names only to re-export them, so it
 is not checked, and its exports do not count as reads.
 """
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -136,5 +137,24 @@ def test_readme_quick_start_runs():
     """The documented API: the quick start exits 0 in a fresh interpreter."""
     res = subprocess.run(
         [sys.executable, "-c", readme_example()], capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+
+
+def test_verify_runs_without_scipy():
+    """scipy is a test-only oracle: verify in a fresh interpreter never imports it."""
+    code = (
+        "import contextlib, io, sys\n"
+        "import solvhull\n"
+        "from solvhull import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--example', 'sect4']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert 'scipy' not in sys.modules, loaded\n"
+    )
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert res.returncode == 0, res.stderr

@@ -10,11 +10,19 @@ its transport is the S x S block of the full transport.
 import numpy as np
 import pytest
 
-from solvhull import build_connection_form, build_enveloping_rep, build_monodromy_rep, transport
+from solvhull import (
+    build_connection_form,
+    build_enveloping_rep,
+    build_monodromy_rep,
+    build_splitting,
+    linalg,
+    transport,
+    validate_algebra,
+)
 from solvhull.envelope import faithful_quotient
 from solvhull.verify import _random_path
 
-from conftest import CORPUS_SEEDS
+from conftest import CORPUS_SEEDS, graded_filiform_structure, random_solvable_structure
 
 # (r of the full truncation, r of the quotient); corpus seeds are bounded below.
 SIZES = {
@@ -107,3 +115,38 @@ def test_generator_monodromies_are_the_blocks_of_the_full_ones(name, request, qu
     quotient = build_monodromy_rep(stages["form"], problem.lattice)
     for whole, part in zip(full.matrices, quotient.matrices):
         assert np.array_equal(part, whole[np.ix_(ids, ids)])
+
+
+def tilted(cluster_subspace, size):
+    """cluster_subspace with each basis moved by size out of its span."""
+
+    def wrapped(a, means, idx):
+        q, sdim = cluster_subspace(a, means, idx)
+        push = np.random.default_rng(a.shape[0] * 100 + idx).standard_normal(q.shape)
+        return q + size * (push - q @ (q.conj().T @ push)), sdim
+
+    return wrapped
+
+
+TILT_INPUTS = {
+    **{f"filiform{m}": (graded_filiform_structure, m) for m in range(4, 9)},
+    **{f"corpus{seed}": (random_solvable_structure, seed) for seed in CORPUS_SEEDS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TILT_INPUTS))
+def test_quotient_words_ignore_rounding_level_tilts(name, monkeypatch):
+    # The weight spaces and Cartan blocks enter the generator basis, so a
+    # 1e-15 tilt of every invariant subspace is rounding noise in the
+    # bracket table; the quotient, which follows every nonzero letter
+    # entry, must not grow with it.
+    make, arg = TILT_INPUTS[name]
+    structure = make(arg)
+
+    def quotient_words():
+        split = build_splitting(validate_algebra(structure))
+        return faithful_quotient(build_enveloping_rep(split)).words
+
+    plain = quotient_words()
+    monkeypatch.setattr(linalg, "cluster_subspace", tilted(linalg.cluster_subspace, 1e-15))
+    assert quotient_words() == plain
