@@ -29,7 +29,6 @@ from .errors import (
     AntisymmetryViolation,
     BudgetExceeded,
     CartanNotFound,
-    EigenClusterAmbiguity,
     EndpointMismatch,
     JacobiViolation,
     NotInLattice,
@@ -82,7 +81,6 @@ __all__ = [
     "CartanNotFound",
     "ConnectionForm",
     "DEFAULT",
-    "EigenClusterAmbiguity",
     "EndpointMismatch",
     "EnvelopingTruncation",
     "GroupElement",

@@ -381,11 +381,15 @@ class SemisimpleAdjoint:
     tensor[i] is the image of the i-th basis vector; apply() extends by
     linearity. The map vanishes exactly on the nilradical, its image is
     a commuting family of semisimple derivations, and it kills brackets,
-    making it a homomorphism onto an abelian algebra.
+    making it a homomorphism onto an abelian algebra. weight_blocks are
+    the generalized weight spaces of the Cartan action, complex column
+    bases in weight order; every image of the map acts on each as a
+    scalar, so they are the joint eigenspaces of the image.
     """
 
     tensor: np.ndarray = field(repr=False)
     cartan: np.ndarray = field(repr=False)
+    weight_blocks: tuple = field(repr=False)
     condition: float
     residuals: dict
 
@@ -462,6 +466,7 @@ def semisimple_adjoint(alg, nilrad=None, tolerances=DEFAULT):
     return SemisimpleAdjoint(
         tensor=tensor,
         cartan=cartan,
+        weight_blocks=tuple(blocks),
         condition=cond,
         residuals=residuals,
     )

@@ -1,10 +1,10 @@
 """Command line interface.
 
 Subcommands cover the pipeline at increasing depth: analyze stops at the
-algebra level invariants, hull builds the triangular representation,
-monodromy and integrate evaluate transports along lattice words or
-explicit paths, and verify runs the whole deterministic invariant suite
-and emits a canonical JSON report.
+semisimple splitting and reports the algebra level invariants, hull
+builds the triangular representation, monodromy and integrate evaluate
+transports along lattice words or explicit paths, and verify runs the
+whole deterministic invariant suite and emits a canonical JSON report.
 
 Exit codes: 0 success, 1 invariant or internal failure, 2 input
 validation failure, 3 resource cap exceeded, 4 loop endpoint mismatch.
@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 
+from .algebra import nilradical, semisimple_adjoint
 from .builtin_models import BUILTINS
 from .envelope import word_label
 from .errors import (
@@ -30,6 +31,7 @@ from .integrals import transport, transport_series
 from .monodromy import path_independence_residual, path_variants, word_monodromy
 from .report import canonical_json, digest
 from .specfile import parse_path_file, parse_problem, parse_tolerances, spec_data
+from .splitting import build_splitting
 from .verify import build_stages, run_verification
 
 EXIT_OK = 0
@@ -54,11 +56,11 @@ def _load_problem(args):
 
 def cmd_analyze(args):
     problem = _load_problem(args)
-    stages = build_stages(problem)
     alg = problem.algebra
-    nil = stages["nilradical"]
-    ads = stages["semisimple"]
-    split = stages["splitting"]
+    tol = problem.tolerances
+    nil = nilradical(alg, tol)
+    ads = semisimple_adjoint(alg, nil, tol)
+    split = build_splitting(alg, semisimple=ads, nilrad=nil, tolerances=tol)
     payload = {
         "problem": problem.name,
         "dim": alg.dim,

@@ -2,17 +2,19 @@
 
 The module is spanned by normally ordered monomials in a generator basis
 chosen as joint eigenvectors of the torus, adapted to the lower central
-series. One joint eigendecomposition of the torus on the whole shadow
-gives the weight spaces as they come out of it: runs of eigenbasis
-columns, each a canonical basis, in character order. Each series level
-is torus invariant, so its part in a weight space is read off in
-eigenbasis coordinates. The generators of weight k are the canonical
-basis of the complement of level k + 1 in level k within each weight
-space. They depend only on the series subspaces, not on the bases those
-come in. Left multiplication by a generator strictly raises the total
-series weight of a monomial, so ordering monomials by descending weight
-makes every action matrix strictly upper triangular, while the torus
-acts diagonally with the monomial's accumulated character.
+series. The torus is the span of the semisimple parts of ad, so its
+weight spaces are the weight blocks that semisimple_adjoint already
+found: each is taken in its canonical basis, with the torus's Rayleigh
+quotient on it as its character, and this stage computes no
+eigenvalues. Each series level is torus invariant, so its part in a
+weight space is read off in weight space coordinates. The generators of
+weight k are the canonical basis of the complement of level k + 1 in
+level k within each weight space. They depend only on the series
+subspaces, not on the bases those come in. Left multiplication by a
+generator strictly raises the total series weight of a monomial, so
+ordering monomials by descending weight makes every action matrix
+strictly upper triangular, while the torus acts diagonally with the
+monomial's accumulated character.
 
 Truncation drops the monomials whose series weight exceeds a cap, the
 shadow's nilpotency class unless given. The series weight filters the
@@ -112,19 +114,37 @@ class EnvelopingTruncation:
         return len(self.words)
 
 
+def _weight_spaces(split, tolerances):
+    """The torus weight spaces of the shadow and their characters, in character order.
+
+    They are the semisimple adjoint's weight blocks, each as its
+    canonical orthonormal basis. A block's character is the torus's
+    Rayleigh quotient on it, trace(q^H T_b q) / dim for each torus
+    element T_b, with components below tolerances.char_snap set to zero.
+    Without a torus the shadow is one weight space of character ().
+    """
+    torus = split.torus
+    if not torus.shape[0]:
+        return [np.eye(split.shadow.dim, dtype=complex)], [()]
+    spaces = [linalg.canon_columns(b) for b in split.semisimple.weight_blocks]
+    chars = [
+        _snapped(np.trace(q.conj().T @ torus @ q, axis1=1, axis2=2) / q.shape[1], tolerances)
+        for q in spaces
+    ]
+    order = sorted(range(len(spaces)), key=lambda s: linalg.rounded_key(chars[s]))
+    return [spaces[s] for s in order], [chars[s] for s in order]
+
+
 def _build_generators(split, tolerances):
     """LCS adapted joint eigenbasis of the torus on shadow coordinates.
 
-    One linalg.joint_eigenbasis call splits the shadow into weight spaces:
-    runs of its columns that share a character, each a canonical
-    orthonormal basis, in character order. Character components below
-    tolerances.char_snap are set to zero. Without a torus the shadow is
-    one weight space of character (). Every series level is torus
-    invariant, so its part in a weight space is the weight space rows of
-    its coordinates in the dual basis. The letters of weight k in a
-    weight space are the canonical basis of the complement of level
-    k + 1 in level k there, which depends only on the series subspaces,
-    not on the bases they come in.
+    The weight spaces are _weight_spaces's, so the semisimple adjoint's
+    weight decomposition is the only eigendecomposition of the build.
+    Every series level is torus invariant, so its part in a weight space
+    is the weight space rows of its coordinates in the dual basis. The
+    letters of weight k in a weight space are the canonical basis of the
+    complement of level k + 1 in level k there, which depends only on
+    the series subspaces, not on the bases they come in.
     """
     n = split.shadow.dim
     series = split.shadow_series
@@ -133,23 +153,16 @@ def _build_generators(split, tolerances):
     norms = [float(np.linalg.norm(m, 2)) for m in mats]
     tol = tolerances.alg
 
-    if mats:
-        vecs, col_chars, worst = linalg.joint_eigenbasis(
-            mats, tolerances.cluster_scale, tolerances.num, norms
-        )
-    else:
-        vecs, col_chars, worst = np.eye(n, dtype=complex), [()] * n, 0.0
-    dual = np.linalg.inv(vecs)
-    starts = [j for j in range(n) if j == 0 or col_chars[j] != col_chars[j - 1]]
-    spaces = np.split(vecs, starts[1:], axis=1)
-    space_chars = [_snapped(col_chars[j], tolerances) for j in starts]
+    spaces, space_chars = _weight_spaces(split, tolerances)
+    dual = np.linalg.inv(np.hstack(spaces))
+    starts = np.cumsum([q.shape[1] for q in spaces])[:-1]
 
     # parts[k - 1][s]: orthonormal coordinates, in the basis spaces[s],
     # of series level k's part in weight space s. The levels are nested,
     # so a weight space that level k misses, deeper levels miss.
     parts = [[np.eye(q.shape[1]) for q in spaces]]
     for k, level in enumerate(series[1:], start=2):
-        coords = np.split(dual @ level, starts[1:])
+        coords = np.split(dual @ level, starts)
         parts.append([
             linalg.orthonormal_columns(c, tol) if above.shape[1] else above
             for c, above in zip(coords, parts[-1])
@@ -178,6 +191,7 @@ def _build_generators(split, tolerances):
 
     # Each letter must be an eigenvector of every torus element.
     lam = np.array(chars, dtype=complex).reshape(n, len(mats))
+    worst = 0.0
     for b, (m, norm) in enumerate(zip(mats, norms)):
         err = float(np.max(np.abs(m @ gmat - gmat * lam[:, b])))
         worst = max(worst, err / max(1.0, norm))

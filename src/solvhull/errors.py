@@ -85,21 +85,6 @@ class NotNilpotent(SolvHullError):
     """The lower central series does not terminate at zero."""
 
 
-class EigenClusterAmbiguity(SolvHullError):
-    """Two eigenvalue clusters are too close to separate reliably.
-
-    Raised instead of silently merging or splitting; the caller should
-    adjust the clustering tolerance or rescale the input.
-    """
-
-    def __init__(self, gap, tolerance):
-        self.gap = gap
-        self.tolerance = tolerance
-        super().__init__(
-            f"eigenvalue clusters separated by {gap:.3e} with tolerance {tolerance:.3e}"
-        )
-
-
 class TruncationOverflow(SolvHullError):
     """The truncated enveloping module exceeds the configured size cap."""
 

@@ -6,9 +6,13 @@ SparseStack and bracket_residual are the exception: they hold and check
 stacks of matrices of size up to a few hundred that are almost all zero
 (the enveloping module's action matrices are about 0.1 % nonzero), so
 they touch only the nonzero entries and never form a dense stack.
-cluster_subspace computes ordered Schur subspaces itself, by adjacent
-swaps on triangular input and by deflation with numpy's eigenvalues and
-SVD otherwise, so the package needs no LAPACK beyond numpy's.
+eigen_clusters and cluster_subspace are the package's one eigenvalue
+routine: every Fitting null space and weight space comes from them, and
+the eigenvalues that eigen_clusters groups are the ones cluster_subspace
+deflates with, computed once per matrix. cluster_subspace computes
+ordered Schur subspaces itself, by adjacent swaps on triangular input
+and by deflation with numpy's eigenvalues and SVD otherwise, so the
+package needs no LAPACK beyond numpy's.
 All randomness is excluded; ties are broken by lowest index so repeated runs
 produce identical output.
 """
@@ -23,8 +27,6 @@ import numpy as np
 # about as much as the factorization itself at the sizes here; the
 # results are the same.
 from numpy.linalg import _umath_linalg as lapack
-
-from .errors import EigenClusterAmbiguity
 
 _EPS = float(np.finfo(float).eps)
 
@@ -220,6 +222,18 @@ def cluster_scalars(values, width):
     return labels, means, counts, gap
 
 
+class ClusterMeans(list):
+    """Cluster means, as eigen_clusters returns them, with the eigenvalues they group.
+
+    It is a list of the means; eigenvalues is the spectrum they were
+    taken from, so cluster_subspace does not compute it again.
+    """
+
+    def __init__(self, means, eigenvalues):
+        super().__init__(means)
+        self.eigenvalues = eigenvalues
+
+
 def eigen_clusters(a, cluster_scale):
     """Eigenvalue clusters of a square matrix, means snapped to zero.
 
@@ -230,9 +244,9 @@ def eigen_clusters(a, cluster_scale):
     the floor nilpotent blocks would shatter into spurious clusters.
     Returns (means, counts, gap) in cluster_scalars order, with a mean's
     real or imaginary part set to zero when it is below
-    cluster_scale * max(1, ||a||). The zero matrix is marked by
-    means = None, so the caller keeps its own basis for it rather than
-    a Schur basis.
+    cluster_scale * max(1, ||a||); means is a ClusterMeans holding a's
+    eigenvalues. The zero matrix is marked by means = None, so the
+    caller keeps its own basis for it rather than a Schur basis.
     """
     a = _as_matrix(a)
     n = a.shape[0]
@@ -242,9 +256,10 @@ def eigen_clusters(a, cluster_scale):
     if norm == 0.0:
         return None, [n], float("inf")
     width = max(cluster_scale * max(1.0, norm), 4.0 * norm * _EPS ** (1.0 / n))
-    _, means, counts, gap = cluster_scalars(np.linalg.eigvals(a), width)
+    values = np.linalg.eigvals(a)
+    _, means, counts, gap = cluster_scalars(values, width)
     snap = cluster_scale * max(1.0, norm)
-    return [snap_to_zero(m, snap) for m in means], counts, gap
+    return ClusterMeans([snap_to_zero(m, snap) for m in means], values), counts, gap
 
 
 def cluster_subspace(a, means, idx):
@@ -257,10 +272,12 @@ def cluster_subspace(a, means, idx):
     input gives coordinate vectors. Any other triangular input is its
     own Schur form and is only reordered, exactly where the entries it
     moves past are zero (_reorder_triangular); a general input is
-    deflated one eigenvalue at a time (_deflate). Returns
+    deflated one eigenvalue at a time (_deflate), starting from the
+    eigenvalues that means holds when it is a ClusterMeans of a. Returns
     (basis, dimension).
     """
     a = _as_matrix(a).astype(complex)
+    values = means.eigenvalues if isinstance(means, ClusterMeans) else None
     means = np.asarray(means, dtype=complex)
 
     def selected(values):
@@ -277,7 +294,7 @@ def cluster_subspace(a, means, idx):
         # Reversing the basis order makes a lower triangular input upper.
         q, sdim = _reorder_triangular(a[::-1, ::-1], selected)
         return q[::-1], sdim
-    return _deflate(a, selected)
+    return _deflate(a, selected, values)
 
 
 def _reorder_triangular(t, selected):
@@ -314,11 +331,12 @@ def _reorder_triangular(t, selected):
     return q[:, :sdim], sdim
 
 
-def _deflate(a, selected):
+def _deflate(a, selected, values):
     """Leading Schur vectors of a general a for the selected eigenvalues.
 
-    Each step takes the first selected eigenvalue of the trailing block
-    of the partly reduced matrix, its eigenvector as the last right
+    values are a's eigenvalues, or None to compute them here. Each step
+    takes the first selected eigenvalue of the trailing block of the
+    partly reduced matrix, its eigenvector as the last right
     singular vector of the block at that shift, and a Householder
     reflector h = h^H = h^-1 with h e_1 parallel to the eigenvector;
     h block h then has the eigenvalue in its corner and the next
@@ -328,7 +346,8 @@ def _deflate(a, selected):
     no selected eigenvalue left.
     """
     n = a.shape[0]
-    values = lapack.eigvals(a, signature="D->D")
+    if values is None:
+        values = lapack.eigvals(a, signature="D->D")
     picked = selected(values)
     count = int(np.count_nonzero(picked))
     q = np.eye(n, dtype=complex)
@@ -378,71 +397,6 @@ def is_nilpotent_matrix(a, tol=1e-9):
 def rounded_key(values):
     """Sort key of complex values: real and imaginary parts rounded to 9 places."""
     return tuple((round(z.real, 9), round(z.imag, 9)) for z in values)
-
-
-def joint_eigenbasis(mats, cluster_scale=1e-7, tol=1e-8, norms=None):
-    """Simultaneous eigenbasis of a commuting semisimple family.
-
-    Returns (basis, chars, residual) where basis columns are joint
-    eigenvectors, chars[k] is the tuple of eigenvalues of column k under
-    each family member, and residual measures how far the family is from
-    acting diagonally in that basis.
-
-    The family must be diagonalizable: eigenvalue noise is then near
-    machine epsilon rather than a fractional power of it, so the
-    clustering width is the plain tolerance scaled by the matrix norm.
-    Using the defective-matrix width here would merge genuinely distinct
-    eigenvalues that happen to be close. norms, the spectral norm of each
-    matrix, are computed here when the caller has not already.
-    """
-    mats = [_as_matrix(m).astype(complex) for m in mats]
-    if not mats:
-        raise ValueError("joint_eigenbasis needs at least one matrix")
-    if norms is None:
-        norms = [float(np.linalg.norm(m, 2)) for m in mats]
-    n = mats[0].shape[0]
-    blocks = [np.eye(n, dtype=complex)]
-    charlists = [[]]
-    for m, norm in zip(mats, norms):
-        width = cluster_scale * max(1.0, norm)
-        new_blocks = []
-        new_chars = []
-        for b, chars in zip(blocks, charlists):
-            mb = b.conj().T @ m @ b
-            if norm == 0.0:
-                new_blocks.append(b)
-                new_chars.append(chars + [0.0 + 0.0j])
-                continue
-            evals = np.linalg.eigvals(mb)
-            labels, means, counts, gap = cluster_scalars(evals, width)
-            for ci, mean in enumerate(means):
-                eig = nullspace(mb - mean * np.eye(mb.shape[0]), max(tol, width))
-                if eig.shape[1] != counts[ci]:
-                    raise EigenClusterAmbiguity(gap, width)
-                new_blocks.append(b @ eig)
-                new_chars.append(chars + [mean])
-        blocks = new_blocks
-        charlists = new_chars
-
-    # Deterministic block order by character tuple.
-    order = sorted(range(len(blocks)), key=lambda k: rounded_key(charlists[k]))
-    blocks = [canon_columns(blocks[k]) for k in order]
-    charlists = [charlists[k] for k in order]
-
-    cols = []
-    chars = []
-    for b, ch in zip(blocks, charlists):
-        for j in range(b.shape[1]):
-            cols.append(b[:, j])
-            chars.append(tuple(ch))
-    basis = np.stack(cols, axis=1)
-
-    resid = 0.0
-    for mi, (m, norm) in enumerate(zip(mats, norms)):
-        lam = np.array([c[mi] for c in chars])
-        err = m @ basis - basis * lam[np.newaxis, :]
-        resid = max(resid, float(np.max(np.abs(err))) / max(1.0, norm))
-    return basis, chars, resid
 
 
 @dataclass(frozen=True)

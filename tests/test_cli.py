@@ -68,6 +68,19 @@ def test_analyze_spec_file(heis_file):
     assert "torus dimension: 0" in res.stdout
 
 
+def test_analyze_stops_at_the_splitting(monkeypatch, capsys):
+    import solvhull.envelope as envelope
+    import solvhull.verify as verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze built the enveloping module")
+
+    monkeypatch.setattr(envelope, "build_enveloping_rep", refuse)
+    monkeypatch.setattr(verify, "build_enveloping_rep", refuse)
+    assert cli.main(["analyze", "--example", "sect4", "--json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["torus_dim"] == 1
+
+
 # ------------------------------------------------------------- hull
 
 

@@ -24,6 +24,7 @@ from solvhull.envelope import (
     _enumerate_words,
     _order_words,
     _snapped,
+    _weight_spaces,
 )
 from solvhull.errors import SolvHullError, ValidationError
 from solvhull.tolerances import DEFAULT, Tolerances
@@ -39,6 +40,7 @@ from conftest import (
     torus_diagonal,
     torus_heisenberg_structure,
 )
+from eigen_oracle import joint_eigenbasis
 
 
 @pytest.fixture(scope="module")
@@ -393,7 +395,7 @@ def grouped_eigencolumns(mats, basis, tolerances):
     if not mats:
         return {(): basis}
     restricted = [basis.conj().T @ m @ basis for m in mats]
-    vecs, chars, _ = linalg.joint_eigenbasis(restricted, tolerances.cluster_scale, tolerances.num)
+    vecs, chars, _ = joint_eigenbasis(restricted, tolerances.cluster_scale, tolerances.num)
     groups = {}
     for j, ch in enumerate(chars):
         groups.setdefault(ch, []).append(basis @ vecs[:, j])
@@ -488,7 +490,7 @@ def test_generators_match_the_per_level_extraction(name, named_split):
     gmat, _, weights, chars, _, _ = _build_generators(split, DEFAULT)
     oracle, oracle_weights, oracle_chars = per_level_generators(split, DEFAULT)
     assert weights == oracle_weights
-    assert chars == oracle_chars
+    assert np.max(np.abs(np.array(chars) - np.array(oracle_chars)), initial=0.0) <= 1e-12
     ours = letter_projectors(gmat, weights, chars)
     theirs = letter_projectors(oracle, weights, chars)
     for key, proj in ours.items():
@@ -500,20 +502,40 @@ def test_generators_match_the_per_level_extraction(name, named_split):
         assert np.max(np.abs(gmat - oracle)) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["sect4", "torus_heisenberg3"])
-def test_generators_take_one_eigendecomposition(name, named_split, monkeypatch):
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_weight_spaces_are_the_torus_joint_eigenspaces(name, named_split):
+    """The semisimple adjoint's weight blocks against the joint eigenbasis oracle."""
     split = named_split(name)
-    assert split.shadow_class >= 2
-    calls = []
-    original = linalg.joint_eigenbasis
+    spaces, chars = _weight_spaces(split, DEFAULT)
+    mats = list(split.torus)
+    if not mats:
+        assert chars == [()]
+        assert np.array_equal(spaces[0], np.eye(split.dim))
+        return
+    assert len(spaces) == len(split.semisimple.weight_blocks)
+    # The oracle's columns come in runs of one character, in the same order.
+    vecs, col_chars, _ = joint_eigenbasis(mats, DEFAULT.cluster_scale, DEFAULT.num)
+    runs = {}
+    for j, ch in enumerate(col_chars):
+        runs.setdefault(ch, []).append(vecs[:, j])
+    assert len(runs) == len(spaces)
+    for q, ch, (theirs_ch, theirs) in zip(spaces, chars, runs.items()):
+        assert np.max(np.abs(np.subtract(ch, theirs_ch))) <= 1e-12, ch
+        theirs = np.stack(theirs, axis=1)
+        assert np.max(np.abs(q @ q.conj().T - theirs @ theirs.conj().T)) <= 1e-12, ch
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "joint_eigenbasis", counted)
-    _build_generators(split, DEFAULT)
-    assert len(calls) == 1
+@pytest.mark.parametrize("name", ["sect4", "torus_heisenberg3", "filiform6"])
+def test_envelope_computes_no_eigenvalues(name, named_split, monkeypatch):
+    split = named_split(name)
+    assert split.shadow_class >= 2 and split.torus.shape[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the envelope stage computed eigenvalues")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(linalg.lapack, "eigvals", refuse)
+    build_enveloping_rep(split)
 
 
 @pytest.mark.parametrize("name", ["sect4", "torus_heisenberg3"])
@@ -526,7 +548,7 @@ def test_each_weight_space_is_canonicalized_once(name, named_split, monkeypatch)
     """
     split = named_split(name)
     mats = [split.torus[b].astype(complex) for b in range(split.torus.shape[0])]
-    _, chars, _ = linalg.joint_eigenbasis(mats, DEFAULT.cluster_scale, DEFAULT.num)
+    _, chars, _ = joint_eigenbasis(mats, DEFAULT.cluster_scale, DEFAULT.num)
     assert len(set(chars)) >= 2
     calls = []
     inside_letters = []

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, only
 integrals imports the chain-sum kernel, every function the package
 defines is read by the package, the benchmark or the README, whose
-quick start runs, and a verify run never imports scipy.
+quick start runs, every exception class is raised or caught by the
+package, and a verify run never imports scipy.
 
 The package's __init__.py imports names only to re-export them, so it
 is not checked, and its exports do not count as reads.
@@ -131,6 +132,38 @@ def test_every_function_is_read_by_the_package_benchmark_or_readme():
         if p.name != "test_perfbench.py"
     ]
     assert unread_functions(sources, sources + bench + [readme_example()]) == []
+
+
+def unraised_exceptions(errors_source, sources):
+    """Classes of errors_source whose name no source reads outside an import.
+
+    A raise, an except clause or passing the class on to one reads it.
+    """
+    read = set().union(*(read_names(source) for source in sources))
+    tree = ast.parse(errors_source)
+    return sorted(
+        node.name for node in tree.body if isinstance(node, ast.ClassDef) and node.name not in read
+    )
+
+
+def test_unraised_exceptions_are_found():
+    errors = (
+        "class Raised(Exception): pass\n"
+        "class Passed(Exception): pass\n"
+        "class Idle(Exception): pass\n"
+    )
+    user = (
+        "from .errors import Idle, Passed, Raised\n"
+        "def f(error=Passed):\n"
+        "    raise Raised('no')\n"
+    )
+    assert unraised_exceptions(errors, [user]) == ["Idle"]
+
+
+def test_every_exception_class_is_raised_or_caught_by_the_package():
+    """An exception class that nothing raises is dead; the tests cannot make it live."""
+    sources = [(PACKAGE / m).read_text() for m in MODULES if m != "errors.py"]
+    assert unraised_exceptions((PACKAGE / "errors.py").read_text(), sources) == []
 
 
 def test_readme_quick_start_runs():

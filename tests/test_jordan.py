@@ -9,19 +9,19 @@ semisimple plus nilpotent pair, not just against each other.
 import numpy as np
 import pytest
 
-from solvhull import EigenClusterAmbiguity
 from solvhull.linalg import (
     canon_columns,
     cluster_scalars,
     cluster_subspace,
     eigen_clusters,
     is_nilpotent_matrix,
-    joint_eigenbasis,
     nullspace,
     orthonormal_columns,
     real_nullspace,
     subspace_residual,
 )
+
+from eigen_oracle import EigenClusterAmbiguity, joint_eigenbasis
 
 
 def random_unitary(rng, n):
