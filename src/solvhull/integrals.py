@@ -7,6 +7,9 @@ evaluates a batch of them, and the monodromy entry chains too, on
 matfuncs.exp_chain_sum, carried segment by segment.
 Truncated transport series run on a sparse pattern closed under
 products, which holds every generator and every product of them.
+Input whose imaginary parts are all exactly zero, as on a completely
+solvable group along a real path, reaches both kernels as its real
+parts, so they run in float64; their values are complex either way.
 """
 
 from dataclasses import dataclass
@@ -23,6 +26,13 @@ _EPS = float(np.finfo(float).eps)
 
 def _functional_value(functional, direction):
     return complex(np.dot(np.asarray(functional, dtype=complex), direction))
+
+
+def _real_if_exact(arrays):
+    """Contiguous real parts of the arrays when every imaginary part is exactly zero, else the arrays."""
+    if any(a.imag.any() for a in arrays):
+        return arrays
+    return [np.ascontiguousarray(a.real) for a in arrays]
 
 
 def stack_paths(paths, dim):
@@ -51,7 +61,8 @@ def chain_sums(exponents, factors, stacked, start):
     chain c starting at slot start[c]. stacked is stack_paths of the
     paths, and segment s contributes t_s times each functional on its
     direction; this is the one place that builds the input of
-    matfuncs.exp_chain_sum.
+    matfuncs.exp_chain_sum, which gets real parts, and runs in float64,
+    when both generator stacks are exactly real.
     """
     chains, n, dim = exponents.shape
     vectors, durations = stacked
@@ -59,7 +70,7 @@ def chain_sums(exponents, factors, stacked, start):
     diag = durations * (vectors @ exponents.reshape(chains * n, dim).T).reshape(lead + (n,))
     sup = vectors @ factors.reshape(chains * (n - 1), dim).T
     sup = durations * sup.reshape(lead + (n - 1,))
-    return exp_chain_sum(diag, sup, start)
+    return exp_chain_sum(*_real_if_exact([diag, sup]), start)
 
 
 def iterated_integral(functionals, path):
@@ -213,7 +224,8 @@ def _pattern_series(pattern, matrices, depth):
     and summed over the triples in one pass. Only the sum through the
     depth is returned, so the last segment pairs coeff[l] with its own
     partial sum through degree depth - l, one product instead of one
-    per degree. No segment leaves the identity.
+    per degree. No segment leaves the identity. The arithmetic runs in
+    the matrices' dtype, at least float64, and the sum is complex.
     """
     terms = depth + 1
     identity = pattern.rows == pattern.cols
@@ -221,10 +233,11 @@ def _pattern_series(pattern, matrices, depth):
     # in buffers made once per call: fresh ones per segment and degree
     # would each be mapped and unmapped by malloc. The indices are in
     # range, and mode="clip" lets np.take write to out unbuffered.
-    lhs, rhs, prods, scratch = np.empty((4, terms, pattern.left.size), dtype=complex)
+    dtype = np.result_type(float, *{a.dtype for a in matrices})
+    lhs, rhs, prods, scratch = np.empty((4, terms, pattern.left.size), dtype=dtype)
     coeff = None
     for s, a in enumerate(matrices):
-        powers = np.empty((terms, pattern.rows.size), dtype=complex)
+        powers = np.empty((terms, pattern.rows.size), dtype=dtype)
         powers[0] = identity
         right = a[pattern.right]
         for k in range(1, terms):
@@ -240,7 +253,7 @@ def _pattern_series(pattern, matrices, depth):
             total = lhs[0] * partial[depth]
             for lo in range(1, terms):
                 total += lhs[lo] * partial[depth - lo]
-            return np.add.reduceat(total, pattern.starts)
+            return np.add.reduceat(total, pattern.starts).astype(complex, copy=False)
         np.take(powers, pattern.right, axis=1, out=rhs, mode="clip")
         np.multiply(lhs[0], rhs, out=prods)
         for lo in range(1, terms):
@@ -248,7 +261,7 @@ def _pattern_series(pattern, matrices, depth):
         coeff = np.add.reduceat(prods, pattern.starts, axis=-1)
     if coeff is None:
         return identity.astype(complex)
-    return coeff.sum(axis=0)
+    return coeff.sum(axis=0).astype(complex, copy=False)
 
 
 def transport_series(form, path, depth):
@@ -262,7 +275,7 @@ def transport_series(form, path, depth):
     mats = [t * (x @ form.closure_psi) for x, t in path]
     growth = sum(float(np.linalg.norm(m)) for m in mats)
     tail = _tail_bound(growth, depth)
-    total = _pattern_series(pattern, mats, depth)
+    total = _pattern_series(pattern, _real_if_exact(mats), depth)
     return SeriesResult(
         value=pattern.scatter(total), tail_bound=tail, depth=depth, growth=growth
     )
@@ -346,7 +359,8 @@ def exp_iterated_integral_series(word, path, depth):
     growth = sum(float(np.linalg.norm(m, "fro")) for m in mats)
     tail = _tail_bound(growth, depth)
     pattern = closure_pattern(np.eye(n, k=1, dtype=bool))
-    total = _pattern_series(pattern, [pattern.gather(m) for m in mats], depth + n - 1)
+    gathered = _real_if_exact([pattern.gather(m) for m in mats])
+    total = _pattern_series(pattern, gathered, depth + n - 1)
     return SeriesResult(
         value=complex(total[pattern.index[0, n - 1]]), tail_bound=tail, depth=depth, growth=growth
     )

@@ -18,7 +18,8 @@ the diagonal nodes z_i, ..., z_j (McCurdy, Ng & Parlett, Math. Comp. 43,
 1984; Higham, Functions of Matrices, 2008, ch. 10). The chain-sum kernel
 evaluates them on the packed upper triangle, n(n + 1)/2 slots row by
 row, since the lower triangle is zero; when every pair of nodes is
-near, its Taylor degree comes from the largest gap between nodes.
+near, its Taylor degree comes from the largest gap between nodes. Real
+input runs in float64 arithmetic; the sums come back complex.
 """
 
 import functools
@@ -253,7 +254,9 @@ def exp_chain_sum(diag, sup, start):
     hold every chain's bidiagonal generator B on every segment, chains
     right aligned, chain c starting at slot start[c]. The row e_start
     exp(B) is carried across the segments and its last slot summed over
-    the chains, one value per leading index; zero generators pad.
+    the chains, one value per leading index; zero generators pad. The
+    arithmetic runs in np.result_type(diag, sup, float), so real input
+    stays float64, and the sums are returned complex.
 
     exp(B) is upper triangular and is kept as its packed upper triangle:
     row i holds columns i to n - 1, the rows one after another, n(n + 1)/2
@@ -271,8 +274,9 @@ def exp_chain_sum(diag, sup, start):
     Newton pass, which runs only when some pair is _TAYLOR_GAP or more
     apart, is skipped.
     """
-    diag = np.asarray(diag, dtype=complex)
-    sup = np.asarray(sup, dtype=complex)
+    diag, sup = np.asarray(diag), np.asarray(sup)
+    dtype = np.result_type(diag, sup, float)
+    diag, sup = diag.astype(dtype, copy=False), sup.astype(dtype, copy=False)
     n = diag.shape[-1]
     rows, cols, inner, feeds, dense_slot, row_start = _packed_layout(n)
     square = diag.shape[:-1] + (n * n,)
@@ -287,10 +291,10 @@ def exp_chain_sum(diag, sup, start):
         running = np.maximum.accumulate(running.reshape(diag.shape + (n,)), axis=-1)
         radius = np.max(running.reshape(square)[..., dense_slot], where=near, initial=0.0)
     degree = _taylor_degree(radius)
-    links = np.zeros(w.shape, dtype=complex)
+    links = np.zeros(w.shape, dtype=dtype)
     links[..., inner] = np.take(sup, feeds, axis=-1)
     links, flat_w = links.ravel()[1:], w.ravel()
-    eye = np.zeros(w.shape, dtype=complex)
+    eye = np.zeros(w.shape, dtype=dtype)
     eye[..., row_start] = 1.0
     eye = eye.ravel()
     acc, step, shifted = eye.copy(), np.empty_like(eye), np.empty_like(links)
@@ -303,7 +307,7 @@ def exp_chain_sum(diag, sup, start):
     # The Newton pass and the carry run on the full matrices, the lower
     # triangle zero: bands are strided views there, and each row vector
     # product rounds as a dense one does.
-    flat = np.zeros(square, dtype=complex)
+    flat = np.zeros(square, dtype=dtype)
     flat[..., dense_slot] = acc.reshape(w.shape) * np.take(np.exp(diag), rows, axis=-1)
     if not all_near:
         prev = flat[..., :: n + 1]
@@ -315,11 +319,11 @@ def exp_chain_sum(diag, sup, start):
             prev = np.where(taylor, flat[..., k :: n + 1][..., : n - k], newton)
             flat[..., k :: n + 1][..., : n - k] = prev
     exps = flat.reshape(diag.shape + (n,))
-    x = np.zeros(diag.shape[:-3] + diag.shape[-2:], dtype=complex)
+    x = np.zeros(diag.shape[:-3] + diag.shape[-2:], dtype=dtype)
     x[..., np.arange(len(start)), start] = 1.0
     for s in range(diag.shape[-3]):
         x = (x[..., None, :] @ exps[..., s, :, :, :])[..., 0, :]
-    return x[..., n - 1].sum(axis=-1)
+    return x[..., n - 1].sum(axis=-1).astype(complex, copy=False)
 
 
 def phi1_apply(m, z):

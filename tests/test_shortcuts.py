@@ -16,27 +16,30 @@ from solvhull.matfuncs import _TAYLOR_GAP, _taylor_degree, exp_chain_sum
 from solvhull.monodromy import _entry_sums
 from solvhull.verify import _random_path
 
-from conftest import CORPUS_SEEDS, form_by_name
+from conftest import CHAIN_FORMS, form_by_name
 
 
 def dense_exp_chain_sum(diag, sup, start, newton_always=False):
     """Oracle: the chain-sum kernel on full n by n segment exponentials.
 
     With newton_always the Newton pass runs on every input, not only
-    when some pair of nodes is _TAYLOR_GAP or more apart.
+    when some pair of nodes is _TAYLOR_GAP or more apart. Like the
+    kernel, it works in the input's dtype, at least float64, and
+    returns complex.
     """
-    diag = np.asarray(diag, dtype=complex)
-    sup = np.asarray(sup, dtype=complex)
+    diag, sup = np.asarray(diag), np.asarray(sup)
+    dtype = np.result_type(diag, sup, float)
+    diag, sup = diag.astype(dtype, copy=False), sup.astype(dtype, copy=False)
     n = diag.shape[-1]
     w = diag[..., None, :] - diag[..., :, None]
     dist = np.abs(w)
     radius = np.maximum.accumulate(np.triu(dist), axis=-1)
     near = dist < _TAYLOR_GAP
     degree = _taylor_degree(np.max(radius, where=near, initial=0.0))
-    links = np.zeros(w.shape, dtype=complex)
+    links = np.zeros(w.shape, dtype=dtype)
     links[..., :, 1:] = sup[..., None, :]
     links, flat_w = links.ravel()[1:], w.ravel()
-    eye = np.broadcast_to(np.eye(n, dtype=complex), w.shape).ravel()
+    eye = np.broadcast_to(np.eye(n, dtype=dtype), w.shape).ravel()
     acc, step, shifted = eye.copy(), np.empty_like(eye), np.empty_like(links)
     for m in range(degree + n - 1, 0, -1):
         np.multiply(acc, flat_w, out=step)
@@ -55,11 +58,11 @@ def dense_exp_chain_sum(diag, sup, start, newton_always=False):
             newton /= np.where(taylor, 1.0, gap)
             prev = np.where(taylor, flat[..., k :: n + 1][..., : n - k], newton)
             flat[..., k :: n + 1][..., : n - k] = prev
-    x = np.zeros(diag.shape[:-3] + diag.shape[-2:], dtype=complex)
+    x = np.zeros(diag.shape[:-3] + diag.shape[-2:], dtype=dtype)
     x[..., np.arange(len(start)), start] = 1.0
     for s in range(diag.shape[-3]):
         x = (x[..., None, :] @ exps[..., s, :, :, :])[..., 0, :]
-    return x[..., n - 1].sum(axis=-1)
+    return x[..., n - 1].sum(axis=-1).astype(complex, copy=False)
 
 
 def newton_always_exp_chain_sum(diag, sup, start):
@@ -71,10 +74,12 @@ def identity_product_series(pattern, matrices, depth):
     """Oracle: the pattern series with the first segment multiplied onto the identity.
 
     The last segment pairs each degree with its partial sums, as in the
-    library, so only the identity product differs.
+    library, so only the identity product differs. Like the library, it
+    works in the matrices' dtype, at least float64, and returns complex.
     """
     terms = depth + 1
-    coeff = np.zeros((terms, pattern.rows.size), dtype=complex)
+    dtype = np.result_type(float, *{a.dtype for a in matrices})
+    coeff = np.zeros((terms, pattern.rows.size), dtype=dtype)
     coeff[0] = pattern.rows == pattern.cols
     for s, a in enumerate(matrices):
         powers = np.empty_like(coeff)
@@ -88,13 +93,13 @@ def identity_product_series(pattern, matrices, depth):
             prods = lhs[0] * partial[depth]
             for lo in range(1, terms):
                 prods += lhs[lo] * partial[depth - lo]
-            return np.add.reduceat(prods, pattern.starts)
+            return np.add.reduceat(prods, pattern.starts).astype(complex, copy=False)
         rhs = np.take(powers, pattern.right, axis=1)
         prods = lhs[0] * rhs
         for lo in range(1, terms):
             prods[lo:] += lhs[lo] * rhs[: terms - lo]
         coeff = np.add.reduceat(prods, pattern.starts, axis=-1)
-    return coeff.sum(axis=0)
+    return coeff.sum(axis=0).astype(complex, copy=False)
 
 
 def _nodes(rng, spread, shape):
@@ -139,10 +144,12 @@ def test_pattern_series_matches_the_identity_product(name, request):
     for segments in (0, 1, 4):
         path = _random_path(rng, form.dim, segments, False, 3.0, form)
         mats = [t * (x @ form.closure_psi) for x, t in path]
-        for depth in (0, 1, 20):
-            got = _pattern_series(pattern, mats, depth)
-            want = identity_product_series(pattern, mats, depth)
-            assert got.tobytes() == want.tobytes(), (segments, depth)
+        for dtype in (complex, float):
+            typed = [m.real.copy() if dtype is float else m for m in mats]
+            for depth in (0, 1, 20):
+                got = _pattern_series(pattern, typed, depth)
+                want = identity_product_series(pattern, typed, depth)
+                assert got.tobytes() == want.tobytes(), (segments, dtype, depth)
 
 
 def test_chain_sums_on_a_batch_match_each_path_alone(request):
@@ -179,11 +186,6 @@ def compared_kernel(monkeypatch):
 
     monkeypatch.setattr(integrals, "exp_chain_sum", checked)
     return calls
-
-
-CHAIN_FORMS = [f"corpus-{seed}" for seed in CORPUS_SEEDS] + [
-    "sol", "sect4", "filiform-4", "filiform-5", "filiform-6", "filiform-7",
-]
 
 
 @pytest.mark.parametrize("name", CHAIN_FORMS)
