@@ -21,6 +21,8 @@ from .errors import (
 )
 from .tolerances import DEFAULT
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class LieAlgebra:
@@ -43,8 +45,15 @@ class LieAlgebra:
         return np.einsum("i,ijk->kj", x, self.structure)
 
     def brackets(self, x, y):
-        """Brackets of two column families: out[:, a, b] = [x[:, a], y[:, b]]."""
-        return np.einsum("ia,jb,ijk->kab", np.asarray(x), np.asarray(y), self.structure)
+        """Brackets of two column families: out[:, a, b] = [x[:, a], y[:, b]].
+
+        Two matrix products: x contracts the table's first index, giving
+        t[a, j, k], and each slice t[:, :, k] then multiplies y.
+        """
+        x = np.asarray(x)
+        n = self.dim
+        t = (x.T @ self.structure.reshape(n, n * n)).reshape(x.shape[1], n, n)
+        return t.transpose(2, 0, 1) @ np.asarray(y)
 
     def adjoint_basis(self):
         """List of ad matrices of the basis vectors."""
@@ -193,6 +202,16 @@ def _associative_span(mats, tol):
     the directions found in the previous round by the generators, all
     pairs in one stacked product, so every word is formed once, and the
     span grows until a round adds nothing.
+
+    Only new directions are factored. After projecting the round's k
+    products P (m x k) off the basis, the span is complete when
+    ||P||_F <= tol: orthonormal_columns would find rank 0, as its cutoff
+    is at least tol. Otherwise columns of norm at most
+    max(m, k) eps max_j ||p_j|| / sqrt(k) are dropped before the SVD.
+    Together they have Frobenius norm at most max(m, k) eps s0, the SVD's
+    own rounding floor (s0, the largest singular value, is at least
+    every column norm), so by Weyl's inequality dropping them moves no
+    singular value by more than that floor.
     """
     n = mats[0].shape[0]
     gens = np.array([m / np.linalg.norm(m) for m in mats if np.any(m)])
@@ -204,7 +223,11 @@ def _associative_span(mats, tol):
         prods = (gens[:, None] @ words[None]).reshape(-1, n * n).T
         for _ in range(2):
             prods = prods - basis @ (basis.conj().T @ prods)
-        frontier = linalg.orthonormal_columns(prods, tol)
+        norms = np.linalg.norm(prods, axis=0)
+        if np.linalg.norm(norms) <= tol:
+            break
+        floor = max(prods.shape) * _EPS * norms.max() / np.sqrt(len(norms))
+        frontier = linalg.orthonormal_columns(prods[:, norms > floor], tol)
         basis = np.hstack([basis, frontier])
     return basis
 

@@ -12,6 +12,7 @@ from solvhull import (
     JacobiViolation,
     NotNilpotent,
     NotSolvable,
+    algebra,
     builtin_problem,
     derived_series,
     lower_central_series,
@@ -40,6 +41,7 @@ from conftest import (
     nilpotency_class,
     skewed_basis_structure,
     sl2_structure,
+    torus_heisenberg_structure,
 )
 
 
@@ -318,7 +320,12 @@ def test_nilradical_follows_a_change_of_basis(seed, corpus):
 
 
 def per_pair_associative_span(mats, tol):
-    """Oracle: _associative_span with each round's products formed one pair at a time."""
+    """Oracle: _associative_span with each round's products formed one pair at a time.
+
+    A round ends the span when its projected products have Frobenius
+    norm at most tol, and hands the SVD only the columns above the
+    rounding floor, as _associative_span does.
+    """
     n = mats[0].shape[0]
     gens = [m / np.linalg.norm(m) for m in mats if np.any(m)]
     start = [np.eye(n, dtype=mats[0].dtype).ravel()] + [g.ravel() for g in gens]
@@ -329,9 +336,50 @@ def per_pair_associative_span(mats, tol):
         prods = np.stack([(g @ w).ravel() for g in gens for w in words], axis=1)
         for _ in range(2):
             prods = prods - basis @ (basis.conj().T @ prods)
+        norms = np.linalg.norm(prods, axis=0)
+        if np.linalg.norm(norms) <= tol:
+            break
+        floor = max(prods.shape) * np.finfo(float).eps * norms.max() / np.sqrt(len(norms))
+        frontier = orthonormal_columns(prods[:, norms > floor], tol)
+        basis = np.hstack([basis, frontier])
+    return basis
+
+
+def all_columns_associative_span(mats, tol):
+    """Oracle: the span with every projected product of every round factored."""
+    n = mats[0].shape[0]
+    gens = np.array([m / np.linalg.norm(m) for m in mats if np.any(m)])
+    start = [np.eye(n, dtype=mats[0].dtype).ravel()] + [g.ravel() for g in gens]
+    basis = orthonormal_columns(np.stack(start, axis=1), tol)
+    frontier = basis
+    while frontier.shape[1] and len(gens):
+        words = frontier.T.reshape(-1, n, n)
+        prods = (gens[:, None] @ words[None]).reshape(-1, n * n).T
+        for _ in range(2):
+            prods = prods - basis @ (basis.conj().T @ prods)
         frontier = orthonormal_columns(prods, tol)
         basis = np.hstack([basis, frontier])
     return basis
+
+
+def named_algebra(name, corpus):
+    """Algebra for a test case name: corpusN, filiformM, torus_heisenbergK,
+    complex_torus_heisenberg2 (a complex basis change of k = 2) or a builtin."""
+    for prefix, make in (
+        ("corpus", lambda i: corpus[i]),
+        ("filiform", lambda m: validate_algebra(graded_filiform_structure(m))),
+        ("torus_heisenberg", lambda k: validate_algebra(torus_heisenberg_structure(k))),
+    ):
+        if name.startswith(prefix):
+            return make(int(name[len(prefix):]))
+    if name == "complex_torus_heisenberg2":
+        c = torus_heisenberg_structure(2)
+        n = c.shape[0]
+        rng = np.random.default_rng(7)
+        p = np.eye(n) + np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        c = conjugate_structure(c, p)
+        return validate_algebra(0.5 * (c - np.swapaxes(c, 0, 1)))
+    return builtin_problem(name).algebra
 
 
 SPAN_CASES = [f"corpus{seed}" for seed in CORPUS_SEEDS] + [f"filiform{m}" for m in range(4, 10)]
@@ -339,30 +387,72 @@ SPAN_CASES = [f"corpus{seed}" for seed in CORPUS_SEEDS] + [f"filiform{m}" for m 
 
 @pytest.mark.parametrize("name", SPAN_CASES)
 def test_stacked_span_matches_the_per_pair_products(name, corpus):
-    if name.startswith("corpus"):
-        alg = corpus[int(name[len("corpus"):])]
-    else:
-        alg = validate_algebra(graded_filiform_structure(int(name[len("filiform"):])))
-    mats = alg.adjoint_basis()
+    mats = named_algebra(name, corpus).adjoint_basis()
     got = _associative_span(mats, DEFAULT.alg)
     want = per_pair_associative_span(mats, DEFAULT.alg)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "name", SPAN_CASES + ["sol", "sect4"] + [f"torus_heisenberg{k}" for k in range(1, 4)]
+)
+def test_span_matches_the_all_columns_route(name, corpus):
+    mats = named_algebra(name, corpus).adjoint_basis()
+    got = _associative_span(mats, DEFAULT.alg)
+    want = all_columns_associative_span(mats, DEFAULT.alg)
+    assert got.shape == want.shape
+    drift = got @ got.conj().T - want @ want.conj().T
+    assert float(np.max(np.abs(drift))) < 1e-13
+
+
+def test_span_keeps_a_new_direction_of_relative_size_1e_7():
+    """The first round's products are of unit size, and a^2 leaves the span
+    of 1, a and b by about 1e-7; without it the diagonal part would stop at
+    dimension 2 and the span at 5 of the 6 upper triangular dimensions."""
+    a = np.diag([1.0, 1.0 + 1e-7, 0.0])
+    b = np.eye(3, k=1)
+    span = _associative_span([a, b], DEFAULT.alg)
+    assert span.shape[1] == 6
+    assert subspace_residual(np.diag([0.0, 1.0, 0.0]).ravel(), span) < 1e-12
+
+
+# Columns that _associative_span hands to orthonormal_columns on filiform 8:
+# 397 in 8 SVDs when every projected product was factored, 95 in 7 since
+# only new directions are. 12 of the 95 are rounding-level products just
+# above the drop floor, so the bound leaves room for them.
+SPAN_SVD_COLUMNS = 107
+
+
+def test_span_factors_only_new_directions(monkeypatch):
+    mats = validate_algebra(graded_filiform_structure(8)).adjoint_basis()
+    factor = algebra.linalg.orthonormal_columns
+    received = []
+
+    def counted(v, tol=1e-12):
+        received.append(v.shape[1])
+        return factor(v, tol)
+
+    monkeypatch.setattr(algebra.linalg, "orthonormal_columns", counted)
+    span = _associative_span(mats, DEFAULT.alg)
+    assert span.shape[1] == 43
+    assert 0 < sum(received) <= SPAN_SVD_COLUMNS
+
+
 # ---------------------------------------------------------------- brackets
 
-BRACKET_CASES = [f"corpus{seed}" for seed in CORPUS_SEEDS] + ["sol", "sect4", "filiform6"]
+BRACKET_CASES = [f"corpus{seed}" for seed in CORPUS_SEEDS] + [
+    "sol",
+    "sect4",
+    "filiform6",
+    "torus_heisenberg3",
+    "complex_torus_heisenberg2",
+]
 
 
 @pytest.mark.parametrize("name", BRACKET_CASES)
 def test_brackets_match_the_per_pair_bracket(name, corpus):
-    if name.startswith("corpus"):
-        alg = corpus[int(name[len("corpus"):])]
-    elif name == "filiform6":
-        alg = validate_algebra(graded_filiform_structure(6))
-    else:
-        alg = builtin_problem(name).algebra
+    alg = named_algebra(name, corpus)
     n = alg.dim
     rng = np.random.default_rng(n)
     families = (
