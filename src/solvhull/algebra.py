@@ -66,10 +66,15 @@ class LieAlgebra:
 
 
 def _jacobi_residual(c):
-    t1 = np.einsum("jkl,ilm->ijkm", c, c)
-    t2 = np.einsum("kil,jlm->ijkm", c, c)
-    t3 = np.einsum("ijl,klm->ijkm", c, c)
-    return t1 + t2 + t3
+    """Component m of [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] as out[i, j, k, m].
+
+    The three terms are index permutations of one matrix product,
+    p[a, b, d, m] = sum_l c[a, b, l] c[d, l, m], the m component of
+    [e_d, [e_a, e_b]].
+    """
+    n = c.shape[0]
+    p = (c.reshape(n * n, n) @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
+    return p.transpose(2, 0, 1, 3) + p.transpose(1, 2, 0, 3) + p
 
 
 def _scaled_jacobi(c):
@@ -268,12 +273,9 @@ def nilradical(alg, tolerances=DEFAULT):
         float(np.max(np.abs(traces @ basis))) / scale if basis.shape[1] else 0.0
     )
 
-    checks = {
-        f"nilpotency[{j}]": linalg.nilpotency_residual(
-            alg.adjoint(basis[:, j]), tolerances.num
-        )
-        for j in range(basis.shape[1])
-    }
+    adjoints = np.array([alg.adjoint(basis[:, j]) for j in range(basis.shape[1])]).reshape(-1, n, n)
+    residuals = linalg.nilpotency_residuals(adjoints, tolerances.num)
+    checks = {f"nilpotency[{j}]": float(v) for j, v in enumerate(residuals)}
     if basis.shape[1]:
         ideal = alg.brackets(np.eye(n, dtype=alg.structure.dtype), basis)
         checks["ideal"] = linalg.subspace_residual(ideal.reshape(n, -1), basis)

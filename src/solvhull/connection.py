@@ -12,6 +12,11 @@ diagonal characters. Flatness is checked on them, and the live pattern,
 its product closure and psi restricted to that closure are read off them;
 the dense (dim, r, r) tensor is assembled only when asked for.
 
+A complex table with real characters leaves imaginary parts of about
+1e-14 in the entries; when every one is that small (at most char_snap
+times the larger of 1 and the largest entry), psi and omega keep their
+real parts, so the evaluation kernels run on the form in float64.
+
 The diagonal entries, viewed as linear functionals on the algebra, span
 a finitely generated additive group. A basis of that group is computed
 over the integers so every diagonal character gets integer coordinates.
@@ -336,6 +341,12 @@ class ConnectionForm:
         return self.psi_entries.entry(p, q)
 
 
+def _imaginary_is_rounding(values, tol):
+    """Whether values has imaginary parts, all at most tol times max(1, max |values|)."""
+    imag = np.abs(values.imag)
+    return bool(imag.any()) and float(imag.max()) <= tol * max(1.0, float(np.max(np.abs(values))))
+
+
 def build_connection_form(env, tolerances=DEFAULT):
     """Assemble the connection form from a truncated enveloping module."""
     split = env.split
@@ -348,11 +359,15 @@ def build_connection_form(env, tolerances=DEFAULT):
     # characters; the letters are strictly upper, so the two parts sit on
     # disjoint positions.
     letters = env.letter_entries
+    values = np.concatenate([env.generator_inverse.T @ letters.values, omega.T], axis=1)
+    # Rounding-level imaginary parts on real characters are dropped.
+    if _imaginary_is_rounding(values, tolerances.char_snap):
+        values, omega = values.real.astype(complex), omega.real.astype(complex)
     psi = linalg.SparseStack.from_values(
         r,
         np.concatenate([letters.rows, np.arange(r)]),
         np.concatenate([letters.cols, np.arange(r)]),
-        np.concatenate([env.generator_inverse.T @ letters.values, omega.T], axis=1),
+        values,
     )
 
     scale = max(1.0, float(np.max(np.abs(psi.values), initial=0.0)))

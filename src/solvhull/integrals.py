@@ -2,9 +2,10 @@
 
 An exponential iterated integral is one entry of the transport of a
 small upper bidiagonal connection, and a Chen iterated integral of
-constant one forms is the case with every exponent zero. chain_sums
+constant one forms is the case with every exponent zero. chain_values
 evaluates a batch of them, and the monodromy entry chains too, on
-matfuncs.exp_chain_sum, carried segment by segment.
+matfuncs.exp_chain_values, carried segment by segment, and chain_sums
+sums each path's batch.
 Truncated transport series run on a sparse pattern closed under
 products, which holds every generator and every product of them.
 Input whose imaginary parts are all exactly zero, as on a completely
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import frozen_array
-from .matfuncs import exp_chain_sum
+from .matfuncs import exp_chain_values
 
 _EPS = float(np.finfo(float).eps)
 
@@ -53,16 +54,16 @@ def stack_paths(paths, dim):
     return vectors, durations
 
 
-def chain_sums(exponents, factors, stacked, start):
-    """Summed exponential iterated integrals of a batch of chains, one value per path.
+def chain_values(exponents, factors, stacked, start):
+    """Exponential iterated integral of each chain of a batch on each path, shape (paths, chains).
 
     exponents (chains, n, dim) and factors (chains, n - 1, dim) hold each
     chain's diagonal and between-slot functionals, chains right aligned,
     chain c starting at slot start[c]. stacked is stack_paths of the
     paths, and segment s contributes t_s times each functional on its
     direction; this is the one place that builds the input of
-    matfuncs.exp_chain_sum, which gets real parts, and runs in float64,
-    when both generator stacks are exactly real.
+    matfuncs.exp_chain_values, which gets real parts, and runs and
+    returns in float64, when both generator stacks are exactly real.
     """
     chains, n, dim = exponents.shape
     vectors, durations = stacked
@@ -70,7 +71,12 @@ def chain_sums(exponents, factors, stacked, start):
     diag = durations * (vectors @ exponents.reshape(chains * n, dim).T).reshape(lead + (n,))
     sup = vectors @ factors.reshape(chains * (n - 1), dim).T
     sup = durations * sup.reshape(lead + (n - 1,))
-    return exp_chain_sum(*_real_if_exact([diag, sup]), start)
+    return exp_chain_values(*_real_if_exact([diag, sup]), start)
+
+
+def chain_sums(exponents, factors, stacked, start):
+    """chain_values summed over the chains, one complex value per path."""
+    return chain_values(exponents, factors, stacked, start).sum(axis=-1).astype(complex, copy=False)
 
 
 def iterated_integral(functionals, path):
@@ -337,7 +343,7 @@ def exp_iterated_integral(word, path):
     """Closed form evaluation of an exponential iterated integral.
 
     The word is a single chain for the bidiagonal kernel
-    matfuncs.exp_chain_sum, which carries the top row through the exact
+    matfuncs.exp_chain_values, which carries the top row through the exact
     exponential of every segment's generator.
     """
     stacked = stack_paths([path], word.exponents.shape[1])
@@ -383,19 +389,33 @@ def shuffle_words(a, b):
     return out
 
 
+def _shuffle_terms(functionals, word_a, word_b, path):
+    """I(a), I(b) and the sum of I(w) over the shuffles w of a and b, from one kernel call.
+
+    words index into the shared functional list. Both words and every
+    shuffle, repeated by its multiplicity, are chains of one batch, right
+    aligned on len(a) + len(b) + 1 slots; every exponent is zero, so the
+    slots in front of a chain's start take zero factors.
+    """
+    table = np.asarray(functionals, dtype=complex)
+    shuffles = [w for w, mult in shuffle_words(word_a, word_b).items() for _ in range(mult)]
+    words = [tuple(word_a), tuple(word_b)] + shuffles
+    size = len(word_a) + len(word_b) + 1
+    dim = table.shape[-1]
+    factors = np.zeros((len(words), size - 1, dim), dtype=complex)
+    start = np.array([size - 1 - len(w) for w in words], dtype=int)
+    for c, w in enumerate(words):
+        factors[c, start[c]:] = table[list(w)]
+    values = chain_values(np.zeros((len(words), size, dim)), factors, stack_paths([path], dim), start)[0]
+    return complex(values[0]), complex(values[1]), complex(values[2:].sum())
+
+
 def shuffle_identity_residual(functionals, word_a, word_b, path):
     """Defect of the shuffle identity on two index words.
 
     The product of two iterated integrals must equal the sum over all
-    shuffles; words index into the shared functional list. The shuffles,
-    each repeated by its multiplicity, are one batch of chains.
+    shuffles; words index into the shared functional list. Both factors
+    and the shuffles are one batch of chains.
     """
-    table = np.asarray(functionals, dtype=complex)
-    lhs = iterated_integral(table[list(word_a)], path) * iterated_integral(
-        table[list(word_b)], path
-    )
-    shuffles = [w for w, mult in shuffle_words(word_a, word_b).items() for _ in range(mult)]
-    words = np.array(shuffles, dtype=int).reshape(len(shuffles), len(word_a) + len(word_b))
-    exponents = np.zeros((len(words), words.shape[1] + 1, table.shape[-1]))
-    stacked = stack_paths([path], table.shape[-1])
-    return abs(lhs - complex(chain_sums(exponents, table[words], stacked, [0] * len(words))[0]))
+    a, b, shuffled = _shuffle_terms(functionals, word_a, word_b, path)
+    return abs(a * b - shuffled)

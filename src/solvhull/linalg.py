@@ -109,25 +109,33 @@ def orthonormal_columns(v, tol=1e-12):
     return u[:, :rank]
 
 
-def subspace_residual(vectors, basis):
-    """Relative distance from each column of vectors to span(basis).
+def subspace_residuals(vectors, basis):
+    """Relative distance from each column of vectors to span(basis), one per column.
 
-    Returns the worst-case relative projection residual. A value below
-    the working tolerance certifies containment.
+    The distance is the projection residual over max(1, the column's
+    norm); basis is orthonormalized once for all columns.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if vectors.shape[0] == 1 and basis.shape[0] != 1:
         vectors = vectors.T
     if vectors.shape[1] == 0:
-        return 0.0
+        return np.zeros(0)
     q = orthonormal_columns(basis) if basis.shape[1] else basis
     if q.shape[1] == 0:
         norms = np.linalg.norm(vectors, axis=0)
-        return float(np.max(norms / np.maximum(1.0, norms)))
+        return norms / np.maximum(1.0, norms)
     proj = q @ (q.conj().T @ vectors)
     resid = np.linalg.norm(vectors - proj, axis=0)
     scale = np.maximum(1.0, np.linalg.norm(vectors, axis=0))
-    return float(np.max(resid / scale))
+    return resid / scale
+
+
+def subspace_residual(vectors, basis):
+    """Worst relative distance from a column of vectors to span(basis).
+
+    A value below the working tolerance certifies containment.
+    """
+    return float(np.max(subspace_residuals(vectors, basis), initial=0.0))
 
 
 def canon_columns(v, tol=1e-12):
@@ -374,24 +382,27 @@ def _deflate(a, selected, values):
     return q[:, :count], count
 
 
-def nilpotency_residual(a, tol=1e-9):
-    """Largest entry of the norm-scaled matrix raised to the dimension."""
-    a = _as_matrix(a).astype(complex)
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a, 2))
-    if norm <= tol:
-        # Below the tolerance the matrix counts as zero; scaling pure
-        # rounding residue up to unit norm would manufacture a fake
-        # non-nilpotent direction.
-        return 0.0
-    scaled = a / norm
-    power = np.linalg.matrix_power(scaled, n)
-    return float(np.max(np.abs(power)))
+def nilpotency_residuals(mats, tol=1e-9):
+    """Largest entry of each norm-scaled matrix of a (k, n, n) stack raised to n.
 
-
-def is_nilpotent_matrix(a, tol=1e-9):
-    """Check nilpotency by powering the norm-scaled matrix to the dimension."""
-    return nilpotency_residual(a, tol) < tol
+    One batched spectral norm and one batched matrix power serve the
+    stack. tol is a number or one per matrix; a matrix whose norm is at
+    most its tol counts as zero and gets 0.
+    """
+    a = np.asarray(mats).astype(complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    out = np.zeros(a.shape[0])
+    if not a.size:
+        return out
+    norms = np.linalg.norm(a, 2, axis=(1, 2))
+    # Below the tolerance a matrix counts as zero; scaling pure rounding
+    # residue up to unit norm would manufacture a fake non-nilpotent
+    # direction.
+    live = norms > tol
+    power = np.linalg.matrix_power(a[live] / norms[live, None, None], a.shape[1])
+    out[live] = np.max(np.abs(power), axis=(1, 2), initial=0.0)
+    return out
 
 
 def rounded_key(values):

@@ -19,7 +19,8 @@ the diagonal nodes z_i, ..., z_j (McCurdy, Ng & Parlett, Math. Comp. 43,
 evaluates them on the packed upper triangle, n(n + 1)/2 slots row by
 row, since the lower triangle is zero; when every pair of nodes is
 near, its Taylor degree comes from the largest gap between nodes. Real
-input runs in float64 arithmetic; the sums come back complex.
+input runs in float64 arithmetic. It returns each chain's value, so one
+call can serve chains that callers sum in separate groups.
 """
 
 import functools
@@ -247,16 +248,16 @@ def _packed_layout(n):
     return arrays
 
 
-def exp_chain_sum(diag, sup, start):
-    """Summed top right entries of ordered products of bidiagonal exponentials.
+def exp_chain_values(diag, sup, start):
+    """Top right entries of ordered products of bidiagonal exponentials, one per chain.
 
     diag (..., segments, chains, n) and sup (..., segments, chains, n - 1)
     hold every chain's bidiagonal generator B on every segment, chains
     right aligned, chain c starting at slot start[c]. The row e_start
-    exp(B) is carried across the segments and its last slot summed over
-    the chains, one value per leading index; zero generators pad. The
-    arithmetic runs in np.result_type(diag, sup, float), so real input
-    stays float64, and the sums are returned complex.
+    exp(B) is carried across the segments and its last slot returned,
+    shape (..., chains); zero generators pad. The arithmetic runs in
+    np.result_type(diag, sup, float), so real input stays float64, and
+    the values come back in that dtype.
 
     exp(B) is upper triangular and is kept as its packed upper triangle:
     row i holds columns i to n - 1, the rows one after another, n(n + 1)/2
@@ -323,7 +324,7 @@ def exp_chain_sum(diag, sup, start):
     x[..., np.arange(len(start)), start] = 1.0
     for s in range(diag.shape[-3]):
         x = (x[..., None, :] @ exps[..., s, :, :, :])[..., 0, :]
-    return x[..., n - 1].sum(axis=-1).astype(complex, copy=False)
+    return x[..., n - 1]
 
 
 def phi1_apply(m, z):

@@ -8,9 +8,12 @@ over strictly increasing index chains, which is how closedness of those
 integrals is certified here: the chain sums are recomputed over several
 paths with the same endpoint and compared. The chains depend on the
 connection form alone, so each form plans an entry's chains once
-(ConnectionForm.chain_plan); each entry's chains then go through
-integrals.chain_sums in one call. The sums never form the dense
-exponential, so they stay a certificate independent of transport.
+(ConnectionForm.chain_plan). A single entry's chains go through
+integrals.chain_sums in one call; closedness_residual pads the plans of
+all its entries to one chain length and evaluates them in one
+integrals.chain_values call (batched at _CHAINS_PER_CALL chains), then
+sums each entry's chains. The sums never form the dense exponential,
+so they stay a certificate independent of transport.
 """
 
 from dataclasses import dataclass
@@ -18,8 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownName, ValidationError
-from .integrals import chain_sums, stack_paths, transport
+from .integrals import chain_sums, chain_values, stack_paths, transport
 from .paths import PathWord
+
+# Chains closedness_residual evaluates in one kernel call. Entries are
+# batched in order up to this many chains, so a full upper triangle of a
+# large form never builds one huge stack; verify's entries on the
+# builtins take one call.
+_CHAINS_PER_CALL = 1024
 
 
 def monodromy(form, model, target):
@@ -141,23 +150,70 @@ def entry_chain_value(form, path, p, q):
     return complex(_entry_sums(form, stack_paths([path], form.dim), p, q)[0])
 
 
+def _batches(plans):
+    """Slices of consecutive plans holding at most _CHAINS_PER_CALL chains together.
+
+    A plan with more chains than that makes a slice of its own.
+    """
+    lo, held = 0, 0
+    for hi, plan in enumerate(plans):
+        chains = len(plan.start)
+        if hi > lo and held + chains > _CHAINS_PER_CALL:
+            yield slice(lo, hi)
+            lo, held = hi, 0
+        held += chains
+    if plans:
+        yield slice(lo, len(plans))
+
+
+def _batch_sums(form, stacked, plans):
+    """Each plan's chain sum on every path of stacked, shape (paths, plans), in one chain_values call.
+
+    Every chain is right aligned on the longest of the batch as a plan
+    aligns its own short chains: the slots put in front repeat the
+    chain's first node, so their steps are the closure's diagonal, and
+    start moves with the chain. Each plan's values are then summed with
+    np.add.reduceat. A plan without chains sums to 0, and a batch without
+    chains makes no call.
+    """
+    counts = np.array([len(plan.start) for plan in plans])
+    sums = np.zeros((stacked[0].shape[0], len(plans)), dtype=complex)
+    if not counts.any():
+        return sums
+    size = max(plan.nodes.shape[1] for plan in plans)
+    slots = np.arange(size)
+    nodes = np.concatenate([plan.nodes[:, np.maximum(slots + plan.nodes.shape[1] - size, 0)] for plan in plans])
+    start = np.concatenate([plan.start + size - plan.nodes.shape[1] for plan in plans])
+    steps = form.closure.index[nodes[:, :-1], nodes[:, 1:]]
+    values = chain_values(form.omega[nodes], form.closure_psi.T[steps], stacked, start)
+    held = counts > 0
+    sums[:, held] = np.add.reduceat(values, (np.cumsum(counts) - counts)[held], axis=-1)
+    return sums
+
+
 def closedness_residual(form, variants, base, entries):
     """Certify that monodromy entries are closed exponential integrals.
 
     Every (p, q) of entries is evaluated through its chain decomposition
     on the endpoint equal paths of variants and compared against base,
     the transport along the first of them. The paths are stacked once,
-    zero padded to the longest, and each entry takes one chain_sums call
-    on that stack. Returns the worst spread across paths and the worst
+    zero padded to the longest, and the entries' chains go through
+    integrals.chain_values together, at most _CHAINS_PER_CALL chains a
+    call, padded to the longest chain of the call; so values carry the
+    rounding of the call's Taylor degree and padding, not of each entry
+    alone. Returns the worst spread across paths and the worst
     disagreement with the transport entries.
     """
+    entries = list(entries)
+    plans = [form.chain_plan(p, q) for p, q in entries]
+    rows, cols = np.array(entries, dtype=int).reshape(-1, 2).T
     scale = max(1.0, float(np.max(np.abs(base))))
     stacked = stack_paths(variants, form.dim)
     spread = 0.0
     mismatch = 0.0
-    for p, q in entries:
-        values = _entry_sums(form, stacked, p, q)
-        mismatch = max(mismatch, float(np.max(np.abs(values - base[p, q]))) / scale)
+    for batch in _batches(plans):
+        values = _batch_sums(form, stacked, plans[batch])
+        mismatch = max(mismatch, float(np.max(np.abs(values - base[rows[batch], cols[batch]]))) / scale)
         spread = max(spread, float(np.max(np.abs(values[1:] - values[0]))) / scale)
     return spread, mismatch
 

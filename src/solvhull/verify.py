@@ -18,11 +18,11 @@ from .connection import build_connection_form
 from .envelope import build_enveloping_rep, faithful_quotient, word_label
 from .integrals import (
     IntegralWord,
+    _shuffle_terms,
     exp_iterated_integral,
     exp_iterated_integral_series,
     iterated_integral,
     iterated_integral_quadrature,
-    shuffle_identity_residual,
     transport,
     transport_series,
 )
@@ -88,14 +88,8 @@ def _integral_section(problem, form, seed, depth):
         path = _random_path(rng, n, 3, alg.is_complex, 3.0, form)
         wa = tuple(int(rng.integers(0, n)) for _ in range(2))
         wb = tuple(int(rng.integers(0, n)) for _ in range(int(rng.integers(1, 3))))
-        lhs_scale = max(
-            1.0,
-            abs(iterated_integral([coords[i] for i in wa], path)),
-        )
-        shuffle_worst = max(
-            shuffle_worst,
-            shuffle_identity_residual(coords, wa, wb, path) / lhs_scale,
-        )
+        a, b, shuffled = _shuffle_terms(coords, wa, wb, path)
+        shuffle_worst = max(shuffle_worst, abs(a * b - shuffled) / max(1.0, abs(a)))
 
     path = _random_path(rng, n, 4, alg.is_complex, 3.0, form)
     full = transport(form, path)
@@ -245,23 +239,28 @@ def run_verification(problem, seed=0, depth=20):
         "ok": True,
     }
 
+    # Sampled members of the nilradical must be ad-nilpotent, and samples
+    # well outside it must not be; one stacked call checks every adjoint.
     rng = np.random.default_rng(seed)
-    member_ok = True
+    samples = []
     for _ in range(10):
         v = rng.standard_normal(alg.dim)
         if alg.is_complex:
             v = v + 1j * rng.standard_normal(alg.dim)
-        if nil.basis.shape[1]:
-            proj = nil.basis @ (nil.basis.conj().T @ v.astype(complex))
-            if not linalg.is_nilpotent_matrix(alg.adjoint(proj), tol.num):
-                member_ok = False
-        if nil.basis.shape[1] < alg.dim:
-            resid = linalg.subspace_residual(
-                v.reshape(-1, 1).astype(complex), nil.basis.astype(complex)
-            )
-            if resid > 0.1:
-                if linalg.is_nilpotent_matrix(alg.adjoint(v), tol.exact):
-                    member_ok = False
+        samples.append(v)
+    samples = np.array(samples, dtype=complex).T
+    basis = nil.basis.astype(complex)
+    adjoints, nilpotent = [], []
+    if basis.shape[1]:
+        adjoints += [alg.adjoint(x) for x in (basis @ (basis.conj().T @ samples)).T]
+        nilpotent += [True] * samples.shape[1]
+    if basis.shape[1] < alg.dim:
+        far = samples[:, linalg.subspace_residuals(samples, basis) > 0.1]
+        adjoints += [alg.adjoint(x) for x in far.T]
+        nilpotent += [False] * far.shape[1]
+    tols = np.where(nilpotent, tol.num, tol.exact)
+    stack = np.array(adjoints, dtype=complex).reshape(-1, alg.dim, alg.dim)
+    member_ok = bool(np.all((linalg.nilpotency_residuals(stack, tols) < tols) == nilpotent))
     nil_section = {
         "dim": int(nil.dim),
         "trace_residual": nil.trace_residual,

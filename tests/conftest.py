@@ -16,6 +16,7 @@ from solvhull import (
     lower_central_series,
     validate_algebra,
 )
+from solvhull.linalg import nilpotency_residuals
 from solvhull.verify import build_stages
 
 # The CLI tests run `python -m solvhull` in child processes, which find
@@ -213,6 +214,26 @@ CHAIN_FORMS = [f"corpus-{seed}" for seed in CORPUS_SEEDS] + [
 def bracket(alg, x, y):
     """[x, y] of two coordinate vectors of alg."""
     return np.einsum("i,j,ijk->k", np.asarray(x), np.asarray(y), alg.structure)
+
+
+def nilpotency_residual(a, tol=1e-9):
+    """Oracle: the nilpotency residual of one matrix, a spectral norm and a matrix power per call.
+
+    The per-matrix route linalg.nilpotency_residuals replaced.
+    """
+    a = np.asarray(a).astype(complex)
+    n = a.shape[0]
+    norm = float(np.linalg.norm(a, 2))
+    if norm <= tol:
+        return 0.0
+    scaled = a / norm
+    power = np.linalg.matrix_power(scaled, n)
+    return float(np.max(np.abs(power)))
+
+
+def is_nilpotent_matrix(a, tol=1e-9):
+    """Check nilpotency by powering the norm-scaled matrix to the dimension."""
+    return bool(nilpotency_residuals(np.asarray(a)[None], tol)[0] < tol)
 
 
 def nilpotency_class(alg):

@@ -20,11 +20,10 @@ from solvhull import (
     semisimple_adjoint,
     validate_algebra,
 )
-from solvhull.algebra import _associative_span, restricted_structure
+from solvhull.algebra import _associative_span, _jacobi_residual, restricted_structure
 from solvhull.linalg import (
     cluster_subspace,
     eigen_clusters,
-    is_nilpotent_matrix,
     orthonormal_columns,
     subspace_residual,
 )
@@ -38,7 +37,9 @@ from conftest import (
     filiform4_structure,
     graded_filiform_structure,
     heisenberg_structure,
+    is_nilpotent_matrix,
     nilpotency_class,
+    random_solvable_structure,
     skewed_basis_structure,
     sl2_structure,
     torus_heisenberg_structure,
@@ -116,6 +117,36 @@ def test_jacobi_violation_is_found_at_every_scale(scale):
         validate_algebra(scale * c)
     assert exc.value.triple == (0, 1, 2)
     assert exc.value.residual == 1.0
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def einsum_jacobi_residual(c):
+    """Oracle: the Jacobi tensor as three general einsums, the route before one matrix product."""
+    t1 = np.einsum("jkl,ilm->ijkm", c, c)
+    t2 = np.einsum("kil,jlm->ijkm", c, c)
+    t3 = np.einsum("ijl,klm->ijkm", c, c)
+    return t1 + t2 + t3
+
+
+@pytest.mark.parametrize("seed", list(CORPUS_SEEDS) + ["filiform-8", "violation", "complex"])
+def test_jacobi_residual_matches_the_einsum_route(seed):
+    """Within a few ulps of max |c|^2, on Lie tables and on tables that break Jacobi."""
+    rng = np.random.default_rng(31)
+    if seed == "filiform-8":
+        c = graded_filiform_structure(8)
+    elif seed == "violation":
+        c = rng.standard_normal((5, 5, 5))
+        c = c - np.swapaxes(c, 0, 1)
+    elif seed == "complex":
+        c = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+        c = c - np.swapaxes(c, 0, 1)
+    else:
+        c = random_solvable_structure(seed)
+    got, want = _jacobi_residual(c), einsum_jacobi_residual(c)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 8 * EPS * np.max(np.abs(c)) ** 2
 
 
 def test_budgets_are_multiples_of_num():

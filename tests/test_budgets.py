@@ -27,7 +27,7 @@ def imaginary_basis(monkeypatch):
 
 
 def non_nilpotent_kernel(monkeypatch):
-    monkeypatch.setattr(linalg, "nilpotency_residual", lambda *a: 1.0)
+    monkeypatch.setattr(linalg, "nilpotency_residuals", lambda mats, tol: np.ones(len(mats)))
 
 
 def kernel_not_an_ideal(monkeypatch):

@@ -249,6 +249,29 @@ def test_verify_reports_a_failed_check_as_not_ok(monkeypatch, capsys):
     assert report["sections"]["monodromy"]["ok"] is False
 
 
+@pytest.mark.parametrize("claimed", ["everything", "nothing"])
+def test_membership_sampling_fails_on_a_wrong_nilradical(claimed, heis_file, monkeypatch, capsys):
+    """sol's whole algebra is not ad-nilpotent; Heisenberg samples outside an empty basis are."""
+    import numpy as np
+
+    import solvhull.verify as verify
+    from solvhull.algebra import NilradicalResult
+
+    build = verify.build_stages
+
+    def wrong(problem):
+        stages = build(problem)
+        n = problem.algebra.dim
+        basis = np.eye(n) if claimed == "everything" else np.zeros((n, 0))
+        return {**stages, "nilradical": NilradicalResult(basis=basis, trace_residual=0.0)}
+
+    monkeypatch.setattr(verify, "build_stages", wrong)
+    source = ["--example", "sol"] if claimed == "everything" else ["--spec", heis_file]
+    assert cli.main(["verify", *source]) == 1
+    section = json.loads(capsys.readouterr().out)["sections"]["nilradical"]
+    assert section["membership_sampling_ok"] is False
+
+
 # ------------------------------------------------------------- exit codes
 
 

@@ -18,6 +18,8 @@ from solvhull import (
     cli,
     connection,
     groups,
+    integrals,
+    linalg,
     matfuncs,
     parse_word,
     word_monodromy,
@@ -425,6 +427,36 @@ def test_verify_expm_call_count(example, monkeypatch, capsys):
             monkeypatch.setattr(module, "expm", counted)
     verify_stdout(capsys, example, 0)
     assert 0 < len(calls) <= EXPM_CALLS[example]
+
+
+# One verify at seed 0: each certificate is one chain-kernel call, so
+# closedness takes 1, each of the five shuffle checks 1, and the
+# exponential integral and the quadrature's exact value 1 each (31 calls
+# when closedness took one per entry and a shuffle check four). The
+# nilradical's element checks and verify's membership samples are one
+# stacked nilpotency call each (22 single-matrix calls before).
+CHAIN_KERNEL_CALLS = {"sol": 8, "sect4": 8}
+NILPOTENCY_CALLS = {"sol": 2, "sect4": 2}
+
+
+@pytest.mark.parametrize("example", ["sol", "sect4"])
+def test_verify_runs_each_certificate_as_one_batched_call(example, monkeypatch, capsys):
+    calls = {"kernel": 0, "nilpotency": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(integrals, "exp_chain_values", counting("kernel", integrals.exp_chain_values))
+    monkeypatch.setattr(
+        linalg, "nilpotency_residuals", counting("nilpotency", linalg.nilpotency_residuals)
+    )
+    verify_stdout(capsys, example, 0)
+    assert 0 < calls["kernel"] <= CHAIN_KERNEL_CALLS[example]
+    assert 0 < calls["nilpotency"] <= NILPOTENCY_CALLS[example]
 
 
 def test_word_monodromy_exponentiates_each_distinct_segment_once(

@@ -56,8 +56,8 @@ def imported_names(source):
 
 
 def test_only_integrals_imports_the_chain_kernel():
-    """Every chain sum goes through integrals.chain_sums, which alone builds the kernel's input."""
-    users = [m for m in MODULES if "exp_chain_sum" in imported_names((PACKAGE / m).read_text())]
+    """Every chain value goes through integrals.chain_values, which alone builds the kernel's input."""
+    users = [m for m in MODULES if "exp_chain_values" in imported_names((PACKAGE / m).read_text())]
     assert users == ["integrals.py"]
 
 

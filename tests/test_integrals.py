@@ -25,15 +25,17 @@ from solvhull import (
     iterated_integral,
     iterated_integral_quadrature,
     shuffle_identity_residual,
-    shuffle_words,
     transport,
     transport_series,
     validate_algebra,
 )
-from solvhull.integrals import _pattern_series
+from solvhull.integrals import _pattern_series, _shuffle_terms, chain_sums, shuffle_words, stack_paths
+from solvhull.verify import _random_path
 from solvhull.matfuncs import expm, phi1_apply
 
-from conftest import diagonal_characters, form_by_name, graded_filiform_structure
+from conftest import CORPUS_SEEDS, diagonal_characters, form_by_name, graded_filiform_structure
+
+EPS = float(np.finfo(float).eps)
 
 
 def random_path(rng, dim, segments, scale=1.0):
@@ -265,6 +267,49 @@ def test_shuffle_identity_on_random_words(seed):
     wb = tuple(int(rng.integers(0, 4)) for _ in range(lb))
     path = random_path(rng, 3, 3)
     assert shuffle_identity_residual(functionals, wa, wb, path) < 1e-10
+
+
+def three_call_shuffle_terms(functionals, word_a, word_b, path):
+    """Oracle: I(a), I(b) and the shuffle sum from three kernel calls, the route before one batch.
+
+    Each factor is its own iterated_integral call, and the shuffles,
+    each repeated by its multiplicity, one chain_sums call.
+    """
+    table = np.asarray(functionals, dtype=complex)
+    shuffles = [w for w, mult in shuffle_words(word_a, word_b).items() for _ in range(mult)]
+    words = np.array(shuffles, dtype=int).reshape(len(shuffles), len(word_a) + len(word_b))
+    exponents = np.zeros((len(words), words.shape[1] + 1, table.shape[-1]))
+    stacked = stack_paths([path], table.shape[-1])
+    total = complex(chain_sums(exponents, table[words], stacked, [0] * len(words))[0])
+    return iterated_integral(table[list(word_a)], path), iterated_integral(table[list(word_b)], path), total
+
+
+SHUFFLE_FORMS = ["sol", "sect4", "sect4-full"] + [f"corpus-{seed}" for seed in CORPUS_SEEDS] + [
+    "filiform-4", "filiform-5", "filiform-6",
+]
+
+
+@pytest.mark.parametrize("name", SHUFFLE_FORMS)
+def test_one_call_shuffle_terms_match_the_three_call_route(name, request):
+    """Words of 0 to 3 letters on verify's random paths, within 8 ulps of the scale."""
+    if name == "sect4-full":
+        form = request.getfixturevalue("sect4_full_stages")["form"]
+    else:
+        form = form_by_name(request, name)
+    rng = np.random.default_rng(900 + len(name))
+    n = form.dim
+    coords = list(np.eye(n))
+    for la, lb in [(2, 1), (2, 2), (0, 2), (3, 1), (1, 0), (0, 0)]:
+        path = _random_path(rng, n, 3, name.startswith("sect4"), 3.0, form)
+        wa = tuple(int(rng.integers(0, n)) for _ in range(la))
+        wb = tuple(int(rng.integers(0, n)) for _ in range(lb))
+        got = np.array(_shuffle_terms(coords, wa, wb, path))
+        want = np.array(three_call_shuffle_terms(coords, wa, wb, path))
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 8 * EPS * scale, (wa, wb)
+        residual = shuffle_identity_residual(coords, wa, wb, path)
+        assert residual == abs(got[0] * got[1] - got[2])
+        assert abs(residual - abs(want[0] * want[1] - want[2])) <= 8 * EPS * scale**2
 
 
 # ------------------------------------------------------------- transport

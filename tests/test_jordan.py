@@ -14,13 +14,15 @@ from solvhull.linalg import (
     cluster_scalars,
     cluster_subspace,
     eigen_clusters,
-    is_nilpotent_matrix,
+    nilpotency_residuals,
     nullspace,
     orthonormal_columns,
     real_nullspace,
     subspace_residual,
+    subspace_residuals,
 )
 
+from conftest import is_nilpotent_matrix, nilpotency_residual
 from eigen_oracle import EigenClusterAmbiguity, joint_eigenbasis
 
 
@@ -70,6 +72,10 @@ def test_subspace_residual_contained_and_orthogonal():
     outside = np.array([[0.0], [0.0], [3.0]])
     assert subspace_residual(inside, basis) < 1e-14
     assert subspace_residual(outside, basis) == pytest.approx(1.0)
+    both = np.hstack([inside, outside])
+    assert subspace_residuals(both, basis) == pytest.approx([0.0, 1.0], abs=1e-14)
+    assert subspace_residual(both, basis) == subspace_residuals(both, basis).max()
+    assert subspace_residuals(both, np.zeros((3, 0))) == pytest.approx([1.0, 1.0])
 
 
 def test_canon_columns_is_basis_independent():
@@ -285,6 +291,29 @@ def test_is_nilpotent_treats_rounding_residue_as_zero():
     # norm far below the tolerance counts as the zero matrix even though
     # the normalized direction would not be nilpotent
     assert is_nilpotent_matrix(1e-30 * np.eye(3))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_stacked_nilpotency_residuals_equal_the_per_matrix_route(seed):
+    """Byte for byte, on stacks with nilpotent, general and below-tolerance matrices."""
+    rng = np.random.default_rng(seed)
+    for trial in range(20):
+        k, n = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        a = rng.standard_normal((k, n, n))
+        if trial % 2:
+            a = a + 1j * rng.standard_normal((k, n, n))
+        if trial % 3 == 0:
+            a = np.triu(a, 1) + 1e-13 * rng.standard_normal((k, n, n))
+        a[0] *= 1e-12 if trial % 5 == 0 else 1.0
+        tol = rng.choice([1e-9, 1e-6], k)
+        want = np.array([nilpotency_residual(m, t) for m, t in zip(a, tol)])
+        assert nilpotency_residuals(a, tol).tobytes() == want.tobytes()
+
+
+def test_stacked_nilpotency_residuals_of_an_empty_stack():
+    assert nilpotency_residuals(np.zeros((0, 3, 3)), 1e-9).shape == (0,)
+    with pytest.raises(ValueError):
+        nilpotency_residuals(np.zeros((2, 3, 4)))
 
 
 # ---------------------------------------------------------------- families

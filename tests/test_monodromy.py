@@ -34,6 +34,10 @@ from solvhull.monodromy import _entry_sums
 
 from conftest import CORPUS_SEEDS, form_by_name
 
+EPS = float(np.finfo(float).eps)
+# The package exports the function monodromy under the module's name.
+MONODROMY = importlib.import_module("solvhull.monodromy")
+
 
 @pytest.fixture(scope="module")
 def sol_rep(sol_stages, sol_problem):
@@ -61,6 +65,24 @@ def capped_path(rng, form, segments, growth_cap=3.0):
     growth = sum(t * float(np.linalg.norm(form.psi(v), "fro")) for v, t in pairs)
     scale = min(1.0, growth_cap / growth)
     return PathWord([(v, t * scale) for v, t in pairs])
+
+
+def per_entry_closedness(form, variants, base, entries):
+    """Oracle: closedness_residual with one chain_sums call per entry.
+
+    The route taken before the entries of a call were batched: each
+    entry's chains are padded only to its own longest chain, and the
+    Taylor degree is the entry's own.
+    """
+    scale = max(1.0, float(np.max(np.abs(base))))
+    stacked = integrals.stack_paths(variants, form.dim)
+    spread = 0.0
+    mismatch = 0.0
+    for p, q in entries:
+        values = _entry_sums(form, stacked, p, q)
+        mismatch = max(mismatch, float(np.max(np.abs(values - base[p, q]))) / scale)
+        spread = max(spread, float(np.max(np.abs(values[1:] - values[0]))) / scale)
+    return spread, mismatch
 
 
 def upper_triangle(r):
@@ -288,13 +310,13 @@ def test_batched_chain_value_on_empty_path(sect4_stages):
 def counting_kernel(monkeypatch):
     """Record the shapes of every bidiagonal kernel call, all of which integrals makes."""
     calls = []
-    kernel = integrals.exp_chain_sum
+    kernel = integrals.exp_chain_values
 
     def counted(diag, sup, start):
         calls.append(np.shape(diag))
         return kernel(diag, sup, start)
 
-    monkeypatch.setattr(integrals, "exp_chain_sum", counted)
+    monkeypatch.setattr(integrals, "exp_chain_values", counted)
     return calls
 
 
@@ -312,20 +334,21 @@ def test_chain_value_takes_one_kernel_call_per_entry(filiform_forms, monkeypatch
     assert calls == [(1, len(path), len(chains), max(len(c) for c in chains))]
 
 
-def test_closedness_takes_one_kernel_call_per_entry(sect4_full_stages, sect4_problem, monkeypatch):
-    """Every path variant of an entry goes through the same kernel call."""
+def test_closedness_takes_one_kernel_call_per_batch(sect4_full_stages, sect4_problem, monkeypatch):
+    """Every entry and every path variant go through one kernel call, padded to the longest chain."""
     form = sect4_full_stages["form"]
     model = sect4_problem.model
     target = sect4_problem.lattice.generator("c")
     variants = path_variants(model, target, seed=2, trials=2)
     assert len({len(path) for path in variants}) > 1
     entries = [(0, form.r - 1), (1, 1), (2, 5)]
+    chains = [c for p, q in entries for c in entry_chains(form, p, q)]
+    assert len({len(c) for c in chains}) > 1
     base = transport(form, variants[0])
 
     calls = counting_kernel(monkeypatch)
     closedness_residual(form, variants, base, entries=entries)
-    assert len(calls) == len(entries)
-    assert all(shape[:2] == (len(variants), max(map(len, variants))) for shape in calls)
+    assert calls == [(len(variants), max(map(len, variants)), len(chains), max(map(len, chains)))]
 
 
 def test_closedness_stacks_its_variants_once(sect4_full_stages, sect4_problem, monkeypatch):
@@ -341,11 +364,37 @@ def test_closedness_stacks_its_variants_once(sect4_full_stages, sect4_problem, m
         stacked.append(len(paths))
         return stack_paths(paths, dim)
 
-    monkeypatch.setattr(importlib.import_module("solvhull.monodromy"), "stack_paths", counted)
+    monkeypatch.setattr(MONODROMY, "stack_paths", counted)
     calls = counting_kernel(monkeypatch)
     closedness_residual(form, variants, base, upper_triangle(form.r))
     assert stacked == [len(variants)]
-    assert len(calls) == form.r * (form.r + 1) // 2
+    assert len(calls) == 1
+
+
+def test_closedness_batches_hold_at_most_the_chain_cap(filiform_forms, monkeypatch):
+    """Entries fill a call in order up to the cap; an entry over the cap takes a call alone."""
+    form = filiform_forms[5]
+    entries = [(p, form.r - 1) for p in range(form.r)] + [(1, 1), (3, 2)]
+    counts = [len(entry_chains(form, p, q)) for p, q in entries]
+    cap = 12
+    assert max(counts) > cap and 0 in counts
+    rng = np.random.default_rng(4)
+    paths = [capped_path(rng, form, segments) for segments in (3, 1)]
+    base = transport(form, paths[0])
+    want = per_entry_closedness(form, paths, base, entries)
+
+    monkeypatch.setattr(MONODROMY, "_CHAINS_PER_CALL", cap)
+    calls = counting_kernel(monkeypatch)
+    got = closedness_residual(form, paths, base, entries)
+    expected, held = [], 0
+    for count in counts:
+        if held and held + count > cap:
+            expected.append(held)
+            held = 0
+        held += count
+    expected.append(held)
+    assert [shape[2] for shape in calls] == expected
+    assert np.allclose(got, want, rtol=0, atol=64 * EPS)
 
 
 def test_live_pattern_is_computed_once_per_form(filiform_forms, monkeypatch):
@@ -532,6 +581,39 @@ def _unplanned_entry_sums(form, stacked, p, q):
     start = size - np.array([len(c) for c in chains], dtype=int)
     steps = form.closure.index[nodes[:, :-1], nodes[:, 1:]]
     return integrals.chain_sums(form.omega[nodes], form.closure_psi.T[steps], stacked, start)
+
+
+def _closedness_paths(request, name, form):
+    """Endpoint equal path variants on the builtins, three seeded paths elsewhere."""
+    if name.startswith(("sol", "sect4")):
+        problem = request.getfixturevalue(f"{name.split('-')[0]}_problem")
+        target = problem.lattice.element_of(parse_word("a b1" if name == "sol" else "c g1"))
+        return path_variants(problem.model, target, seed=3, trials=3)
+    rng = np.random.default_rng(800 + len(name))
+    return [capped_path(rng, form, segments) for segments in (4, 1, 3)]
+
+
+@pytest.mark.parametrize("name", PLAN_FORMS)
+def test_batched_closedness_matches_the_per_entry_route(name, request):
+    """Every upper-triangle entry, batched, within 8 ulps of the scale of each entry alone."""
+    if name == "sect4-full":
+        form = request.getfixturevalue("sect4_full_stages")["form"]
+    else:
+        form = form_by_name(request, name)
+    paths = _closedness_paths(request, name, form)
+    entries = upper_triangle(form.r)
+    stacked = integrals.stack_paths(paths, form.dim)
+    alone = np.array([_entry_sums(form, stacked, p, q) for p, q in entries]).T
+    plans = [form.chain_plan(p, q) for p, q in entries]
+    batched = np.hstack([MONODROMY._batch_sums(form, stacked, plans[b]) for b in MONODROMY._batches(plans)])
+    scale = max(1.0, float(np.max(np.abs(alone))))
+    assert np.max(np.abs(batched - alone)) <= 8 * EPS * scale
+
+    base = transport(form, paths[0])
+    got = closedness_residual(form, paths, base, entries)
+    want = per_entry_closedness(form, paths, base, entries)
+    base_scale = max(1.0, float(np.max(np.abs(base))))
+    assert np.allclose(got, want, rtol=0, atol=16 * EPS * scale / base_scale)
 
 
 @pytest.mark.parametrize("name", PLAN_FORMS)

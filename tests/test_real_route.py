@@ -11,7 +11,8 @@ fast route cannot go away silently.
 import numpy as np
 import pytest
 
-from solvhull import entry_chain_value, integrals, transport_series
+from solvhull import connection, entry_chain_value, integrals, transport_series
+from solvhull.tolerances import DEFAULT
 from solvhull.verify import _random_path
 
 from conftest import CHAIN_FORMS, form_by_name
@@ -49,7 +50,7 @@ def test_real_route_matches_the_complex_route(name, request, monkeypatch):
 def recorded_kernel_dtypes(monkeypatch):
     """Route both kernels of integrals through a recorder of their input dtypes."""
     seen = {"chains": set(), "series": set()}
-    chain_kernel, series_kernel = integrals.exp_chain_sum, integrals._pattern_series
+    chain_kernel, series_kernel = integrals.exp_chain_values, integrals._pattern_series
 
     def chains(diag, sup, start):
         seen["chains"].update({diag.dtype, sup.dtype})
@@ -59,7 +60,7 @@ def recorded_kernel_dtypes(monkeypatch):
         seen["series"].update(a.dtype for a in matrices)
         return series_kernel(pattern, matrices, depth)
 
-    monkeypatch.setattr(integrals, "exp_chain_sum", chains)
+    monkeypatch.setattr(integrals, "exp_chain_values", chains)
     monkeypatch.setattr(integrals, "_pattern_series", series)
     return seen
 
@@ -76,3 +77,31 @@ def test_kernels_receive_float64_on_real_forms_only(name, is_complex, dtype, req
     series = transport_series(form, path, 5).value
     assert seen == {"chains": {np.dtype(dtype)}, "series": {np.dtype(dtype)}}
     assert isinstance(value, complex) and series.dtype == np.complex128
+
+
+# Corpus tables that are complex but have real characters; the build
+# leaves imaginary parts below 1.1e-14 in their forms.
+ROUNDING_IMAGINARY = [6, 9, 13, 14, 19, 21, 24]
+
+
+@pytest.mark.parametrize("name", [f"corpus-{seed}" for seed in ROUNDING_IMAGINARY] + ["sect4"])
+def test_rounding_level_imaginary_parts_are_snapped(name, request, monkeypatch):
+    """Those forms keep real parts and run in float64; sect4's imaginary parts are kept."""
+    snapped = name != "sect4"
+    form = form_by_name(request, name)
+    path = _random_path(np.random.default_rng(8), form.dim, 3, not snapped, 3.0, form)
+    seen = recorded_kernel_dtypes(monkeypatch)
+    entry_chain_value(form, path, 0, form.r - 1)
+    transport_series(form, path, 5)
+    dtype = np.dtype(np.float64 if snapped else np.complex128)
+    assert seen == {"chains": {dtype}, "series": {dtype}}
+    assert snapped == (not form.omega.imag.any() and not form.closure_psi.imag.any())
+
+    monkeypatch.setattr(connection, "_imaginary_is_rounding", lambda values, tol: False)
+    raw = form_by_name(request, name) if snapped else form
+    imag = max(np.abs(raw.omega.imag).max(), np.abs(raw.closure_psi.imag).max())
+    scale = max(1.0, np.abs(raw.closure_psi).max())
+    assert 0 < imag
+    assert (imag <= DEFAULT.char_snap * scale) == snapped
+    if snapped:
+        assert imag < 1.1e-14

@@ -1,7 +1,7 @@
 """Shortcuts on the evaluation path leave every value bit for bit the same.
 
 Each oracle below is the longer route the library used to take: the
-chain-sum kernel works on full n by n exponentials, whose lower triangle
+chain kernel works on full n by n exponentials, whose lower triangle
 stays zero, and can run its Newton pass and discard it where the Taylor
 value stands; the pattern series starts from a Cauchy product with the
 identity; and a batch of paths is evaluated one path at a time.
@@ -12,20 +12,20 @@ import pytest
 
 from solvhull import PathWord, entry_chain_value, entry_chains, integrals, matfuncs
 from solvhull.integrals import _pattern_series, stack_paths
-from solvhull.matfuncs import _TAYLOR_GAP, _taylor_degree, exp_chain_sum
+from solvhull.matfuncs import _TAYLOR_GAP, _taylor_degree, exp_chain_values
 from solvhull.monodromy import _entry_sums
 from solvhull.verify import _random_path
 
 from conftest import CHAIN_FORMS, form_by_name
 
 
-def dense_exp_chain_sum(diag, sup, start, newton_always=False):
-    """Oracle: the chain-sum kernel on full n by n segment exponentials.
+def dense_exp_chain_values(diag, sup, start, newton_always=False):
+    """Oracle: the chain kernel on full n by n segment exponentials.
 
     With newton_always the Newton pass runs on every input, not only
     when some pair of nodes is _TAYLOR_GAP or more apart. Like the
-    kernel, it works in the input's dtype, at least float64, and
-    returns complex.
+    kernel, it works and returns each chain's value in the input's
+    dtype, at least float64.
     """
     diag, sup = np.asarray(diag), np.asarray(sup)
     dtype = np.result_type(diag, sup, float)
@@ -62,12 +62,12 @@ def dense_exp_chain_sum(diag, sup, start, newton_always=False):
     x[..., np.arange(len(start)), start] = 1.0
     for s in range(diag.shape[-3]):
         x = (x[..., None, :] @ exps[..., s, :, :, :])[..., 0, :]
-    return x[..., n - 1].sum(axis=-1).astype(complex, copy=False)
+    return x[..., n - 1]
 
 
-def newton_always_exp_chain_sum(diag, sup, start):
+def newton_always_exp_chain_values(diag, sup, start):
     """Oracle: the dense kernel with the Newton pass run on every input."""
-    return dense_exp_chain_sum(diag, sup, start, newton_always=True)
+    return dense_exp_chain_values(diag, sup, start, newton_always=True)
 
 
 def identity_product_series(pattern, matrices, depth):
@@ -129,8 +129,8 @@ def test_chain_sum_matches_the_newton_always_kernel(spread, seed):
         assert np.all(gaps[..., off] >= _TAYLOR_GAP)
     else:
         assert np.any(gaps >= _TAYLOR_GAP) and np.any(gaps[..., off] < _TAYLOR_GAP)
-    got = exp_chain_sum(diag, sup, start)
-    assert got.tobytes() == newton_always_exp_chain_sum(diag, sup, start).tobytes()
+    got = exp_chain_values(diag, sup, start)
+    assert got.tobytes() == newton_always_exp_chain_values(diag, sup, start).tobytes()
 
 
 @pytest.mark.parametrize("name", ["sol", "sect4", "filiform6"])
@@ -169,8 +169,8 @@ def test_chain_sums_on_a_batch_match_each_path_alone(request):
 
 
 def assert_kernel_matches_dense(diag, sup, start):
-    got = exp_chain_sum(diag, sup, start)
-    want = dense_exp_chain_sum(diag, sup, start)
+    got = exp_chain_values(diag, sup, start)
+    want = dense_exp_chain_values(diag, sup, start)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     return got
@@ -184,7 +184,7 @@ def compared_kernel(monkeypatch):
         calls.append(np.shape(diag))
         return assert_kernel_matches_dense(diag, sup, start)
 
-    monkeypatch.setattr(integrals, "exp_chain_sum", checked)
+    monkeypatch.setattr(integrals, "exp_chain_values", checked)
     return calls
 
 
@@ -238,9 +238,9 @@ def test_packed_kernel_edge_cases(n):
     assert_kernel_matches_dense(diag, sup, last)
     assert_kernel_matches_dense(diag[..., :1, :], sup[..., :1, :], last[:1])
     single = assert_kernel_matches_dense(diag[..., -1:], sup[..., :0], np.zeros(5, dtype=int))
-    assert np.allclose(single, np.exp(diag[..., -1].sum(axis=-2)).sum(axis=-1))
+    assert np.allclose(single, np.exp(diag[..., -1].sum(axis=-2)))
     empty = assert_kernel_matches_dense(diag[:, :0], sup[:, :0], start)
-    assert np.array_equal(empty, np.full(2, np.sum(start == n - 1), dtype=complex))
+    assert np.array_equal(empty, np.broadcast_to(start == n - 1, (2, 5)))
 
 
 def test_taylor_radius_is_the_running_maximum_over_near_entries(monkeypatch):

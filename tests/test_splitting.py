@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from solvhull import build_splitting, validate_algebra
-from solvhull.linalg import is_nilpotent_matrix, subspace_residual
+from solvhull.linalg import subspace_residual
 
 from conftest import (
     CORPUS_SEEDS,
     bracket,
     filiform4_structure,
     heisenberg_structure,
+    is_nilpotent_matrix,
     nilpotency_class,
 )
 
