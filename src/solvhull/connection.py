@@ -14,8 +14,13 @@ the dense (dim, r, r) tensor is assembled only when asked for.
 
 A complex table with real characters leaves imaginary parts of about
 1e-14 in the entries; when every one is that small (at most char_snap
-times the larger of 1 and the largest entry), psi and omega keep their
-real parts, so the evaluation kernels run on the form in float64.
+times the larger of 1 and the largest entry), they are dropped. When
+every imaginary part of omega and of psi's entries is then exactly zero,
+as on a completely solvable group, omega and closure_psi are stored as
+float64, so the form is real once, when it is built, and its chain sums
+and series run in float64 on a real path without checking each call's
+input. psi's entries stay complex: the segment exponentials read them
+with complex directions either way.
 
 The diagonal entries, viewed as linear functionals on the algebra, span
 a finitely generated additive group. A basis of that group is computed
@@ -33,8 +38,9 @@ the entries are read-only. expm is looked up when a miss runs.
 The strictly increasing chains of live steps from p to q, over which
 entry (p, q) of a transport expands, depend on the live pattern alone.
 Each form plans an entry's chains once, on first use, as the integer ids
-of their nodes and of the closure entries of their steps, in a least
-recently used memo of at most _MEMO_SIZE entries.
+of their nodes together with the characters of the nodes and the
+closure entries of the steps, gathered then, in a least recently used
+memo of at most _MEMO_SIZE entries.
 """
 
 from dataclasses import dataclass, field
@@ -226,22 +232,27 @@ class ChainPlan:
 
     nodes holds the chains in lexicographic order, right aligned, one row
     each, the slots in front of a chain repeating its first node; chain c
-    starts at slot start[c]. steps holds the closure pattern's index of
-    each step between consecutive slots. The arrays are read-only.
+    starts at slot start[c]. exponents (chains, n, dim) is omega[nodes]
+    and factors (chains, n - 1, dim) the closure entries of the steps
+    between consecutive slots, closure_psi.T[steps], so the table of a
+    repeated node's step is that node's character. Both are gathered once
+    in the form's dtype, contiguous, in the layout integrals.chain_values
+    reads. The arrays are read-only.
     """
 
     start: np.ndarray
     nodes: np.ndarray
-    steps: np.ndarray
+    exponents: np.ndarray
+    factors: np.ndarray
 
 
-def _plan_chains(steps, index, p, q):
+def _plan_chains(steps, index, omega, closure_psi, p, q):
     chains = _walk_chains(steps, p, q)
     size = max((len(c) for c in chains), default=1)
     nodes = np.array([(c[0],) * (size - len(c)) + c for c in chains], dtype=int).reshape(-1, size)
     start = size - np.array([len(c) for c in chains], dtype=int)
-    plan = ChainPlan(start, nodes, index[nodes[:, :-1], nodes[:, 1:]])
-    for a in (plan.start, plan.nodes, plan.steps):
+    plan = ChainPlan(start, nodes, omega[nodes], closure_psi.T[index[nodes[:, :-1], nodes[:, 1:]]])
+    for a in (plan.start, plan.nodes, plan.exponents, plan.factors):
         a.flags.writeable = False
     return plan
 
@@ -296,10 +307,13 @@ class ConnectionForm:
 
     @cached_property
     def closure_psi(self):
-        """psi on the closure pattern: psi(x) has values x @ closure_psi there."""
+        """psi on the closure pattern: psi(x) has values x @ closure_psi there.
+
+        It has omega's dtype, float64 on a real form.
+        """
         stack, pattern = self.psi_entries, self.closure
-        out = np.zeros((self.dim, pattern.rows.size), dtype=complex)
-        out[:, pattern.index[stack.rows, stack.cols]] = stack.values
+        out = np.zeros((self.dim, pattern.rows.size), dtype=self.omega.dtype)
+        out[:, pattern.index[stack.rows, stack.cols]] = stack.values.real if out.dtype == float else stack.values
         return out
 
     def psi(self, x):
@@ -321,9 +335,10 @@ class ConnectionForm:
 
     @cached_property
     def _chain_plans(self):
-        # Closes over the steps and the closure's index, not the form, so
-        # a form holds no reference cycle.
-        return lru_cache(maxsize=_MEMO_SIZE)(partial(_plan_chains, self.chain_steps, self.closure.index))
+        # Closes over the steps, the closure's index and the tables, not
+        # the form, so a form holds no reference cycle.
+        plan = partial(_plan_chains, self.chain_steps, self.closure.index, self.omega, self.closure_psi)
+        return lru_cache(maxsize=_MEMO_SIZE)(plan)
 
     def chain_plan(self, p, q):
         """The ChainPlan of entry (p, q), planned on first use.
@@ -360,9 +375,13 @@ def build_connection_form(env, tolerances=DEFAULT):
     # disjoint positions.
     letters = env.letter_entries
     values = np.concatenate([env.generator_inverse.T @ letters.values, omega.T], axis=1)
-    # Rounding-level imaginary parts on real characters are dropped.
+    # Rounding-level imaginary parts on real characters are dropped. The
+    # values hold omega too, so when they are left exactly real, omega,
+    # and with it closure_psi, is stored real.
     if _imaginary_is_rounding(values, tolerances.char_snap):
-        values, omega = values.real.astype(complex), omega.real.astype(complex)
+        values = values.real.astype(complex)
+    if not values.imag.any():
+        omega = omega.real.copy()
     psi = linalg.SparseStack.from_values(
         r,
         np.concatenate([letters.rows, np.arange(r)]),

@@ -257,25 +257,28 @@ def _enumerate_words(n, weights, cap, max_dim):
 def _order_words(words, weights, chars, t_dim):
     """Sort words by descending weight, then length, character and letters.
 
-    Each word's weight and accumulated torus character are summed once;
-    returns the sorted words with one weight and one character row each.
+    Each word's weight and accumulated torus character are summed once,
+    one numpy pass per letter position over the words, padded with a
+    letter of weight 0 and character 0, so every character is summed left
+    to right from 0 as the letters come. Returns the sorted words with
+    one weight and one character row each.
     """
-    summed = []
-    for word in words:
-        acc = [0.0 + 0.0j] * t_dim
-        for a in word:
-            for b in range(t_dim):
-                acc[b] += chars[a][b]
-        summed.append((sum(weights[a] for a in word), acc, word))
-
-    def key(item):
-        weight, acc, word = item
-        return (-weight, -len(word), linalg.rounded_key(acc), word)
-
-    summed.sort(key=key)
-    word_weights = np.array([weight for weight, _, _ in summed], dtype=int)
-    word_chars = np.array([acc for _, acc, _ in summed], dtype=complex)
-    return [word for _, _, word in summed], word_weights, word_chars
+    n = len(weights)
+    longest = max(map(len, words), default=0)
+    padded = np.array([word + (n,) * (longest - len(word)) for word in words], dtype=int)
+    weight_table = np.append(np.asarray(weights, dtype=int), 0)
+    char_table = np.zeros((n + 1, t_dim), dtype=complex)
+    char_table[:n] = np.asarray(chars, dtype=complex).reshape(n, t_dim)
+    word_weights = weight_table[padded].sum(axis=1)
+    word_chars = np.zeros((len(words), t_dim), dtype=complex)
+    for k in range(longest):
+        word_chars += char_table[padded[:, k]]
+    summed, rows = word_weights.tolist(), word_chars.tolist()
+    order = sorted(
+        range(len(words)),
+        key=lambda w: (-summed[w], -len(words[w]), linalg.rounded_key(rows[w]), words[w]),
+    )
+    return [words[w] for w in order], word_weights[order], word_chars[order]
 
 
 def word_label(word):

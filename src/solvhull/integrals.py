@@ -8,9 +8,13 @@ matfuncs.exp_chain_values, carried segment by segment, and chain_sums
 sums each path's batch.
 Truncated transport series run on a sparse pattern closed under
 products, which holds every generator and every product of them.
-Input whose imaginary parts are all exactly zero, as on a completely
-solvable group along a real path, reaches both kernels as its real
-parts, so they run in float64; their values are complex either way.
+Both kernels run in float64 on real input and return complex values
+either way. A real connection form's tables (connection stores them
+real once, when it is built) and a path whose directions are all
+exactly real, whose real parts stack_paths keeps, make real products,
+which reach the kernels unchecked. Complex input has its products
+checked on each call, and they too reach the kernels as their real
+parts when every imaginary part is exactly zero.
 """
 
 from dataclasses import dataclass
@@ -36,13 +40,28 @@ def _real_if_exact(arrays):
     return [np.ascontiguousarray(a.real) for a in arrays]
 
 
+def _kernel_input(arrays):
+    """The arrays as a kernel reads them: real ones as they are, complex ones through _real_if_exact."""
+    if any(np.iscomplexobj(a) for a in arrays):
+        return _real_if_exact(arrays)
+    return arrays
+
+
+def _real_segments(path):
+    """The path's (direction, duration) pairs, directions as contiguous real parts when every one is exactly real."""
+    if any(x.imag.any() for x, _ in path):
+        return list(path)
+    return [(np.ascontiguousarray(x.real), t) for x, t in path]
+
+
 def stack_paths(paths, dim):
     """The paths as one zero padded stack, the input chain_sums reads.
 
     Returns vectors (paths, longest, dim), each path's directions in
-    order, and durations (paths, longest, 1, 1); padding segments have
-    duration zero. A caller that sums many batches of chains over the
-    same paths stacks them once.
+    order, float64 when every direction is exactly real, and durations
+    (paths, longest, 1, 1); padding segments have duration zero. A
+    caller that sums many batches of chains over the same paths stacks
+    them once.
     """
     longest = max((len(path) for path in paths), default=0)
     vectors = np.zeros((len(paths), longest, dim), dtype=complex)
@@ -51,6 +70,8 @@ def stack_paths(paths, dim):
         if len(path):
             vectors[v, : len(path)] = [x for x, _ in path]
             durations[v, : len(path), 0, 0] = [t for _, t in path]
+    if not vectors.imag.any():
+        vectors = vectors.real.copy()
     return vectors, durations
 
 
@@ -62,8 +83,10 @@ def chain_values(exponents, factors, stacked, start):
     chain c starting at slot start[c]. stacked is stack_paths of the
     paths, and segment s contributes t_s times each functional on its
     direction; this is the one place that builds the input of
-    matfuncs.exp_chain_values, which gets real parts, and runs and
-    returns in float64, when both generator stacks are exactly real.
+    matfuncs.exp_chain_values. Real tables on real vectors make its
+    input real as they are; complex products get real parts when both
+    generator stacks are exactly real. Real input runs and returns in
+    float64.
     """
     chains, n, dim = exponents.shape
     vectors, durations = stacked
@@ -71,7 +94,7 @@ def chain_values(exponents, factors, stacked, start):
     diag = durations * (vectors @ exponents.reshape(chains * n, dim).T).reshape(lead + (n,))
     sup = vectors @ factors.reshape(chains * (n - 1), dim).T
     sup = durations * sup.reshape(lead + (n - 1,))
-    return exp_chain_values(*_real_if_exact([diag, sup]), start)
+    return exp_chain_values(*_kernel_input([diag, sup]), start)
 
 
 def chain_sums(exponents, factors, stacked, start):
@@ -275,16 +298,28 @@ def transport_series(form, path, depth):
 
     Returns the sum through the given depth together with a bound on the
     discarded tail, driven by the accumulated one norm of the segment
-    generators. The series runs on the form's closure pattern.
+    generators. The series runs on the form's closure pattern, in
+    float64 when closure_psi and the path are real.
     """
     pattern = form.closure
-    mats = [t * (x @ form.closure_psi) for x, t in path]
-    growth = sum(float(np.linalg.norm(m)) for m in mats)
+    mats = [t * (x @ form.closure_psi) for x, t in _real_segments(path)]
+    growth = _growth(mats)
     tail = _tail_bound(growth, depth)
-    total = _pattern_series(pattern, _real_if_exact(mats), depth)
+    total = _pattern_series(pattern, _kernel_input(mats), depth)
     return SeriesResult(
         value=pattern.scatter(total), tail_bound=tail, depth=depth, growth=growth
     )
+
+
+def _growth(mats):
+    """Summed Frobenius norms of the segment generators.
+
+    Each norm is taken on complex values: numpy sums the squares of a
+    complex array by strided dots over its parts and of a real one by a
+    contiguous dot, which round differently, so a real segment's norm is
+    the one its complex copy has, bit for bit.
+    """
+    return sum(float(np.linalg.norm(m.astype(complex, copy=False))) for m in mats)
 
 
 def _tail_bound(x, depth):
@@ -309,8 +344,9 @@ class IntegralWord:
 
     exponents (n, dim) are the diagonal functionals, one per slot;
     factors (n - 1, dim) the functionals between consecutive slots, both
-    read-only complex copies. The value is the top right entry of the
-    transport of the induced bidiagonal connection.
+    read-only copies, float64 when every imaginary part of both is
+    exactly zero and complex otherwise. The value is the top right entry
+    of the transport of the induced bidiagonal connection.
     """
 
     exponents: np.ndarray
@@ -319,23 +355,25 @@ class IntegralWord:
     def __post_init__(self):
         if len(self.exponents) != len(self.factors) + 1:
             raise ValueError("need exactly one more exponent than factors")
-        exps = frozen_array(self.exponents, complex).reshape(len(self.exponents), -1)
-        facs = frozen_array(self.factors, complex).reshape(len(self.factors), exps.shape[1])
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "factors", facs)
+        exps = np.asarray(self.exponents, dtype=complex).reshape(len(self.exponents), -1)
+        facs = np.asarray(self.factors, dtype=complex).reshape(len(self.factors), exps.shape[1])
+        if not (exps.imag.any() or facs.imag.any()):
+            exps, facs = exps.real, facs.real
+        object.__setattr__(self, "exponents", frozen_array(exps, exps.dtype))
+        object.__setattr__(self, "factors", frozen_array(facs, facs.dtype))
 
     @property
     def size(self):
         return len(self.exponents)
 
     def segment_matrix(self, direction):
-        """Bidiagonal generator evaluated on one direction vector."""
-        n = self.size
-        m = np.zeros((n, n), dtype=complex)
+        """Bidiagonal generator evaluated on one direction vector, real when both are."""
+        n, direction = self.size, np.asarray(direction)
+        m = np.zeros((n, n), dtype=np.result_type(self.exponents, direction))
         for i, e in enumerate(self.exponents):
-            m[i, i] = _functional_value(e, direction)
+            m[i, i] = np.dot(e, direction)
         for i, f in enumerate(self.factors):
-            m[i, i + 1] = _functional_value(f, direction)
+            m[i, i + 1] = np.dot(f, direction)
         return m
 
 
@@ -361,11 +399,11 @@ def exp_iterated_integral_series(word, path, depth):
     of the bidiagonal pattern.
     """
     n = word.size
-    mats = [word.segment_matrix(x) * t for x, t in path]
-    growth = sum(float(np.linalg.norm(m, "fro")) for m in mats)
+    mats = [word.segment_matrix(x) * t for x, t in _real_segments(path)]
+    growth = _growth(mats)
     tail = _tail_bound(growth, depth)
     pattern = closure_pattern(np.eye(n, k=1, dtype=bool))
-    gathered = _real_if_exact([pattern.gather(m) for m in mats])
+    gathered = _kernel_input([pattern.gather(m) for m in mats])
     total = _pattern_series(pattern, gathered, depth + n - 1)
     return SeriesResult(
         value=complex(total[pattern.index[0, n - 1]]), tail_bound=tail, depth=depth, growth=growth

@@ -122,13 +122,14 @@ def entry_chains(form, p, q):
 def _entry_sums(form, stacked, p, q):
     """Entry (p, q)'s chain sum on every path of stacked, in one chain_sums call.
 
-    The form plans the chains once; each call reads only the rows of
-    the characters and the closure entries that they use. The slots in
-    front of a right aligned chain repeat its first node; the carried row
-    starts at the chain's first slot, so they never contribute.
+    The form plans the chains once, with the rows of the characters and
+    the closure entries that they use, and each call hands those tables
+    on. The slots in front of a right aligned chain repeat its first
+    node; the carried row starts at the chain's first slot, so they
+    never contribute.
     """
     plan = form.chain_plan(p, q)
-    return chain_sums(form.omega[plan.nodes], form.closure_psi.T[plan.steps], stacked, plan.start)
+    return chain_sums(plan.exponents, plan.factors, stacked, plan.start)
 
 
 def entry_chain_value(form, path, p, q):
@@ -166,13 +167,14 @@ def _batches(plans):
         yield slice(lo, len(plans))
 
 
-def _batch_sums(form, stacked, plans):
+def _batch_sums(stacked, plans):
     """Each plan's chain sum on every path of stacked, shape (paths, plans), in one chain_values call.
 
     Every chain is right aligned on the longest of the batch as a plan
     aligns its own short chains: the slots put in front repeat the
-    chain's first node, so their steps are the closure's diagonal, and
-    start moves with the chain. Each plan's values are then summed with
+    chain's first node, so they take its character, and their steps are
+    the closure's diagonal, whose table is that same character; start
+    moves with the chain. Each plan's values are then summed with
     np.add.reduceat. A plan without chains sums to 0, and a batch without
     chains makes no call.
     """
@@ -181,11 +183,14 @@ def _batch_sums(form, stacked, plans):
     if not counts.any():
         return sums
     size = max(plan.nodes.shape[1] for plan in plans)
-    slots = np.arange(size)
-    nodes = np.concatenate([plan.nodes[:, np.maximum(slots + plan.nodes.shape[1] - size, 0)] for plan in plans])
-    start = np.concatenate([plan.start + size - plan.nodes.shape[1] for plan in plans])
-    steps = form.closure.index[nodes[:, :-1], nodes[:, 1:]]
-    values = chain_values(form.omega[nodes], form.closure_psi.T[steps], stacked, start)
+    exponents, factors, start = [], [], []
+    for plan in plans:
+        pad = size - plan.nodes.shape[1]
+        front = np.repeat(plan.exponents[:, :1], pad, axis=1)
+        exponents.append(np.concatenate([front, plan.exponents], axis=1))
+        factors.append(np.concatenate([front, plan.factors], axis=1))
+        start.append(plan.start + pad)
+    values = chain_values(np.concatenate(exponents), np.concatenate(factors), stacked, np.concatenate(start))
     held = counts > 0
     sums[:, held] = np.add.reduceat(values, (np.cumsum(counts) - counts)[held], axis=-1)
     return sums
@@ -212,7 +217,7 @@ def closedness_residual(form, variants, base, entries):
     spread = 0.0
     mismatch = 0.0
     for batch in _batches(plans):
-        values = _batch_sums(form, stacked, plans[batch])
+        values = _batch_sums(stacked, plans[batch])
         mismatch = max(mismatch, float(np.max(np.abs(values - base[rows[batch], cols[batch]]))) / scale)
         spread = max(spread, float(np.max(np.abs(values[1:] - values[0]))) / scale)
     return spread, mismatch

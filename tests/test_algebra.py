@@ -20,7 +20,7 @@ from solvhull import (
     semisimple_adjoint,
     validate_algebra,
 )
-from solvhull.algebra import _associative_span, _jacobi_residual, restricted_structure
+from solvhull.algebra import _associative_span, _derivation_residual, _jacobi_residual, restricted_structure
 from solvhull.linalg import (
     cluster_subspace,
     eigen_clusters,
@@ -147,6 +147,41 @@ def test_jacobi_residual_matches_the_einsum_route(seed):
     got, want = _jacobi_residual(c), einsum_jacobi_residual(c)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) <= 8 * EPS * np.max(np.abs(c)) ** 2
+
+
+def einsum_derivation_residual(mats, c):
+    """Oracle: three general einsums per matrix, the route before two stacked products."""
+    worst = 0.0
+    for d in mats:
+        left = np.einsum("ab,jkb->jka", d, c)
+        term1 = np.einsum("bj,bkm->jkm", d, c)
+        term2 = np.einsum("bk,jbm->jkm", d, c)
+        worst = max(worst, float(np.max(np.abs(left - term1 - term2))))
+    return worst
+
+
+@pytest.mark.parametrize("seed", list(CORPUS_SEEDS) + ["filiform-8", "violation", "complex", "empty"])
+def test_derivation_residual_matches_the_einsum_route(seed, corpus_splittings):
+    """Within 8 ulps of max |d| max |c|: semisimple adjoints, tori, random matrices, no matrix."""
+    rng = np.random.default_rng(32)
+    if seed == "filiform-8":
+        alg = validate_algebra(graded_filiform_structure(8))
+        cases = [(semisimple_adjoint(alg).tensor, alg.structure)]
+    elif seed in ("violation", "complex", "empty"):
+        c = rng.standard_normal((5, 5, 5))
+        mats = rng.standard_normal((3 if seed != "empty" else 0, 5, 5))
+        if seed == "complex":
+            c, mats = c + 1j * rng.standard_normal(c.shape), mats + 1j * rng.standard_normal(mats.shape)
+        cases = [(mats, c - np.swapaxes(c, 0, 1))]
+    else:
+        split = corpus_splittings[seed]
+        cases = [(split.semisimple.tensor, split.base.structure), (split.torus, split.shadow.structure)]
+    for mats, c in cases:
+        got, want = _derivation_residual(mats, c), einsum_derivation_residual(mats, c)
+        scale = np.max(np.abs(mats), initial=0.0) * np.max(np.abs(c))
+        assert abs(got - want) <= 8 * EPS * scale
+        if seed in ("violation", "complex"):
+            assert want > 1.0
 
 
 def test_budgets_are_multiples_of_num():

@@ -127,8 +127,9 @@ def test_connection_postconditions_on_corpus(seed, corpus, corpus_splittings):
     form = build_connection_form(env)
     assert form.flatness < 1e-9
     assert form.residuals["character_rounding"] < 1e-6
-    # integer coordinates reproduce every diagonal character
-    rebuilt = np.zeros_like(form.omega)
+    # integer coordinates reproduce every diagonal character; the basis
+    # is complex, omega real on a real form
+    rebuilt = np.zeros(form.omega.shape, dtype=complex)
     for b, vec in enumerate(form.char_basis):
         rebuilt += np.outer(form.char_coeffs[:, b], vec)
     assert np.max(np.abs(rebuilt - form.omega)) < 1e-6

@@ -464,6 +464,35 @@ CAP_NAMES = (
 )
 
 
+def looped_order_words(words, weights, chars, t_dim):
+    """Oracle: each word's weight and character summed letter by letter in Python, the route before numpy."""
+    summed = []
+    for word in words:
+        acc = [0.0 + 0.0j] * t_dim
+        for a in word:
+            for b in range(t_dim):
+                acc[b] += chars[a][b]
+        summed.append((sum(weights[a] for a in word), acc, word))
+    summed.sort(key=lambda item: (-item[0], -len(item[2]), linalg.rounded_key(item[1]), item[2]))
+    word_weights = np.array([weight for weight, _, _ in summed], dtype=int)
+    word_chars = np.array([acc for _, acc, _ in summed], dtype=complex)
+    return [word for _, _, word in summed], word_weights, word_chars
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_ordered_words_match_the_letter_loop_bit_for_bit(name, named_split):
+    split = named_split(name)
+    _, _, weights, chars, _, _ = _build_generators(split, DEFAULT)
+    words = _enumerate_words(len(weights), weights, max(1, split.shadow_class), 4096)
+    t_dim = split.torus.shape[0]
+    got = _order_words(words, weights, chars, t_dim)
+    want = looped_order_words(words, weights, chars, t_dim)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("name", CAP_NAMES)
 def test_every_word_has_series_weight_at_most_the_cap(name, named_split):
     """The module is truncated by series weight, never by plain degree."""

@@ -569,6 +569,11 @@ def test_integral_word_segment_matrix():
     assert m[1, 1] == 5.0
     assert m[0, 1] == 6.0
     assert m[1, 0] == 0.0
+    # A real word on a real direction stays real, a tuple included.
+    assert word.exponents.dtype == word.factors.dtype == m.dtype == np.float64
+    assert np.array_equal(word.segment_matrix((3.0, 5.0)), m)
+    assert word.segment_matrix(np.array([3.0, 5.0j])).dtype == np.complex128
+    assert IntegralWord(exponents=((1.0, 1j),), factors=()).exponents.dtype == np.complex128
 
 
 def test_size_one_word_is_pure_exponential():

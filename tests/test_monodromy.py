@@ -13,6 +13,7 @@ from solvhull import (
     build_connection_form,
     build_enveloping_rep,
     build_monodromy_rep,
+    build_splitting,
     closedness_residual,
     connection,
     entry_chain_value,
@@ -26,13 +27,14 @@ from solvhull import (
     separation_demo,
     transport,
     transport_series,
+    validate_algebra,
     word_monodromy,
 )
 from solvhull.errors import ValidationError
 from solvhull.linalg import SparseStack
 from solvhull.monodromy import _entry_sums
 
-from conftest import CORPUS_SEEDS, form_by_name
+from conftest import CORPUS_SEEDS, form_by_name, graded_filiform_structure
 
 EPS = float(np.finfo(float).eps)
 # The package exports the function monodromy under the module's name.
@@ -605,7 +607,7 @@ def test_batched_closedness_matches_the_per_entry_route(name, request):
     stacked = integrals.stack_paths(paths, form.dim)
     alone = np.array([_entry_sums(form, stacked, p, q) for p, q in entries]).T
     plans = [form.chain_plan(p, q) for p, q in entries]
-    batched = np.hstack([MONODROMY._batch_sums(form, stacked, plans[b]) for b in MONODROMY._batches(plans)])
+    batched = np.hstack([MONODROMY._batch_sums(stacked, plans[b]) for b in MONODROMY._batches(plans)])
     scale = max(1.0, float(np.max(np.abs(alone))))
     assert np.max(np.abs(batched - alone)) <= 8 * EPS * scale
 
@@ -652,7 +654,7 @@ def test_chain_plans_walk_once_per_entry_and_keep_every_value(name, request, mon
     for p, q in column:
         assert entry_chains(form, p, q) == _recursive_chains(form, p, q)
         plan = form.chain_plan(p, q)
-        for a in (plan.start, plan.nodes, plan.steps):
+        for a in (plan.start, plan.nodes, plan.exponents, plan.factors):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a.reshape(-1)[:1] = 0
@@ -673,6 +675,55 @@ def test_chain_plan_memo_leaves_no_reference_cycles(sect4_full_stages):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", PLAN_FORMS)
+def test_the_closure_diagonal_holds_the_characters(name, request):
+    """A repeated node's step table is its character, which _batch_sums pads with."""
+    if name == "sect4-full":
+        form = request.getfixturevalue("sect4_full_stages")["form"]
+    else:
+        form = form_by_name(request, name)
+    diagonal = form.closure.index[np.arange(form.r), np.arange(form.r)]
+    assert form.closure_psi.dtype == form.omega.dtype
+    assert np.array_equal(form.closure_psi[:, diagonal].T, form.omega)
+
+
+def plan_sizes(form):
+    """Bytes of every entry's chain plan, from chain counts and lengths, not walks.
+
+    A plan of c chains on n slots holds c start slots, c n node ids and
+    c (2n - 1) dim table entries, 8 bytes each on a real form.
+    """
+    r, live = form.r, form.live
+    count = np.zeros((r, r), dtype=np.int64)
+    slots = np.zeros((r, r), dtype=np.int64)
+    for p in range(r - 1, -1, -1):
+        count[p, p], slots[p, p] = 1, 1
+        nxt = np.flatnonzero(live[p])
+        count[p] += count[nxt].sum(axis=0)
+        slots[p] = np.maximum(slots[p], np.where(count[nxt] > 0, slots[nxt] + 1, 0).max(axis=0, initial=0))
+    return 8 * count * (1 + slots + (2 * slots - 1) * form.dim)
+
+
+# The 256 largest plans of a form, the most its plan memo holds, stay
+# under these bytes: 1.35 MiB at r = 96 and 45.9 MiB at r = 291.
+PLAN_MEMO_BYTES = {6: 2 * 2**20, 8: 48 * 2**20}
+
+
+@pytest.mark.parametrize("rank", sorted(PLAN_MEMO_BYTES))
+def test_a_full_plan_memo_stays_under_its_byte_bound(rank, filiform_forms):
+    if rank in filiform_forms:
+        form = filiform_forms[rank]
+    else:
+        split = build_splitting(validate_algebra(graded_filiform_structure(rank)))
+        form = build_connection_form(build_enveloping_rep(split))
+    assert form.r == {6: 96, 8: 291}[rank] and form.omega.dtype == np.float64
+    sizes = plan_sizes(form)
+    p, q = np.unravel_index(int(np.argmax(sizes)), sizes.shape)
+    plan = dataclasses.replace(form).chain_plan(p, q)
+    assert sum(a.nbytes for a in (plan.start, plan.nodes, plan.exponents, plan.factors)) == sizes[p, q]
+    assert np.sort(sizes, axis=None)[-connection._MEMO_SIZE:].sum() <= PLAN_MEMO_BYTES[rank]
 
 
 @pytest.mark.parametrize("p, q", [(0, 10**6), (-1, 3), (-1, -1), (4, 0), (0, -5)])

@@ -1,17 +1,24 @@
 """Exactly real input to the evaluation kernels runs in float64.
 
-When every imaginary part of a chain-sum input or of a path's segment
-matrices is exactly zero, integrals hands the kernels the real parts,
-and they work in float64 and return complex. The real route agrees with
-the same input forced through complex arithmetic to a few ulps of the
-entry scale, and a guard checks which dtype reaches the kernels, so the
+A connection form whose entries are exactly real stores omega and
+closure_psi as float64 when it is built, so its chain sums and series
+on a real path reach the kernels as real products, unchecked; complex
+input is checked on each call, and reaches them as its real parts when
+every imaginary part is exactly zero. The kernels work in float64 and
+return complex. The real route agrees with the same form's complex copy
+forced through complex arithmetic to a few ulps of the entry scale, and
+guards check which dtype the tables have and reaches the kernels, and
+that no per-call check runs on a real form along a real path, so the
 fast route cannot go away silently.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from solvhull import connection, entry_chain_value, integrals, transport_series
+from solvhull.monodromy import closedness_residual
 from solvhull.tolerances import DEFAULT
 from solvhull.verify import _random_path
 
@@ -35,12 +42,18 @@ def _values(form, name, path):
 
 @pytest.mark.parametrize("name", CHAIN_FORMS)
 def test_real_route_matches_the_complex_route(name, request, monkeypatch):
-    """Chain sums and the depth 20 series on a real 4-segment path, each route once."""
+    """Chain sums and the depth 20 series on a real 4-segment path, each route once.
+
+    The complex route runs on a copy of the form with complex tables,
+    whose products are kept complex.
+    """
     form = form_by_name(request, name)
     path = _random_path(np.random.default_rng(300 + len(name)), form.dim, 4, False, 3.0, form)
     chains, series = _values(form, name, path)
     monkeypatch.setattr(integrals, "_real_if_exact", lambda arrays: arrays)
-    complex_chains, complex_series = _values(form, name, path)
+    complex_form = dataclasses.replace(form, omega=form.omega.astype(complex))
+    assert complex_form.closure_psi.dtype == np.complex128
+    complex_chains, complex_series = _values(complex_form, name, path)
     chain_scale = max(1.0, float(np.max(np.abs(complex_chains))))
     series_scale = float(np.max(np.abs(complex_series)))
     assert np.max(np.abs(chains - complex_chains)) <= 4 * EPS * chain_scale
@@ -105,3 +118,58 @@ def test_rounding_level_imaginary_parts_are_snapped(name, request, monkeypatch):
     assert (imag <= DEFAULT.char_snap * scale) == snapped
     if snapped:
         assert imag < 1.1e-14
+
+
+REAL_FORMS = ["sol", "filiform-4", "filiform-5", "filiform-6"] + [f"corpus-{seed}" for seed in ROUNDING_IMAGINARY]
+
+
+@pytest.mark.parametrize("name", REAL_FORMS + ["sect4"])
+def test_real_forms_store_float64_tables(name, request):
+    """omega, closure_psi and the plans' tables are float64 on real forms, complex on sect4; psi stays complex."""
+    form = form_by_name(request, name)
+    dtype = np.dtype(np.complex128 if name == "sect4" else np.float64)
+    plan = form.chain_plan(0, form.r - 1)
+    assert form.omega.dtype == form.closure_psi.dtype == dtype
+    assert plan.exponents.dtype == plan.factors.dtype == dtype
+    assert plan.exponents.flags.c_contiguous and plan.factors.flags.c_contiguous
+    assert form.psi_entries.values.dtype == np.complex128
+
+
+def counted_checks(monkeypatch):
+    """Count the calls of integrals._real_if_exact, the per-call realness check."""
+    calls = []
+    check = integrals._real_if_exact
+
+    def counted(arrays):
+        calls.append(len(arrays))
+        return check(arrays)
+
+    monkeypatch.setattr(integrals, "_real_if_exact", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", REAL_FORMS)
+def test_real_forms_on_real_paths_skip_the_per_call_check(name, request, monkeypatch):
+    """Entry chains, batched closedness and the series never check; a complex path does."""
+    form = form_by_name(request, name)
+    rng = np.random.default_rng(9)
+    paths = [_random_path(rng, form.dim, segments, False, 3.0, form) for segments in (3, 1)]
+    entries = [(p, form.r - 1) for p in range(form.r)]
+    calls = counted_checks(monkeypatch)
+    for p, q in entries:
+        entry_chain_value(form, paths[0], p, q)
+    base = integrals.transport(form, paths[0])
+    closedness_residual(form, paths, base, entries)
+    transport_series(form, paths[0], 5)
+    assert calls == []
+    entry_chain_value(form, _random_path(rng, form.dim, 2, True, 3.0, form), 0, form.r - 1)
+    assert calls == [2]
+
+
+def test_complex_forms_check_each_call(request, monkeypatch):
+    """sect4's tables are complex, so even a real path's chain sums are checked."""
+    form = form_by_name(request, "sect4")
+    path = _random_path(np.random.default_rng(10), form.dim, 2, False, 3.0, form)
+    calls = counted_checks(monkeypatch)
+    entry_chain_value(form, path, 0, form.r - 1)
+    assert calls == [2]
