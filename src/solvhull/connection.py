@@ -40,9 +40,14 @@ entry (p, q) of a transport expands, depend on the live pattern alone.
 Each form plans an entry's chains once, on first use, as the integer ids
 of their nodes together with the characters of the nodes and the
 closure entries of the steps, gathered then, in a least recently used
-memo of at most _MEMO_SIZE entries.
+memo of at most _MEMO_SIZE entries and _MEMO_BYTES bytes. The byte bound
+counts each plan's arrays, which grow with its chains: the 256 largest
+plans of the rank 8 graded filiform form (r = 291) would hold 45.9 MiB,
+and the 96 of the rank 6 form's last column hold 0.76 MiB.
 """
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -245,6 +250,10 @@ class ChainPlan:
     exponents: np.ndarray
     factors: np.ndarray
 
+    @property
+    def nbytes(self):
+        return sum(a.nbytes for a in (self.start, self.nodes, self.exponents, self.factors))
+
 
 def _plan_chains(steps, index, omega, closure_psi, p, q):
     chains = _walk_chains(steps, p, q)
@@ -255,6 +264,41 @@ def _plan_chains(steps, index, omega, closure_psi, p, q):
     for a in (plan.start, plan.nodes, plan.exponents, plan.factors):
         a.flags.writeable = False
     return plan
+
+
+class _PlanMemo:
+    """Least recently used chain plans, at most maxsize of them and maxbytes bytes together.
+
+    Plans differ in size by orders of magnitude, so the byte bound is
+    checked on the plans' arrays (nbytes holds their sum); a plan larger
+    than it is planned again on each call. misses counts the plans made.
+    """
+
+    def __init__(self, plan, maxsize, maxbytes):
+        self._plan = plan
+        self._held = OrderedDict()
+        self._lock = threading.Lock()
+        self.maxsize = maxsize
+        self.maxbytes = maxbytes
+        self.nbytes = 0
+        self.misses = 0
+
+    def __len__(self):
+        return len(self._held)
+
+    def __call__(self, p, q):
+        with self._lock:
+            plan = self._held.get((p, q))
+            if plan is not None:
+                self._held.move_to_end((p, q))
+                return plan
+            self.misses += 1
+            plan = self._plan(p, q)
+            self._held[p, q] = plan
+            self.nbytes += plan.nbytes
+            while self._held and (len(self._held) > self.maxsize or self.nbytes > self.maxbytes):
+                self.nbytes -= self._held.popitem(last=False)[1].nbytes
+            return plan
 
 
 @dataclass(frozen=True)
@@ -338,7 +382,7 @@ class ConnectionForm:
         # Closes over the steps, the closure's index and the tables, not
         # the form, so a form holds no reference cycle.
         plan = partial(_plan_chains, self.chain_steps, self.closure.index, self.omega, self.closure_psi)
-        return lru_cache(maxsize=_MEMO_SIZE)(plan)
+        return _PlanMemo(plan, _MEMO_SIZE, _MEMO_BYTES)
 
     def chain_plan(self, p, q):
         """The ChainPlan of entry (p, q), planned on first use.

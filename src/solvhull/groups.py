@@ -7,15 +7,25 @@ Algebra coordinates list the translation directions first and the fiber
 directions after them, matching the structure tables of the builtins.
 
 Lattice words revisit a few translation vectors and arcs many times
-(sol's verify makes about 200 phi calls on 16 distinct vectors), so each
-model memoizes phi(t) on the bytes of t and exp(x, duration) on the bytes
-of x and of the duration, each in its own least recently used memo of
-_MEMO_SIZE = 256 entries. The memo is exact: a hit returns the result a
-miss would compute, since the key holds every bit the computation reads
-and the result cannot be changed in place: phi's array and the t and v
-arrays of exp's GroupElement are read-only, and GroupElement is frozen.
-exp still validates its direction on every call, and every endpoint
-check still runs.
+(verify at seed 0 makes 129 phi calls on 16 distinct vectors on sol, and
+162 on 16 on sect4), so each model memoizes phi(t) on the bytes of t and
+exp(x, duration) on the bytes of x and of the duration, each in its own
+least recently used memo of _MEMO_SIZE = 256 entries. The memo is exact:
+a hit returns the result a miss would compute, since the key holds every
+bit the computation reads and the result cannot be changed in place:
+phi's array and the t and v arrays of exp's GroupElement are read-only,
+and GroupElement is frozen. exp still validates its direction on every
+call, and every endpoint check still runs.
+
+A word is made of a few letters, each a generator to a power, so each
+lattice memoizes the segments of every letter's loop per name and sign,
+and every generator power per name and exponent, in memos of the same
+size: path_of and element_of build a letter once per lattice, not once
+per word. The elements and paths the library computes itself freeze
+their fresh arrays in place (GroupElement._of_fresh,
+PathWord._of_checked) instead of copying and checking them again; the
+public constructors still copy and check what they are given, and the
+identity is one shared read-only element per model.
 """
 
 import functools
@@ -26,7 +36,7 @@ import numpy as np
 from .errors import EndpointMismatch, UnknownName, ValidationError
 from .linalg import SparseStack, bracket_residual, frozen_array
 from .matfuncs import expm, phi1_apply
-from .paths import PathWord
+from .paths import PathWord, _fresh_direction, _read_only
 from .tolerances import DEFAULT
 
 _MEMO_SIZE = 256
@@ -42,6 +52,18 @@ class GroupElement:
     def __post_init__(self):
         object.__setattr__(self, "t", frozen_array(self.t, float))
         object.__setattr__(self, "v", frozen_array(self.v, complex))
+
+    @classmethod
+    def _of_fresh(cls, t, v):
+        """An element of arrays the library has just computed and nothing else holds.
+
+        They are made read-only in place, not copied; one that is not
+        contiguous or not of the element's dtype is copied once.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "t", _read_only(np.ascontiguousarray(t, dtype=float)))
+        object.__setattr__(g, "v", _read_only(np.ascontiguousarray(v, dtype=complex)))
+        return g
 
 
 class SemidirectModel:
@@ -75,23 +97,25 @@ class SemidirectModel:
         self._exp_memo = functools.lru_cache(maxsize=_MEMO_SIZE)(
             functools.partial(_exp_of_bytes, mats)
         )
+        self._identity = GroupElement._of_fresh(np.zeros(k), np.zeros(m_dim, dtype=complex))
 
     @property
     def dim(self):
         return self.k + self.m
 
     def identity(self):
-        return GroupElement(np.zeros(self.k), np.zeros(self.m))
+        """The identity, one shared read-only element per model."""
+        return self._identity
 
     def phi(self, t):
         """Holonomy of the translation part on the fiber, read-only."""
         return self._phi_memo(np.asarray(t, dtype=float).tobytes())
 
     def multiply(self, g, h):
-        return GroupElement(g.t + h.t, g.v + self.phi(g.t) @ h.v)
+        return GroupElement._of_fresh(g.t + h.t, g.v + self.phi(g.t) @ h.v)
 
     def inverse(self, g):
-        return GroupElement(-g.t, -(self.phi(-g.t) @ g.v))
+        return GroupElement._of_fresh(-g.t, -(self.phi(-g.t) @ g.v))
 
     def power(self, g, n):
         n = int(n)
@@ -146,11 +170,11 @@ class SemidirectModel:
         segments = []
         tnorm = float(np.linalg.norm(g.t))
         if tnorm > 0.0:
-            segments.append((self.direction_of(g.t, np.zeros(self.m)), 1.0))
+            segments.append((_fresh_direction(self.direction_of(g.t, np.zeros(self.m))), 1.0))
         w = self.phi(-g.t) @ g.v
         if float(np.linalg.norm(w)) > 0.0:
-            segments.append((self.direction_of(np.zeros(self.k), w), 1.0))
-        path = PathWord(segments)
+            segments.append((_fresh_direction(self.direction_of(np.zeros(self.k), w)), 1.0))
+        path = PathWord._of_checked(segments)
         if check:
             reached = self.endpoint(path)
             dev = self.distance(reached, g)
@@ -195,7 +219,7 @@ def _exp_of_bytes(mats, key, duration):
     s = float(np.frombuffer(duration, dtype=float)[0])
     t, z = x[: len(mats)].real, x[len(mats) :]
     fiber = phi1_apply(s * _action_generator(mats, t), s * z)
-    return GroupElement(s * t, fiber)
+    return GroupElement._of_fresh(s * t, fiber)
 
 
 @dataclass(frozen=True)
@@ -207,39 +231,41 @@ class Lattice:
     relations: tuple = ()
 
     def generator(self, name):
-        for key, g in self.generators:
-            if key == name:
-                return g
-        raise UnknownName(f"unknown generator {name!r}")
+        return _generator(self.generators, name)
 
     @property
     def names(self):
         return tuple(k for k, _ in self.generators)
 
+    @functools.cached_property
+    def _letters(self):
+        return _letter_memos(self.model, self.generators)
+
     def element_of(self, word):
+        _, power = self._letters
         out = self.model.identity()
         for name, exp in word:
-            out = self.model.multiply(out, self.model.power(self.generator(name), exp))
+            out = self.model.multiply(out, power(name, int(exp)))
         return out
 
     def path_of(self, word, check=True):
         """Concatenated canonical loops for a lattice word.
 
         Each letter contributes the loop of its generator (or inverse),
-        repeated for the exponent and built once per name and sign; the
-        whole path runs from the identity to the word's group element.
+        repeated for the exponent and built once per lattice for each
+        name and sign; the whole path runs from the identity to the
+        word's group element.
         """
+        loop, _ = self._letters
         segments = []
-        loops = {}
         for name, exp in word:
-            g = self.generator(name)
             reps = abs(int(exp))
-            key = (name, exp >= 0)
-            if reps and key not in loops:
-                step = g if exp >= 0 else self.model.inverse(g)
-                loops[key] = self.model.loop_of(step, check=False).segments
-            segments.extend(loops.get(key, ()) * reps)
-        path = PathWord(segments)
+            if reps:
+                segments.extend(loop(name, exp >= 0) * reps)
+            else:
+                # An unknown name is an error at exponent 0 too.
+                self.generator(name)
+        path = PathWord._of_checked(segments)
         if check and segments:
             reached = self.model.endpoint(path)
             target = self.element_of(word)
@@ -248,6 +274,31 @@ class Lattice:
             if dev > self.model.tolerances.num * scale * max(1, len(segments)):
                 raise EndpointMismatch(dev, self.model.tolerances.num)
         return path
+
+
+def _generator(generators, name):
+    for key, g in generators:
+        if key == name:
+            return g
+    raise UnknownName(f"unknown generator {name!r}")
+
+
+def _letter_memos(model, generators):
+    """A lattice's letter memos: loop segments per (name, sign), powers per (name, exponent).
+
+    They close over the model and the generators, not the lattice, so a
+    lattice holds no reference cycle.
+    """
+
+    def loop(name, positive):
+        g = _generator(generators, name)
+        return model.loop_of(g if positive else model.inverse(g), check=False).segments
+
+    def power(name, exp):
+        return model.power(_generator(generators, name), exp)
+
+    memo = functools.lru_cache(maxsize=_MEMO_SIZE)
+    return memo(loop), memo(power)
 
 
 def parse_word(text):

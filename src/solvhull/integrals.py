@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import frozen_array
 from .matfuncs import exp_chain_values
+from .paths import stack_paths
 
 _EPS = float(np.finfo(float).eps)
 
@@ -52,27 +53,6 @@ def _real_segments(path):
     if any(x.imag.any() for x, _ in path):
         return list(path)
     return [(np.ascontiguousarray(x.real), t) for x, t in path]
-
-
-def stack_paths(paths, dim):
-    """The paths as one zero padded stack, the input chain_sums reads.
-
-    Returns vectors (paths, longest, dim), each path's directions in
-    order, float64 when every direction is exactly real, and durations
-    (paths, longest, 1, 1); padding segments have duration zero. A
-    caller that sums many batches of chains over the same paths stacks
-    them once.
-    """
-    longest = max((len(path) for path in paths), default=0)
-    vectors = np.zeros((len(paths), longest, dim), dtype=complex)
-    durations = np.zeros((len(paths), longest, 1, 1))
-    for v, path in enumerate(paths):
-        if len(path):
-            vectors[v, : len(path)] = [x for x, _ in path]
-            durations[v, : len(path), 0, 0] = [t for _, t in path]
-    if not vectors.imag.any():
-        vectors = vectors.real.copy()
-    return vectors, durations
 
 
 def chain_values(exponents, factors, stacked, start):

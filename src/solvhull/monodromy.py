@@ -38,10 +38,7 @@ def monodromy(form, model, target):
 
 def word_monodromy(form, lattice, word):
     """Transport along the concatenated canonical path of a lattice word."""
-    path = lattice.path_of(word)
-    if len(path) == 0:
-        return np.eye(form.r, dtype=complex)
-    return transport(form, path)
+    return transport(form, lattice.path_of(word))
 
 
 @dataclass(frozen=True)
@@ -88,10 +85,11 @@ def path_variants(model, target, seed=0, trials=4):
     variants = [base]
     for k in (2, 3):
         variants.append(base.subdivide(k))
+    complex_fiber = any(np.iscomplexobj(m) and np.max(np.abs(m.imag)) > 0 for m in model.mats)
     for _ in range(trials):
         t_dir = rng.standard_normal(model.k)
         fiber = rng.standard_normal(model.m)
-        if any(np.iscomplexobj(m) and np.max(np.abs(m.imag)) > 0 for m in model.mats):
+        if complex_fiber:
             fiber = fiber + 1j * rng.standard_normal(model.m)
         y = model.direction_of(t_dir, fiber)
         y = y / max(1.0, float(np.linalg.norm(y)))
@@ -263,7 +261,7 @@ def separation_demo(form, lattice):
         (fiber_name, -1),
     )
     path = lattice.path_of(word)
-    rho = word_monodromy(form, lattice, word)
+    rho = transport(form, path)
     eye = np.eye(form.r, dtype=complex)
     displacement = float(np.linalg.norm(path.displacement()))
     sep = float(np.max(np.abs(rho - eye)))

@@ -6,6 +6,13 @@ array and a finite nonnegative float. A path word is a finite
 concatenation of segments. All integral and transport routines consume
 these words: only the direction vectors and durations matter to them,
 base points never enter.
+
+PathWord(segments) copies and checks every segment it is given. The
+path algebra (concat, inverse, subdivide) and the group model's loops
+build their paths from segments that are already checked, or from
+directions they have just computed, so they freeze those in place
+instead of copying and checking them again. A path stacks
+itself for the chain kernels once, on first use (PathWord.stacked).
 """
 
 import math
@@ -24,22 +31,69 @@ def _segment(direction, duration):
     duration = float(duration)
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"segment duration must be finite and nonnegative, got {duration}")
-    x = frozen_array(direction, complex).ravel()
+    return _fresh_direction(frozen_array(direction, complex).ravel()), duration
+
+
+def _read_only(x):
+    """x, an array nothing else holds, made read-only in place."""
+    x.flags.writeable = False
+    return x
+
+
+def _fresh_direction(x):
+    """x, a complex vector nothing else holds, checked finite and made read-only in place."""
     if not np.isfinite(x).all():
         raise ValueError("segment direction entries must be finite")
-    return x, duration
+    return _read_only(x)
+
+
+def stack_paths(paths, dim):
+    """The paths as one zero padded stack, the input chain_sums reads.
+
+    Returns vectors (paths, longest, dim), each path's directions in
+    order, float64 when every direction is exactly real, and durations
+    (paths, longest, 1, 1); padding segments have duration zero. A
+    caller that sums many batches of chains over the same paths stacks
+    them once, and a single PathWord of that dim hands back the
+    read-only stack it keeps.
+    """
+    if len(paths) == 1 and isinstance(paths[0], PathWord) and paths[0].dim == dim:
+        return paths[0].stacked
+    return _stack(paths, dim)
+
+
+def _stack(paths, dim):
+    longest = max((len(path) for path in paths), default=0)
+    vectors = np.zeros((len(paths), longest, dim), dtype=complex)
+    durations = np.zeros((len(paths), longest, 1, 1))
+    for v, path in enumerate(paths):
+        if len(path):
+            vectors[v, : len(path)] = [x for x, _ in path]
+            durations[v, : len(path), 0, 0] = [t for _, t in path]
+    if not vectors.imag.any():
+        vectors = vectors.real.copy()
+    return vectors, durations
 
 
 class PathWord:
     """Immutable sequence of (direction, duration) pairs with path algebra helpers."""
 
-    __slots__ = ("segments",)
+    __slots__ = ("segments", "_stacked")
 
     def __init__(self, segments):
         segs = tuple(_segment(x, t) for x, t in segments)
         if len({x.size for x, _ in segs}) > 1:
             raise ValueError("segment directions must all have one length")
         object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "_stacked", None)
+
+    @classmethod
+    def _of_checked(cls, segments):
+        """A path of segments that are checked pairs of one length, as _segment makes them; nothing is copied."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "segments", tuple(segments))
+        object.__setattr__(path, "_stacked", None)
+        return path
 
     def __setattr__(self, name, value):
         raise AttributeError("PathWord is immutable")
@@ -66,12 +120,28 @@ class PathWord:
     def dim(self):
         return self.segments[0][0].size if self.segments else 0
 
+    @property
+    def stacked(self):
+        """stack_paths([self], self.dim), built on first use, read-only.
+
+        An empty path's dim is 0, so stack_paths stacks it anew for any
+        other dim.
+        """
+        if self._stacked is None:
+            stacked = tuple(_read_only(a) for a in _stack([self], self.dim))
+            object.__setattr__(self, "_stacked", stacked)
+        return self._stacked
+
     def concat(self, other):
-        return PathWord(self.segments + tuple(other))
+        if not isinstance(other, PathWord):
+            other = PathWord(other)
+        if self.segments and other.segments and self.dim != other.dim:
+            raise ValueError("segment directions must all have one length")
+        return PathWord._of_checked(self.segments + other.segments)
 
     def inverse(self):
         """Time reversal: segments reversed in order and direction."""
-        return PathWord((-x, t) for x, t in reversed(self.segments))
+        return PathWord._of_checked((_read_only(-x), t) for x, t in reversed(self.segments))
 
     def subdivide(self, parts):
         """Split every segment into the given number of equal pieces."""
@@ -81,7 +151,7 @@ class PathWord:
         out = []
         for x, t in self.segments:
             out.extend([(x, t / parts)] * parts)
-        return PathWord(out)
+        return PathWord._of_checked(out)
 
     def displacement(self):
         """Signed time integral of the direction, the abelianized endpoint."""

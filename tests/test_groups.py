@@ -1,5 +1,6 @@
 """Semidirect product group model, exponential arcs, lattice words."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -356,6 +357,113 @@ def test_path_of_empty_word(sol_problem):
     assert len(path) == 0
 
 
+def test_path_of_rejects_an_unknown_letter_at_exponent_zero(sol_problem):
+    with pytest.raises(KeyError):
+        sol_problem.lattice.path_of((("a", 1), ("nope", 0)))
+
+
+@pytest.mark.parametrize("problem_name", ["sol", "sect4"])
+def test_lattice_builds_each_letter_loop_once(problem_name, sol_problem, sect4_problem, monkeypatch):
+    problem = {"sol": sol_problem, "sect4": sect4_problem}[problem_name]
+    # A copy starts with no letters, whatever other tests asked of the fixture.
+    lat = dataclasses.replace(problem.lattice)
+    built = []
+    loop_of = groups.SemidirectModel.loop_of
+
+    def counted(model, g, check=True):
+        built.append(check)
+        return loop_of(model, g, check)
+
+    monkeypatch.setattr(groups.SemidirectModel, "loop_of", counted)
+    names = lat.names
+    word = ((names[0], 2), (names[-1], -1), (names[0], -3), (names[-1], 1))
+    first = lat.path_of(word)
+    assert lat.path_of(word) == first
+    assert len(lat.path_of(tuple(reversed(word)))) == len(first)
+    assert built == [False] * 4
+
+
+def test_path_of_catches_a_corrupted_letter_loop(sol_problem):
+    lat = dataclasses.replace(sol_problem.lattice)
+    word = parse_word("a b1")
+    lat.path_of(word)
+    # b1 is a pure fiber element, so its loop is one segment, whose
+    # direction owns its memory and can be made writable again.
+    loop, _ = lat._letters
+    ((x, _),) = loop("b1", True)
+    x.flags.writeable = True
+    x[-1] += 0.5
+    x.flags.writeable = False
+    with pytest.raises(EndpointMismatch):
+        lat.path_of(word)
+    assert len(lat.path_of(word, check=False)) == 2
+
+
+def assert_read_only_element(g):
+    """g's arrays are read-only, and equal to what the validating constructor makes of them."""
+    checked = GroupElement(g.t, g.v)
+    for got, want in ((g.t, checked.t), (g.v, checked.v)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[...] = 0
+
+
+def assert_read_only_path(path):
+    """Every segment is read-only and equal to what PathWord's checks make of it."""
+    checked = PathWord(path.segments)
+    assert path == checked
+    for (x, t), (y, s) in zip(path, checked):
+        assert x.dtype == y.dtype and x.shape == y.shape and type(t) is type(s)
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0
+
+
+@pytest.mark.parametrize("problem_name", ["sol", "sect4"])
+def test_library_built_elements_are_read_only_and_checked(problem_name, sol_problem, sect4_problem):
+    model = {"sol": sol_problem, "sect4": sect4_problem}[problem_name].model
+    rng = np.random.default_rng(40)
+    g, h = random_element(model, rng), random_element(model, rng)
+    x = model.direction_of(rng.standard_normal(model.k), rng.standard_normal(model.m))
+    built = [
+        model.identity(),
+        model.multiply(g, h),
+        model.inverse(g),
+        model.exp(x, 0.75),
+        model.power(g, 3),
+        model.power(g, -2),
+        model.power(g, 0),
+    ]
+    for out in built:
+        assert_read_only_element(out)
+    assert model.identity() is model.identity()
+    assert not model.identity().t.any() and not model.identity().v.any()
+
+
+@pytest.mark.parametrize("problem_name", ["sol", "sect4"])
+def test_library_built_paths_are_read_only_and_checked(problem_name, sol_problem, sect4_problem):
+    problem = {"sol": sol_problem, "sect4": sect4_problem}[problem_name]
+    model, lat = problem.model, problem.lattice
+    rng = np.random.default_rng(41)
+    loop = model.loop_of(random_element(model, rng))
+    word = lat.path_of(((lat.names[0], 2), (lat.names[-1], -1)))
+    given = PathWord([(rng.standard_normal(model.dim), 0.5)])
+    for path in (loop, word, word.concat(loop), word.concat(list(given)), loop.subdivide(3), word.inverse()):
+        assert_read_only_path(path)
+    with pytest.raises(ValueError):
+        loop.concat(PathWord([((1.0,), 1.0)]))
+
+
+# perfbench/tracing.py wraps these two methods by name as the spans
+# groups.loop_of and groups.path_of; a rename would silently drop those
+# per-layer metrics from the benchmark.
+def test_the_traced_group_methods_exist():
+    assert callable(getattr(groups.SemidirectModel, "loop_of", None))
+    assert callable(getattr(groups.Lattice, "path_of", None))
+
+
 # ------------------------------------------------------------ word parsing
 
 
@@ -406,6 +514,22 @@ def test_segment_memo_changes_no_verify_output(example, monkeypatch, capsys):
         assert verify_stdout(capsys, example, seed) == text
 
 
+@pytest.mark.parametrize("example", ["sol", "sect4"])
+def test_letter_memo_changes_no_verify_output(example, monkeypatch, capsys):
+    memoized = {seed: verify_stdout(capsys, example, seed) for seed in (0, 1, 7)}
+
+    def unmemoized(lattice):
+        # Memos of size zero, fresh on every use: every letter's loop and
+        # power is built again each time it is asked for.
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "_MEMO_SIZE", 0)
+            return groups._letter_memos(lattice.model, lattice.generators)
+
+    monkeypatch.setattr(groups.Lattice, "_letters", property(unmemoized))
+    for seed, text in memoized.items():
+        assert verify_stdout(capsys, example, seed) == text
+
+
 # Measured on sol and sect4 after each form memoized its segment
 # exponentials (121 and 134 before, 372 and 443 before phi and exp were
 # memoized); the count does not depend on the seed.
@@ -427,6 +551,26 @@ def test_verify_expm_call_count(example, monkeypatch, capsys):
             monkeypatch.setattr(module, "expm", counted)
     verify_stdout(capsys, example, 0)
     assert 0 < len(calls) <= EXPM_CALLS[example]
+
+
+# Measured on sol and sect4 after each lattice memoized its letters' loops
+# (49 and 59 when path_of built them once per call); the count does not
+# depend on the seed.
+LOOP_OF_CALLS = {"sol": 24, "sect4": 28}
+
+
+@pytest.mark.parametrize("example", ["sol", "sect4"])
+def test_verify_loop_of_call_count(example, monkeypatch, capsys):
+    loop_of = groups.SemidirectModel.loop_of
+    calls = []
+
+    def counted(model, g, check=True):
+        calls.append(1)
+        return loop_of(model, g, check)
+
+    monkeypatch.setattr(groups.SemidirectModel, "loop_of", counted)
+    verify_stdout(capsys, example, 0)
+    assert 0 < len(calls) <= LOOP_OF_CALLS[example]
 
 
 # One verify at seed 0: each certificate is one chain-kernel call, so

@@ -650,7 +650,7 @@ def test_chain_plans_walk_once_per_entry_and_keep_every_value(name, request, mon
             assert value == expected[p, q][0], (p, q)
             assert np.array_equal(_entry_sums(form, both, p, q), expected[p, q][1])
     assert walks == column
-    assert form._chain_plans.cache_info().misses == len(column)
+    assert form._chain_plans.misses == len(column)
     for p, q in column:
         assert entry_chains(form, p, q) == _recursive_chains(form, p, q)
         plan = form.chain_plan(p, q)
@@ -663,7 +663,7 @@ def test_chain_plans_walk_once_per_entry_and_keep_every_value(name, request, mon
 def test_chain_plan_memo_leaves_no_reference_cycles(sect4_full_stages):
     """A form and its plans are freed when the last reference goes, not by the collector."""
     form = sect4_full_stages["form"]
-    assert form._chain_plans.cache_info().maxsize == connection._MEMO_SIZE
+    assert form._chain_plans.maxsize == connection._MEMO_SIZE
     dataclasses.replace(form).chain_plan(0, form.r - 1)
     gc.collect()
     gc.disable()
@@ -706,8 +706,9 @@ def plan_sizes(form):
     return 8 * count * (1 + slots + (2 * slots - 1) * form.dim)
 
 
-# The 256 largest plans of a form, the most its plan memo holds, stay
-# under these bytes: 1.35 MiB at r = 96 and 45.9 MiB at r = 291.
+# The 256 largest plans of a form, the most its plan memo holds by count,
+# stay under these bytes: 1.35 MiB at r = 96 and 45.9 MiB at r = 291. The
+# memo's byte bound, _MEMO_BYTES, holds the second to 16 MiB.
 PLAN_MEMO_BYTES = {6: 2 * 2**20, 8: 48 * 2**20}
 
 
@@ -724,6 +725,35 @@ def test_a_full_plan_memo_stays_under_its_byte_bound(rank, filiform_forms):
     plan = dataclasses.replace(form).chain_plan(p, q)
     assert sum(a.nbytes for a in (plan.start, plan.nodes, plan.exponents, plan.factors)) == sizes[p, q]
     assert np.sort(sizes, axis=None)[-connection._MEMO_SIZE:].sum() <= PLAN_MEMO_BYTES[rank]
+
+
+def test_a_last_column_sweep_keeps_every_plan(filiform_forms):
+    """The rank 6 form's 96 last-column plans, 0.76 MiB, stay within both bounds."""
+    form = dataclasses.replace(filiform_forms[6])
+    for _ in range(2):
+        for p in range(form.r):
+            form.chain_plan(p, form.r - 1)
+    plans = form._chain_plans
+    assert len(plans) == form.r == 96 and plans.misses == form.r
+    assert plans.nbytes == plan_sizes(form)[:, -1].sum() < 2**20
+
+
+def test_the_plan_memo_evicts_by_bytes(filiform_forms, monkeypatch):
+    """Under a small byte bound plans are evicted and planned again; no value changes."""
+    form = filiform_forms[6]
+    column = [(p, form.r - 1) for p in range(form.r)]
+    rng = np.random.default_rng(77)
+    path = capped_path(rng, form, 4)
+    want = [entry_chain_value(dataclasses.replace(form), path, p, q) for p, q in column]
+    bound = int(np.sort(plan_sizes(form)[:, -1])[-3:].sum())
+    monkeypatch.setattr(connection, "_MEMO_BYTES", bound)
+    small = dataclasses.replace(form)
+    for _ in range(2):
+        assert [entry_chain_value(small, path, p, q) for p, q in column] == want
+        assert small._chain_plans.nbytes <= bound
+    plans = small._chain_plans
+    assert plans.maxbytes == bound and 0 < len(plans) < form.r
+    assert plans.misses > form.r
 
 
 @pytest.mark.parametrize("p, q", [(0, 10**6), (-1, 3), (-1, -1), (4, 0), (0, -5)])

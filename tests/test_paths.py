@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from solvhull import PathWord
+from solvhull import PathWord, entry_chain_value
+from solvhull.monodromy import _entry_sums
+from solvhull.paths import _stack, stack_paths
 
 
 def reduced(path):
@@ -198,3 +200,47 @@ def test_empty_pathword():
     assert a.dim == 0
     assert a.total_duration == 0
     assert a.displacement().shape == (0,)
+
+
+@pytest.mark.parametrize("imag", [0.0, 1.0])
+def test_a_path_keeps_its_stack_read_only(imag):
+    rng = np.random.default_rng(3)
+    path = PathWord([(rng.standard_normal(4) + imag * 1j * rng.standard_normal(4), t) for t in (0.5, 1.0, 0.25)])
+    stacked = stack_paths([path], 4)
+    fresh = _stack([path], 4)
+    assert stack_paths([path], 4) is stacked
+    assert stacked[0].dtype == (complex if imag else float)
+    for got, want in zip(stacked, fresh):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    # Several paths, or another dim, are stacked anew; another dim does not fit.
+    assert stack_paths([path, path], 4)[0].flags.writeable
+    with pytest.raises(ValueError):
+        stack_paths([path], 5)
+
+
+def test_an_empty_path_stacks_on_the_dim_it_is_given():
+    empty = PathWord([])
+    for dim in (0, 2, 5):
+        vectors, durations = stack_paths([empty], dim)
+        assert vectors.shape == (1, 0, dim) and durations.shape == (1, 0, 1, 1)
+    assert stack_paths([empty], 0) is empty.stacked
+
+
+def test_entry_chain_values_stack_their_path_once(filiform_forms, monkeypatch):
+    form = filiform_forms[6]
+    rng = np.random.default_rng(5)
+    path = PathWord([(rng.standard_normal(form.dim), 0.3) for _ in range(4)])
+    column = [(p, form.r - 1) for p in range(0, form.r, 7)]
+    want = [complex(_entry_sums(form, _stack([path], form.dim), p, q)[0]) for p, q in column]
+    stacks = []
+
+    def counted(paths, dim):
+        stacks.append(len(paths))
+        return _stack(paths, dim)
+
+    monkeypatch.setattr("solvhull.paths._stack", counted)
+    for _ in range(2):
+        assert [entry_chain_value(form, path, p, q) for p, q in column] == want
+    assert stacks == [1]
