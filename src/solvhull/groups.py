@@ -44,14 +44,17 @@ _MEMO_SIZE = 256
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """Point of the semidirect product: real translation t, complex fiber v, read-only."""
+    """Point of the semidirect product: real translation t, complex fiber v, read-only and finite."""
 
     t: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", frozen_array(self.t, float))
-        object.__setattr__(self, "v", frozen_array(self.v, complex))
+        t, v = frozen_array(self.t, float), frozen_array(self.v, complex)
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ValidationError("group element entries must be finite")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "v", v)
 
     @classmethod
     def _of_fresh(cls, t, v):
@@ -168,17 +171,16 @@ class SemidirectModel:
         back to time zero. The endpoint is verified against g.
         """
         segments = []
-        tnorm = float(np.linalg.norm(g.t))
-        if tnorm > 0.0:
+        if g.t.any():
             segments.append((_fresh_direction(self.direction_of(g.t, np.zeros(self.m))), 1.0))
         w = self.phi(-g.t) @ g.v
-        if float(np.linalg.norm(w)) > 0.0:
+        if w.any():
             segments.append((_fresh_direction(self.direction_of(np.zeros(self.k), w)), 1.0))
         path = PathWord._of_checked(segments)
         if check:
             reached = self.endpoint(path)
             dev = self.distance(reached, g)
-            if dev > self.tolerances.num * max(1.0, self.distance(g, self.identity())):
+            if not dev <= self.tolerances.num * max(1.0, self.distance(g, self.identity())):
                 raise EndpointMismatch(dev, self.tolerances.num)
         return path
 
@@ -271,7 +273,7 @@ class Lattice:
             target = self.element_of(word)
             dev = self.model.distance(reached, target)
             scale = max(1.0, self.model.distance(target, self.model.identity()))
-            if dev > self.model.tolerances.num * scale * max(1, len(segments)):
+            if not dev <= self.model.tolerances.num * scale * max(1, len(segments)):
                 raise EndpointMismatch(dev, self.model.tolerances.num)
         return path
 

@@ -8,13 +8,13 @@ matfuncs.exp_chain_values, carried segment by segment, and chain_sums
 sums each path's batch.
 Truncated transport series run on a sparse pattern closed under
 products, which holds every generator and every product of them.
-Both kernels run in float64 on real input and return complex values
-either way. A real connection form's tables (connection stores them
-real once, when it is built) and a path whose directions are all
-exactly real, whose real parts stack_paths keeps, make real products,
-which reach the kernels unchecked. Complex input has its products
-checked on each call, and they too reach the kernels as their real
-parts when every imaginary part is exactly zero.
+Both kernels run in the dtype of their input, float64 when it is real,
+and return complex values either way. Nothing here looks at values to
+choose that dtype: it is decided once, where tables and paths are built
+(linalg.real_if_exact). A real connection form stores its tables real,
+stack_paths keeps a real path's real parts, and the word tables built
+here are real when every entry is exactly real, so on real input their
+products are real; a complex table stays complex whatever its values.
 """
 
 from dataclasses import dataclass
@@ -23,36 +23,15 @@ from math import factorial
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import frozen_array
+from .linalg import frozen_array, real_if_exact
 from .matfuncs import exp_chain_values
-from .paths import stack_paths
+from .paths import check_dim, stack_paths
 
 _EPS = float(np.finfo(float).eps)
 
 
 def _functional_value(functional, direction):
     return complex(np.dot(np.asarray(functional, dtype=complex), direction))
-
-
-def _real_if_exact(arrays):
-    """Contiguous real parts of the arrays when every imaginary part is exactly zero, else the arrays."""
-    if any(a.imag.any() for a in arrays):
-        return arrays
-    return [np.ascontiguousarray(a.real) for a in arrays]
-
-
-def _kernel_input(arrays):
-    """The arrays as a kernel reads them: real ones as they are, complex ones through _real_if_exact."""
-    if any(np.iscomplexobj(a) for a in arrays):
-        return _real_if_exact(arrays)
-    return arrays
-
-
-def _real_segments(path):
-    """The path's (direction, duration) pairs, directions as contiguous real parts when every one is exactly real."""
-    if any(x.imag.any() for x, _ in path):
-        return list(path)
-    return [(np.ascontiguousarray(x.real), t) for x, t in path]
 
 
 def chain_values(exponents, factors, stacked, start):
@@ -63,10 +42,8 @@ def chain_values(exponents, factors, stacked, start):
     chain c starting at slot start[c]. stacked is stack_paths of the
     paths, and segment s contributes t_s times each functional on its
     direction; this is the one place that builds the input of
-    matfuncs.exp_chain_values. Real tables on real vectors make its
-    input real as they are; complex products get real parts when both
-    generator stacks are exactly real. Real input runs and returns in
-    float64.
+    matfuncs.exp_chain_values, and it passes the products on as they
+    are: real tables on real vectors run and return in float64.
     """
     chains, n, dim = exponents.shape
     vectors, durations = stacked
@@ -74,7 +51,7 @@ def chain_values(exponents, factors, stacked, start):
     diag = durations * (vectors @ exponents.reshape(chains * n, dim).T).reshape(lead + (n,))
     sup = vectors @ factors.reshape(chains * (n - 1), dim).T
     sup = durations * sup.reshape(lead + (n - 1,))
-    return exp_chain_values(*_kernel_input([diag, sup]), start)
+    return exp_chain_values(diag, sup, start)
 
 
 def chain_sums(exponents, factors, stacked, start):
@@ -92,7 +69,7 @@ def iterated_integral(functionals, path):
     """
     n = len(functionals)
     # An empty word has no letter to give the dimension; the path's serves.
-    factors = np.asarray(functionals, dtype=complex).reshape(1, n, -1 if n else path.dim)
+    factors = real_if_exact(np.asarray(functionals, dtype=complex).reshape(1, n, -1 if n else path.dim))
     dim = factors.shape[-1]
     return complex(chain_sums(np.zeros((1, n + 1, dim)), factors, stack_paths([path], dim), [0])[0])
 
@@ -144,6 +121,7 @@ def transport(form, path):
     segment comes from the form's memo; the result is a fresh array, so
     a one-segment path's read-only entry is copied.
     """
+    check_dim(path, form.dim)
     out = None
     for x, t in path:
         m = form.segment_exp(x, t)
@@ -279,13 +257,14 @@ def transport_series(form, path, depth):
     Returns the sum through the given depth together with a bound on the
     discarded tail, driven by the accumulated one norm of the segment
     generators. The series runs on the form's closure pattern, in
-    float64 when closure_psi and the path are real.
+    float64 when closure_psi and the path's stack are real.
     """
     pattern = form.closure
-    mats = [t * (x @ form.closure_psi) for x, t in _real_segments(path)]
+    vectors, durations = stack_paths([path], form.dim)
+    mats = [t * (x @ form.closure_psi) for x, t in zip(vectors[0], durations.ravel())]
     growth = _growth(mats)
     tail = _tail_bound(growth, depth)
-    total = _pattern_series(pattern, _kernel_input(mats), depth)
+    total = _pattern_series(pattern, mats, depth)
     return SeriesResult(
         value=pattern.scatter(total), tail_bound=tail, depth=depth, growth=growth
     )
@@ -337,8 +316,7 @@ class IntegralWord:
             raise ValueError("need exactly one more exponent than factors")
         exps = np.asarray(self.exponents, dtype=complex).reshape(len(self.exponents), -1)
         facs = np.asarray(self.factors, dtype=complex).reshape(len(self.factors), exps.shape[1])
-        if not (exps.imag.any() or facs.imag.any()):
-            exps, facs = exps.real, facs.real
+        exps, facs = real_if_exact(exps, facs)
         object.__setattr__(self, "exponents", frozen_array(exps, exps.dtype))
         object.__setattr__(self, "factors", frozen_array(facs, facs.dtype))
 
@@ -379,12 +357,12 @@ def exp_iterated_integral_series(word, path, depth):
     of the bidiagonal pattern.
     """
     n = word.size
-    mats = [word.segment_matrix(x) * t for x, t in _real_segments(path)]
+    vectors, durations = stack_paths([path], word.exponents.shape[1])
+    mats = [word.segment_matrix(x) * t for x, t in zip(vectors[0], durations.ravel())]
     growth = _growth(mats)
     tail = _tail_bound(growth, depth)
     pattern = closure_pattern(np.eye(n, k=1, dtype=bool))
-    gathered = _kernel_input([pattern.gather(m) for m in mats])
-    total = _pattern_series(pattern, gathered, depth + n - 1)
+    total = _pattern_series(pattern, [pattern.gather(m) for m in mats], depth + n - 1)
     return SeriesResult(
         value=complex(total[pattern.index[0, n - 1]]), tail_bound=tail, depth=depth, growth=growth
     )
@@ -415,12 +393,12 @@ def _shuffle_terms(functionals, word_a, word_b, path):
     aligned on len(a) + len(b) + 1 slots; every exponent is zero, so the
     slots in front of a chain's start take zero factors.
     """
-    table = np.asarray(functionals, dtype=complex)
+    table = real_if_exact(np.asarray(functionals, dtype=complex))
     shuffles = [w for w, mult in shuffle_words(word_a, word_b).items() for _ in range(mult)]
     words = [tuple(word_a), tuple(word_b)] + shuffles
     size = len(word_a) + len(word_b) + 1
     dim = table.shape[-1]
-    factors = np.zeros((len(words), size - 1, dim), dtype=complex)
+    factors = np.zeros((len(words), size - 1, dim), dtype=table.dtype)
     start = np.array([size - 1 - len(w) for w in words], dtype=int)
     for c, w in enumerate(words):
         factors[c, start[c]:] = table[list(w)]

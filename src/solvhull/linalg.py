@@ -38,6 +38,13 @@ def frozen_array(x, dtype):
     return out
 
 
+def real_if_exact(*arrays):
+    """Contiguous real parts of the arrays if every imaginary part is exactly zero, else the arrays; one in, one out."""
+    if not any(a.imag.any() for a in arrays):
+        arrays = tuple(np.ascontiguousarray(a.real) for a in arrays)
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
 def snap_to_zero(z, threshold):
     """The complex number z with real and imaginary parts below threshold set to zero."""
     return complex(

@@ -234,7 +234,7 @@ def separation_demo(form, lattice):
     trans_name = None
     fiber_names = []
     for name, g in lattice.generators:
-        if float(np.linalg.norm(g.t)) > 0:
+        if g.t.any():
             if trans_name is None:
                 trans_name = name
         else:

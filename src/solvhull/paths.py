@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .linalg import frozen_array
+from .errors import ValidationError
+from .linalg import frozen_array, real_if_exact
 
 
 def _segment(direction, duration):
@@ -47,6 +48,12 @@ def _fresh_direction(x):
     return _read_only(x)
 
 
+def check_dim(path, dim):
+    """Raise a ValidationError unless the path is empty or has the given dimension."""
+    if len(path) and path.dim != dim:
+        raise ValidationError(f"path has dimension {path.dim}, expected {dim}")
+
+
 def stack_paths(paths, dim):
     """The paths as one zero padded stack, the input chain_sums reads.
 
@@ -55,7 +62,7 @@ def stack_paths(paths, dim):
     (paths, longest, 1, 1); padding segments have duration zero. A
     caller that sums many batches of chains over the same paths stacks
     them once, and a single PathWord of that dim hands back the
-    read-only stack it keeps.
+    read-only stack it keeps; a path of another dim fails check_dim.
     """
     if len(paths) == 1 and isinstance(paths[0], PathWord) and paths[0].dim == dim:
         return paths[0].stacked
@@ -67,12 +74,11 @@ def _stack(paths, dim):
     vectors = np.zeros((len(paths), longest, dim), dtype=complex)
     durations = np.zeros((len(paths), longest, 1, 1))
     for v, path in enumerate(paths):
+        check_dim(path, dim)
         if len(path):
             vectors[v, : len(path)] = [x for x, _ in path]
             durations[v, : len(path), 0, 0] = [t for _, t in path]
-    if not vectors.imag.any():
-        vectors = vectors.real.copy()
-    return vectors, durations
+    return real_if_exact(vectors), durations
 
 
 class PathWord:

@@ -279,6 +279,23 @@ def test_loop_of_endpoint_check_can_fail(sol_problem):
         model.loop_of(GroupElement((0.5,), (1.0, 1.0)))
 
 
+@pytest.mark.parametrize(
+    "t, v",
+    [((0.5,), (np.nan, 1.0)), ((np.nan,), (0.0, 0.0)), ((np.inf,), (0.0, 0.0)), ((0.0,), (complex(0, np.inf), 1.0))],
+)
+def test_group_element_rejects_non_finite_entries(t, v):
+    """A NaN fiber would give a loop that misses its element, a NaN translation an error inside expm."""
+    with pytest.raises(ValidationError, match="finite"):
+        GroupElement(t, v)
+
+
+def test_loop_of_keeps_a_translation_whose_norm_underflows(sol_model):
+    """np.linalg.norm((1e-200,)) is 0; the loop still runs the translation."""
+    g = GroupElement((1e-200,), (0.0, 0.0))
+    (x, t), = sol_model.loop_of(g)
+    assert x[0] == 1e-200 and t == 1.0
+
+
 def test_induced_structure_matches_builtin_tables(sol_problem, sect4_problem):
     for problem in (sol_problem, sect4_problem):
         induced = problem.model.induced_structure().astype(complex)
@@ -397,6 +414,12 @@ def test_path_of_catches_a_corrupted_letter_loop(sol_problem):
     with pytest.raises(EndpointMismatch):
         lat.path_of(word)
     assert len(lat.path_of(word, check=False)) == 2
+
+
+def test_path_of_catches_an_endpoint_that_overflows(sol_problem):
+    """a^800 overflows phi, so its element's fiber is NaN; a NaN deviation fails the check."""
+    with np.errstate(all="ignore"), pytest.raises(EndpointMismatch, match="nan"):
+        sol_problem.lattice.path_of((("a", 800),))
 
 
 def assert_read_only_element(g):

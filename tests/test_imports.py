@@ -2,7 +2,8 @@
 integrals imports the chain-sum kernel, every function the package
 defines is read by the package, the benchmark or the README, whose
 quick start runs, every exception class is raised or caught by the
-package, and a verify run never imports scipy.
+package, realness is checked by value only where tables are built, and
+a verify run never imports scipy.
 
 The package's __init__.py imports names only to re-export them, so it
 is not checked, and its exports do not count as reads.
@@ -164,6 +165,66 @@ def test_every_exception_class_is_raised_or_caught_by_the_package():
     """An exception class that nothing raises is dead; the tests cannot make it live."""
     sources = [(PACKAGE / m).read_text() for m in MODULES if m != "errors.py"]
     assert unraised_exceptions((PACKAGE / "errors.py").read_text(), sources) == []
+
+
+def realness_checks(source):
+    """Qualified names of the functions of source that call x.imag.any(), "" at module level."""
+    found = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}" if name else child.name)
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "any"
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "imag"
+            ):
+                found.append(name)
+            visit(child, name)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+# The build sites: the one realness rule, and the connection form's joint
+# decision over omega and psi's entries.
+REALNESS_SITES = {("linalg.py", "real_if_exact"), ("connection.py", None)}
+
+
+def stray_realness_checks(sources):
+    """(module, function) of every x.imag.any() call of the sources outside the build sites."""
+    return sorted(
+        (module, name)
+        for module, source in sources.items()
+        for name in realness_checks(source)
+        if not {(module, name), (module, None)} & REALNESS_SITES
+    )
+
+
+def test_stray_realness_checks_are_found():
+    rule = "def real_if_exact(*arrays):\n    return not any(a.imag.any() for a in arrays)\n"
+    stray = (
+        "class Word:\n"
+        "    def segment(self, x):\n"
+        "        return x.real if not x.imag.any() else x\n"
+        "CHECK = [0j].imag.any()\n"
+    )
+    assert realness_checks(rule) == ["real_if_exact"]
+    sources = {"linalg.py": rule + stray, "connection.py": stray, "integrals.py": stray}
+    assert stray_realness_checks(sources) == [
+        ("integrals.py", ""), ("integrals.py", "Word.segment"), ("linalg.py", ""), ("linalg.py", "Word.segment"),
+    ]
+
+
+def test_realness_is_checked_only_where_tables_are_built():
+    """No evaluation function looks at values to choose its dtype."""
+    sources = {m: (PACKAGE / m).read_text() for m in MODULES}
+    assert stray_realness_checks(sources) == []
+    assert "real_if_exact" in realness_checks(sources["linalg.py"])
 
 
 def test_readme_quick_start_runs():

@@ -20,6 +20,7 @@ from solvhull import (
     build_enveloping_rep,
     build_splitting,
     connection,
+    entry_chain_value,
     exp_iterated_integral,
     exp_iterated_integral_series,
     iterated_integral,
@@ -319,6 +320,23 @@ def test_transport_of_empty_path_is_identity(sol_stages):
     form = sol_stages["form"]
     out = transport(form, PathWord([]))
     assert np.allclose(out, np.eye(form.r))
+
+
+def test_a_path_of_another_dimension_is_rejected_by_every_evaluator(sol_stages):
+    """sol's form and words have dim 3; a 2-dim path is a ValidationError naming both, an empty path is valid."""
+    form = sol_stages["form"]
+    word = IntegralWord(np.ones((2, 3)), np.ones((1, 3)))
+    evaluators = [
+        lambda path: transport(form, path),
+        lambda path: transport_series(form, path, 5),
+        lambda path: entry_chain_value(form, path, 0, form.r - 1),
+        lambda path: exp_iterated_integral(word, path),
+        lambda path: iterated_integral(np.ones((2, 3)), path),
+    ]
+    for evaluate in evaluators:
+        with pytest.raises(ValidationError, match="dimension 2, expected 3"):
+            evaluate(PathWord([((1.0, 0.5), 0.3)]))
+        evaluate(PathWord([]))
 
 
 def test_transport_concatenation_law(sol_stages):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from solvhull import PathWord, entry_chain_value
+from solvhull.errors import ValidationError
 from solvhull.monodromy import _entry_sums
 from solvhull.paths import _stack, stack_paths
 
@@ -216,7 +217,7 @@ def test_a_path_keeps_its_stack_read_only(imag):
         assert not got.flags.writeable
     # Several paths, or another dim, are stacked anew; another dim does not fit.
     assert stack_paths([path, path], 4)[0].flags.writeable
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="dimension 4, expected 5"):
         stack_paths([path], 5)
 
 

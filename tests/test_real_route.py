@@ -1,15 +1,17 @@
 """Exactly real input to the evaluation kernels runs in float64.
 
-A connection form whose entries are exactly real stores omega and
-closure_psi as float64 when it is built, so its chain sums and series
-on a real path reach the kernels as real products, unchecked; complex
-input is checked on each call, and reaches them as its real parts when
-every imaginary part is exactly zero. The kernels work in float64 and
-return complex. The real route agrees with the same form's complex copy
-forced through complex arithmetic to a few ulps of the entry scale, and
-guards check which dtype the tables have and reaches the kernels, and
-that no per-call check runs on a real form along a real path, so the
-fast route cannot go away silently.
+Whether a kernel works in float64 is decided once, where its tables and
+paths are built, by the rule of linalg.real_if_exact: a connection form
+whose entries are exactly real stores omega and closure_psi as float64,
+stack_paths keeps a real path's real parts, and the word tables of
+iterated_integral and _shuffle_terms are real when every entry is
+exactly real. No evaluation function looks at values to choose its
+dtype, so a complex-typed table runs in complex arithmetic even when
+its imaginary parts are all zero. The kernels return complex either
+way. The real route agrees with the same form's complex copy to a few
+ulps of the entry scale, and guards check which dtype the tables have
+and which reaches the kernels, so the fast route cannot go away
+silently.
 """
 
 import dataclasses
@@ -17,7 +19,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from solvhull import connection, entry_chain_value, integrals, transport_series
+from solvhull import connection, entry_chain_value, integrals, iterated_integral, transport_series
+from solvhull.integrals import _shuffle_terms
 from solvhull.monodromy import closedness_residual
 from solvhull.tolerances import DEFAULT
 from solvhull.verify import _random_path
@@ -41,16 +44,15 @@ def _values(form, name, path):
 
 
 @pytest.mark.parametrize("name", CHAIN_FORMS)
-def test_real_route_matches_the_complex_route(name, request, monkeypatch):
+def test_real_route_matches_the_complex_route(name, request):
     """Chain sums and the depth 20 series on a real 4-segment path, each route once.
 
     The complex route runs on a copy of the form with complex tables,
-    whose products are kept complex.
+    whose products stay complex.
     """
     form = form_by_name(request, name)
     path = _random_path(np.random.default_rng(300 + len(name)), form.dim, 4, False, 3.0, form)
     chains, series = _values(form, name, path)
-    monkeypatch.setattr(integrals, "_real_if_exact", lambda arrays: arrays)
     complex_form = dataclasses.replace(form, omega=form.omega.astype(complex))
     assert complex_form.closure_psi.dtype == np.complex128
     complex_chains, complex_series = _values(complex_form, name, path)
@@ -135,41 +137,55 @@ def test_real_forms_store_float64_tables(name, request):
     assert form.psi_entries.values.dtype == np.complex128
 
 
-def counted_checks(monkeypatch):
-    """Count the calls of integrals._real_if_exact, the per-call realness check."""
-    calls = []
-    check = integrals._real_if_exact
-
-    def counted(arrays):
-        calls.append(len(arrays))
-        return check(arrays)
-
-    monkeypatch.setattr(integrals, "_real_if_exact", counted)
-    return calls
+def _entry_evaluations(form, path):
+    """Last-column entry chains, their batched closedness and the depth 5 series on one path."""
+    entries = [(p, form.r - 1) for p in range(form.r)]
+    for p, q in entries:
+        entry_chain_value(form, path, p, q)
+    closedness_residual(form, [path, path], integrals.transport(form, path), entries)
+    transport_series(form, path, 5)
 
 
 @pytest.mark.parametrize("name", REAL_FORMS)
-def test_real_forms_on_real_paths_skip_the_per_call_check(name, request, monkeypatch):
-    """Entry chains, batched closedness and the series never check; a complex path does."""
+def test_real_forms_on_real_paths_reach_the_kernels_as_float64(name, request, monkeypatch):
+    """Entry chains, batched closedness, the series, and Chen and shuffle integrals all run in float64.
+
+    The Chen and shuffle letters are psi's entry functionals, which are
+    stored complex but are exactly real on these forms; a complex path
+    makes the chain kernel's input complex.
+    """
     form = form_by_name(request, name)
     rng = np.random.default_rng(9)
-    paths = [_random_path(rng, form.dim, segments, False, 3.0, form) for segments in (3, 1)]
-    entries = [(p, form.r - 1) for p in range(form.r)]
-    calls = counted_checks(monkeypatch)
-    for p, q in entries:
-        entry_chain_value(form, paths[0], p, q)
-    base = integrals.transport(form, paths[0])
-    closedness_residual(form, paths, base, entries)
-    transport_series(form, paths[0], 5)
-    assert calls == []
+    path = _random_path(rng, form.dim, 3, False, 3.0, form)
+    letters = [form.entry_functional(p, p + 1) for p in range(min(3, form.r - 1))]
+    assert all(f.dtype == np.complex128 and not f.imag.any() for f in letters)
+    seen = recorded_kernel_dtypes(monkeypatch)
+    _entry_evaluations(form, path)
+    iterated_integral(letters, path)
+    _shuffle_terms(letters, (0,), tuple(range(1, len(letters))), path)
+    assert seen == {"chains": {np.dtype(np.float64)}, "series": {np.dtype(np.float64)}}
+    seen["chains"].clear()
     entry_chain_value(form, _random_path(rng, form.dim, 2, True, 3.0, form), 0, form.r - 1)
-    assert calls == [2]
+    assert seen["chains"] == {np.dtype(np.complex128)}
 
 
-def test_complex_forms_check_each_call(request, monkeypatch):
-    """sect4's tables are complex, so even a real path's chain sums are checked."""
+@pytest.mark.parametrize("name", REAL_FORMS)
+def test_complex_typed_tables_reach_the_kernels_as_complex128(name, request, monkeypatch):
+    """A complex copy of a real form has imaginary parts that are all zero; its real path still runs in complex128."""
+    form = form_by_name(request, name)
+    complex_form = dataclasses.replace(form, omega=form.omega.astype(complex))
+    assert not complex_form.closure_psi.imag.any()
+    path = _random_path(np.random.default_rng(11), form.dim, 3, False, 3.0, form)
+    seen = recorded_kernel_dtypes(monkeypatch)
+    _entry_evaluations(complex_form, path)
+    assert seen == {"chains": {np.dtype(np.complex128)}, "series": {np.dtype(np.complex128)}}
+
+
+def test_complex_forms_stay_complex_on_real_paths(request, monkeypatch):
+    """sect4's tables are complex, so even a real path's chain sums and series run in complex128."""
     form = form_by_name(request, "sect4")
     path = _random_path(np.random.default_rng(10), form.dim, 2, False, 3.0, form)
-    calls = counted_checks(monkeypatch)
-    entry_chain_value(form, path, 0, form.r - 1)
-    assert calls == [2]
+    assert path.stacked[0].dtype == np.float64
+    seen = recorded_kernel_dtypes(monkeypatch)
+    _entry_evaluations(form, path)
+    assert seen == {"chains": {np.dtype(np.complex128)}, "series": {np.dtype(np.complex128)}}
