@@ -26,31 +26,19 @@ The diagonal entries, viewed as linear functionals on the algebra, span
 a finitely generated additive group. A basis of that group is computed
 over the integers so every diagonal character gets integer coordinates.
 
-Every lattice word's path concatenates the same few generator loops (one
-verify of sol and sect4 exponentiates 201 segments, 82 of them
-distinct), so each form memoizes the segment exponential exp(t psi(x))
-on the bytes of x and of t in a least recently used memo of at most
-_MEMO_SIZE entries and _MEMO_BYTES bytes (an entry is 16 r^2 bytes, 1.35
-MB at r = 291). The memo is exact: a hit returns the result a miss
-would compute, since the key holds every bit the exponential reads and
-the entries are read-only. expm is looked up when a miss runs.
-
-The strictly increasing chains of live steps from p to q, over which
-entry (p, q) of a transport expands, depend on the live pattern alone.
-Each form plans an entry's chains once, on first use, as the integer ids
-of their nodes together with the characters of the nodes and the
-closure entries of the steps, gathered then, in a least recently used
-memo of at most _MEMO_SIZE entries and _MEMO_BYTES bytes. The byte bound
-counts each plan's arrays, which grow with its chains: the 256 largest
-plans of the rank 8 graded filiform form (r = 291) would hold 45.9 MiB,
-and the 96 of the rank 6 form's last column hold 0.76 MiB.
+Each form keeps two memos (linalg.Memo). One holds the segment
+exponentials exp(t psi(x)) on the bytes of x and t; an entry is 16 r^2
+bytes, so 113 fit the byte bound at r = 96 and 12 at r = 291. The other
+holds the chain plans: the strictly increasing chains of live steps from p to q,
+over which entry (p, q) of a transport expands, depend on the live
+pattern alone, so each entry's chains are planned once, on first use,
+with the characters of their nodes and the closure entries of their
+steps gathered then.
 """
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -59,10 +47,8 @@ from . import linalg
 from .errors import NotInLattice, ValidationError
 from .integrals import closure_pattern
 from .matfuncs import expm
+from .paths import _read_only
 from .tolerances import DEFAULT
-
-_MEMO_SIZE = 256
-_MEMO_BYTES = 16 * 2**20
 
 
 def _real_stack(vectors):
@@ -206,13 +192,6 @@ def _canonical_basis(basis, tol):
     return out
 
 
-def _segment_exp_of_bytes(psi_entries, key, duration):
-    x = np.frombuffer(key, dtype=complex)
-    out = expm(np.frombuffer(duration, dtype=float)[0] * psi_entries.apply(x))
-    out.flags.writeable = False
-    return out
-
-
 def _walk_chains(steps, p, q):
     """Strictly increasing chains from p to q along steps, in lexicographic order."""
     chains = []
@@ -255,50 +234,20 @@ class ChainPlan:
         return sum(a.nbytes for a in (self.start, self.nodes, self.exponents, self.factors))
 
 
-def _plan_chains(steps, index, omega, closure_psi, p, q):
-    chains = _walk_chains(steps, p, q)
+def _segment_exp(form, x, t):
+    return _read_only(expm(t * form.psi(x)))
+
+
+def _plan_chains(form, p, q):
+    chains = _walk_chains(form.chain_steps, p, q)
     size = max((len(c) for c in chains), default=1)
     nodes = np.array([(c[0],) * (size - len(c)) + c for c in chains], dtype=int).reshape(-1, size)
     start = size - np.array([len(c) for c in chains], dtype=int)
-    plan = ChainPlan(start, nodes, omega[nodes], closure_psi.T[index[nodes[:, :-1], nodes[:, 1:]]])
+    steps = form.closure.index[nodes[:, :-1], nodes[:, 1:]]
+    plan = ChainPlan(start, nodes, form.omega[nodes], form.closure_psi.T[steps])
     for a in (plan.start, plan.nodes, plan.exponents, plan.factors):
         a.flags.writeable = False
     return plan
-
-
-class _PlanMemo:
-    """Least recently used chain plans, at most maxsize of them and maxbytes bytes together.
-
-    Plans differ in size by orders of magnitude, so the byte bound is
-    checked on the plans' arrays (nbytes holds their sum); a plan larger
-    than it is planned again on each call. misses counts the plans made.
-    """
-
-    def __init__(self, plan, maxsize, maxbytes):
-        self._plan = plan
-        self._held = OrderedDict()
-        self._lock = threading.Lock()
-        self.maxsize = maxsize
-        self.maxbytes = maxbytes
-        self.nbytes = 0
-        self.misses = 0
-
-    def __len__(self):
-        return len(self._held)
-
-    def __call__(self, p, q):
-        with self._lock:
-            plan = self._held.get((p, q))
-            if plan is not None:
-                self._held.move_to_end((p, q))
-                return plan
-            self.misses += 1
-            plan = self._plan(p, q)
-            self._held[p, q] = plan
-            self.nbytes += plan.nbytes
-            while self._held and (len(self._held) > self.maxsize or self.nbytes > self.maxbytes):
-                self.nbytes -= self._held.popitem(last=False)[1].nbytes
-            return plan
 
 
 @dataclass(frozen=True)
@@ -320,6 +269,8 @@ class ConnectionForm:
     char_coeffs: np.ndarray = field(repr=False)
     flatness: float
     residuals: dict
+    _segment_memo: linalg.Memo = field(default_factory=linalg.Memo, init=False, repr=False, compare=False)
+    _chain_plans: linalg.Memo = field(default_factory=linalg.Memo, init=False, repr=False, compare=False)
 
     @property
     def r(self):
@@ -364,40 +315,26 @@ class ConnectionForm:
         """Connection matrix of an algebra element."""
         return self.psi_entries.apply(x)
 
-    @cached_property
-    def _segment_memo(self):
-        # Every entry is an r by r complex matrix, so the byte bound is an
-        # entry count. The memo closes over the entries, not the form, so
-        # a form holds no reference cycle.
-        size = min(_MEMO_SIZE, _MEMO_BYTES // (16 * self.r**2))
-        return lru_cache(maxsize=size)(partial(_segment_exp_of_bytes, self.psi_entries))
-
     def segment_exp(self, x, t):
         """exp(t psi(x)), the transport along one segment, read-only."""
-        key = np.asarray(x, dtype=complex).tobytes()
-        return self._segment_memo(key, np.float64(t).tobytes())
-
-    @cached_property
-    def _chain_plans(self):
-        # Closes over the steps, the closure's index and the tables, not
-        # the form, so a form holds no reference cycle.
-        plan = partial(_plan_chains, self.chain_steps, self.closure.index, self.omega, self.closure_psi)
-        return _PlanMemo(plan, _MEMO_SIZE, _MEMO_BYTES)
+        x, t = np.asarray(x, dtype=complex), np.float64(t)
+        return self._segment_memo((x.tobytes(), t.tobytes()), _segment_exp, self, x, t)
 
     def chain_plan(self, p, q):
-        """The ChainPlan of entry (p, q), planned on first use.
-
-        Below the diagonal an entry has no chain; an index outside 0 to
-        r - 1 is a ValidationError.
-        """
-        r = self.r
-        if not (0 <= p < r and 0 <= q < r):
-            raise ValidationError(f"entry ({p}, {q}) outside a {r} by {r} form")
-        return self._chain_plans(p, q)
+        """The ChainPlan of entry (p, q), planned on first use; below the diagonal an entry has no chain."""
+        self._check_entry(p, q)
+        return self._chain_plans((p, q), _plan_chains, self, p, q)
 
     def entry_functional(self, p, q):
         """The (p, q) matrix entry of psi as a functional on the algebra."""
+        self._check_entry(p, q)
         return self.psi_entries.entry(p, q)
+
+    def _check_entry(self, p, q):
+        """Raise a ValidationError unless p and q both lie in 0 to r - 1."""
+        r = self.r
+        if not (0 <= p < r and 0 <= q < r):
+            raise ValidationError(f"entry ({p}, {q}) outside a {r} by {r} form")
 
 
 def _imaginary_is_rounding(values, tol):

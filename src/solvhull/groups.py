@@ -6,40 +6,31 @@ phi(t) the exponential of the t-weighted sum of the action matrices.
 Algebra coordinates list the translation directions first and the fiber
 directions after them, matching the structure tables of the builtins.
 
-Lattice words revisit a few translation vectors and arcs many times
-(verify at seed 0 makes 129 phi calls on 16 distinct vectors on sol, and
-162 on 16 on sect4), so each model memoizes phi(t) on the bytes of t and
-exp(x, duration) on the bytes of x and of the duration, each in its own
-least recently used memo of _MEMO_SIZE = 256 entries. The memo is exact:
-a hit returns the result a miss would compute, since the key holds every
-bit the computation reads and the result cannot be changed in place:
-phi's array and the t and v arrays of exp's GroupElement are read-only,
-and GroupElement is frozen. exp still validates its direction on every
-call, and every endpoint check still runs.
-
-A word is made of a few letters, each a generator to a power, so each
-lattice memoizes the segments of every letter's loop per name and sign,
-and every generator power per name and exponent, in memos of the same
-size: path_of and element_of build a letter once per lattice, not once
-per word. The elements and paths the library computes itself freeze
+Lattice words revisit a few translation vectors, arcs and letters many
+times, so each model keeps phi(t) on the bytes of t, and exp(x, duration)
+on the bytes of x and of the duration, each in a linalg.Memo, and each
+lattice keeps the segments of every letter's loop per name and sign, and
+every generator power per name and exponent, in two more: path_of and
+element_of build a letter once per lattice, not once per word. phi's
+array and the t and v arrays of exp's GroupElement are read-only, and
+GroupElement is frozen, so a hit returns what a miss would compute. exp
+still validates its direction on every call, and every endpoint check
+still runs. The elements and paths the library computes itself freeze
 their fresh arrays in place (GroupElement._of_fresh,
 PathWord._of_checked) instead of copying and checking them again; the
 public constructors still copy and check what they are given, and the
 identity is one shared read-only element per model.
 """
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EndpointMismatch, UnknownName, ValidationError
-from .linalg import SparseStack, bracket_residual, frozen_array
+from .linalg import Memo, SparseStack, bracket_residual, frozen_array
 from .matfuncs import expm, phi1_apply
 from .paths import PathWord, _fresh_direction, _read_only
 from .tolerances import DEFAULT
-
-_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,14 +83,8 @@ class SemidirectModel:
         self.k = k
         self.m = m_dim
         self.tolerances = tolerances
-        # The memos close over the matrices, not the model, so a model
-        # holds no reference cycle.
-        self._phi_memo = functools.lru_cache(maxsize=_MEMO_SIZE)(
-            functools.partial(_phi_of_bytes, mats)
-        )
-        self._exp_memo = functools.lru_cache(maxsize=_MEMO_SIZE)(
-            functools.partial(_exp_of_bytes, mats)
-        )
+        self._phi_memo = Memo()
+        self._exp_memo = Memo()
         self._identity = GroupElement._of_fresh(np.zeros(k), np.zeros(m_dim, dtype=complex))
 
     @property
@@ -112,7 +97,8 @@ class SemidirectModel:
 
     def phi(self, t):
         """Holonomy of the translation part on the fiber, read-only."""
-        return self._phi_memo(np.asarray(t, dtype=float).tobytes())
+        t = np.asarray(t, dtype=float)
+        return self._phi_memo(t.tobytes(), _phi, self.mats, t)
 
     def multiply(self, g, h):
         return GroupElement._of_fresh(g.t + h.t, g.v + self.phi(g.t) @ h.v)
@@ -146,9 +132,10 @@ class SemidirectModel:
 
     def exp(self, x, duration=1.0):
         """Endpoint of the exponential arc of x run for the given time."""
-        self.split_direction(x)
-        key = np.asarray(x, dtype=complex).tobytes()
-        return self._exp_memo(key, np.float64(duration).tobytes())
+        t, z = self.split_direction(x)
+        s = np.float64(duration)
+        key = (np.asarray(x, dtype=complex).tobytes(), s.tobytes())
+        return self._exp_memo(key, _exp, self.mats, t, z, s)
 
     def endpoint(self, path):
         """Fold a path word into its group endpoint from the identity."""
@@ -168,12 +155,16 @@ class SemidirectModel:
         """Canonical two segment word from the identity to g.
 
         First the pure translation arc, then the fiber arc conjugated
-        back to time zero. The endpoint is verified against g.
+        back to time zero. The endpoint is verified against g. When
+        phi(-t) overflows, no finite fiber arc reaches g, and that is an
+        EndpointMismatch whether or not the endpoint is checked.
         """
+        w = self.phi(-g.t) @ g.v
+        if not np.isfinite(w).all():
+            raise EndpointMismatch(float(np.linalg.norm(w)), self.tolerances.num)
         segments = []
         if g.t.any():
             segments.append((_fresh_direction(self.direction_of(g.t, np.zeros(self.m))), 1.0))
-        w = self.phi(-g.t) @ g.v
         if w.any():
             segments.append((_fresh_direction(self.direction_of(np.zeros(self.k), w)), 1.0))
         path = PathWord._of_checked(segments)
@@ -210,18 +201,12 @@ def _action_generator(mats, t):
     return out
 
 
-def _phi_of_bytes(mats, key):
-    out = expm(_action_generator(mats, np.frombuffer(key, dtype=float)))
-    out.flags.writeable = False
-    return out
+def _phi(mats, t):
+    return _read_only(expm(_action_generator(mats, t)))
 
 
-def _exp_of_bytes(mats, key, duration):
-    x = np.frombuffer(key, dtype=complex)
-    s = float(np.frombuffer(duration, dtype=float)[0])
-    t, z = x[: len(mats)].real, x[len(mats) :]
-    fiber = phi1_apply(s * _action_generator(mats, t), s * z)
-    return GroupElement._of_fresh(s * t, fiber)
+def _exp(mats, t, z, s):
+    return GroupElement._of_fresh(s * t, phi1_apply(s * _action_generator(mats, t), s * z))
 
 
 @dataclass(frozen=True)
@@ -231,23 +216,25 @@ class Lattice:
     model: SemidirectModel
     generators: tuple  # pairs (name, GroupElement)
     relations: tuple = ()
+    _loops: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
+    _powers: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
 
     def generator(self, name):
-        return _generator(self.generators, name)
+        for key, g in self.generators:
+            if key == name:
+                return g
+        raise UnknownName(f"unknown generator {name!r}")
 
     @property
     def names(self):
         return tuple(k for k, _ in self.generators)
 
-    @functools.cached_property
-    def _letters(self):
-        return _letter_memos(self.model, self.generators)
-
     def element_of(self, word):
-        _, power = self._letters
-        out = self.model.identity()
+        model = self.model
+        out = model.identity()
         for name, exp in word:
-            out = self.model.multiply(out, power(name, int(exp)))
+            exp = int(exp)
+            out = model.multiply(out, self._powers((name, exp), model.power, self.generator(name), exp))
         return out
 
     def path_of(self, word, check=True):
@@ -258,12 +245,12 @@ class Lattice:
         name and sign; the whole path runs from the identity to the
         word's group element.
         """
-        loop, _ = self._letters
         segments = []
         for name, exp in word:
             reps = abs(int(exp))
             if reps:
-                segments.extend(loop(name, exp >= 0) * reps)
+                positive = exp >= 0
+                segments.extend(self._loops((name, positive), _loop, self, name, positive) * reps)
             else:
                 # An unknown name is an error at exponent 0 too.
                 self.generator(name)
@@ -278,29 +265,10 @@ class Lattice:
         return path
 
 
-def _generator(generators, name):
-    for key, g in generators:
-        if key == name:
-            return g
-    raise UnknownName(f"unknown generator {name!r}")
-
-
-def _letter_memos(model, generators):
-    """A lattice's letter memos: loop segments per (name, sign), powers per (name, exponent).
-
-    They close over the model and the generators, not the lattice, so a
-    lattice holds no reference cycle.
-    """
-
-    def loop(name, positive):
-        g = _generator(generators, name)
-        return model.loop_of(g if positive else model.inverse(g), check=False).segments
-
-    def power(name, exp):
-        return model.power(_generator(generators, name), exp)
-
-    memo = functools.lru_cache(maxsize=_MEMO_SIZE)
-    return memo(loop), memo(power)
+def _loop(lattice, name, positive):
+    """Segments of the loop of a generator (positive) or of its inverse."""
+    model, g = lattice.model, lattice.generator(name)
+    return model.loop_of(g if positive else model.inverse(g), check=False).segments
 
 
 def parse_word(text):

@@ -12,12 +12,15 @@ the eigenvalues that eigen_clusters groups are the ones cluster_subspace
 deflates with, computed once per matrix. cluster_subspace computes
 ordered Schur subspaces itself, by adjacent swaps on triangular input
 and by deflation with numpy's eigenvalues and SVD otherwise, so the
-package needs no LAPACK beyond numpy's.
+package needs no LAPACK beyond numpy's. Memo is the one least recently
+used memo that every per-object cache of the package uses.
 All randomness is excluded; ties are broken by lowest index so repeated runs
 produce identical output.
 """
 
 import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +32,55 @@ import numpy as np
 from numpy.linalg import _umath_linalg as lapack
 
 _EPS = float(np.finfo(float).eps)
+
+_MEMO_SIZE = 256
+_MEMO_BYTES = 16 * 2**20
+
+
+class Memo:
+    """Least recently used values by key: at most _MEMO_SIZE of them, _MEMO_BYTES bytes together.
+
+    Lattice words repeat a few generator loops, so segment exponentials,
+    phi(t)'s, arcs, letters and chain plans come back again and again.
+    memo(key, compute, *args) returns the value held for key, or else
+    compute(*args), which it then holds; that is exact when the key holds
+    every bit the computation reads and the value cannot change in place.
+    A value counts its nbytes (arrays, chain plans) against the byte
+    bound, other values nothing. Eviction runs oldest first, so a value
+    over the bound empties the memo; it, and None, are computed on every
+    call. The bounds are read when a memo is made; a copied or pickled
+    memo starts empty. compute runs under the lock and must not ask the
+    same memo. It is not kept, so a memo held by the object it computes
+    from forms no reference cycle.
+    """
+
+    def __init__(self):
+        self._held = OrderedDict()
+        self._lock = threading.Lock()
+        self.maxsize = _MEMO_SIZE
+        self.maxbytes = _MEMO_BYTES
+        self.nbytes = 0
+        self.misses = 0
+
+    def __len__(self):
+        return len(self._held)
+
+    def __reduce__(self):
+        return Memo, ()
+
+    def __call__(self, key, compute, *args):
+        held = self._held
+        with self._lock:
+            value = held.get(key)
+            if value is not None:
+                held.move_to_end(key)
+                return value
+            self.misses += 1
+            value = held[key] = compute(*args)
+            self.nbytes += getattr(value, "nbytes", 0)
+            while held and (len(held) > self.maxsize or self.nbytes > self.maxbytes):
+                self.nbytes -= getattr(held.popitem(last=False)[1], "nbytes", 0)
+            return value
 
 
 def frozen_array(x, dtype):

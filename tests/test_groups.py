@@ -23,6 +23,7 @@ from solvhull import (
     linalg,
     matfuncs,
     parse_word,
+    path_variants,
     word_monodromy,
 )
 
@@ -167,20 +168,20 @@ def test_models_do_not_share_memo_entries(sol_problem):
     other = builtin_problem("sol").model
     t = np.array([0.4])
     mine = sol_problem.model.phi(t)
-    assert other._phi_memo.cache_info().currsize == 0
+    assert len(other._phi_memo) == 0
     assert other.phi(t) is not mine
     x = sol_problem.model.direction_of([0.2], [1.0, -1.0])
     sol_problem.model.exp(x, 0.5)
-    assert other._exp_memo.cache_info().currsize == 0
+    assert len(other._exp_memo) == 0
 
 
 def test_memo_stays_within_its_bound(sol_model):
-    for i in range(3 * groups._MEMO_SIZE):
+    for i in range(3 * linalg._MEMO_SIZE):
         sol_model.phi(np.array([i / 7.0]))
         sol_model.exp(sol_model.direction_of([0.1], [1.0, 0.0]), i / 11.0)
-    assert sol_model._phi_memo.cache_info().currsize == groups._MEMO_SIZE
-    assert sol_model._exp_memo.cache_info().currsize == groups._MEMO_SIZE
-    assert sol_model._phi_memo.cache_info().maxsize == groups._MEMO_SIZE
+    assert len(sol_model._phi_memo) == linalg._MEMO_SIZE
+    assert len(sol_model._exp_memo) == linalg._MEMO_SIZE
+    assert sol_model._phi_memo.maxsize == linalg._MEMO_SIZE
 
 
 def test_exp_validates_on_a_memo_hit(sol_model):
@@ -287,6 +288,17 @@ def test_group_element_rejects_non_finite_entries(t, v):
     """A NaN fiber would give a loop that misses its element, a NaN translation an error inside expm."""
     with pytest.raises(ValidationError, match="finite"):
         GroupElement(t, v)
+
+
+def test_loop_of_an_element_whose_phi_overflows_is_an_endpoint_mismatch(sol_model):
+    """phi(-800) overflows on sol, so no finite fiber arc reaches the element."""
+    g = GroupElement([800.0], [1.0, 1.0])
+    with np.errstate(all="ignore"):
+        for check in (True, False):
+            with pytest.raises(EndpointMismatch, match="nan"):
+                sol_model.loop_of(g, check=check)
+        with pytest.raises(EndpointMismatch, match="nan"):
+            path_variants(sol_model, g)
 
 
 def test_loop_of_keeps_a_translation_whose_norm_underflows(sol_model):
@@ -406,8 +418,7 @@ def test_path_of_catches_a_corrupted_letter_loop(sol_problem):
     lat.path_of(word)
     # b1 is a pure fiber element, so its loop is one segment, whose
     # direction owns its memory and can be made writable again.
-    loop, _ = lat._letters
-    ((x, _),) = loop("b1", True)
+    ((x, _),) = lat._loops(("b1", True), groups._loop, lat, "b1", True)
     x.flags.writeable = True
     x[-1] += 0.5
     x.flags.writeable = False
@@ -521,8 +532,8 @@ def verify_stdout(capsys, example, seed):
 @pytest.mark.parametrize("example", ["sol", "sect4"])
 def test_memo_changes_no_verify_output(example, monkeypatch, capsys):
     memoized = {seed: verify_stdout(capsys, example, seed) for seed in (0, 1, 7)}
-    # A memo of size zero misses on every call.
-    monkeypatch.setattr(groups, "_MEMO_SIZE", 0)
+    # Memos of size zero, every memo of the package, miss on every call.
+    monkeypatch.setattr(linalg, "_MEMO_SIZE", 0)
     for seed, text in memoized.items():
         assert verify_stdout(capsys, example, seed) == text
 
@@ -530,9 +541,9 @@ def test_memo_changes_no_verify_output(example, monkeypatch, capsys):
 @pytest.mark.parametrize("example", ["sol", "sect4"])
 def test_segment_memo_changes_no_verify_output(example, monkeypatch, capsys):
     memoized = {seed: verify_stdout(capsys, example, seed) for seed in (0, 1, 7)}
-    # With no room in entries or bytes, every segment exponential is computed.
-    monkeypatch.setattr(connection, "_MEMO_SIZE", 0)
-    monkeypatch.setattr(connection, "_MEMO_BYTES", 0)
+    # With no room in bytes, every segment exponential, chain plan and
+    # phi(t), the memo values that are arrays, is computed.
+    monkeypatch.setattr(linalg, "_MEMO_BYTES", 0)
     for seed, text in memoized.items():
         assert verify_stdout(capsys, example, seed) == text
 
@@ -541,16 +552,21 @@ def test_segment_memo_changes_no_verify_output(example, monkeypatch, capsys):
 def test_letter_memo_changes_no_verify_output(example, monkeypatch, capsys):
     memoized = {seed: verify_stdout(capsys, example, seed) for seed in (0, 1, 7)}
 
-    def unmemoized(lattice):
-        # Memos of size zero, fresh on every use: every letter's loop and
-        # power is built again each time it is asked for.
-        with monkeypatch.context() as patch:
-            patch.setattr(groups, "_MEMO_SIZE", 0)
-            return groups._letter_memos(lattice.model, lattice.generators)
+    init = groups.Lattice.__init__
+    made = []
 
-    monkeypatch.setattr(groups.Lattice, "_letters", property(unmemoized))
+    def unmemoized(lattice, *args, **kwargs):
+        # A lattice made with memos of size zero builds every letter's
+        # loop and power again each time it is asked for.
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_MEMO_SIZE", 0)
+            init(lattice, *args, **kwargs)
+        made.append(lattice)
+
+    monkeypatch.setattr(groups.Lattice, "__init__", unmemoized)
     for seed, text in memoized.items():
         assert verify_stdout(capsys, example, seed) == text
+    assert made and all(lat._loops.misses and not len(lat._loops) for lat in made)
 
 
 # Measured on sol and sect4 after each form memoized its segment
@@ -594,6 +610,37 @@ def test_verify_loop_of_call_count(example, monkeypatch, capsys):
     monkeypatch.setattr(groups.SemidirectModel, "loop_of", counted)
     verify_stdout(capsys, example, 0)
     assert 0 < len(calls) <= LOOP_OF_CALLS[example]
+
+
+# Misses and hits of each memo, by the function it computes with, in one
+# verify at seed 0: segment exponentials, phi(t), arcs, letter loops,
+# generator powers and chain plans. Measured when every memo became one
+# linalg.Memo, and the same as the six memos before; the counts do not
+# depend on the seed.
+MEMO_TRAFFIC = {
+    "sol": {"_segment_exp": (40, 55), "_phi": (16, 113), "_exp": (10, 37),
+            "_loop": (6, 21), "power": (7, 22), "_plan_chains": (9, 0)},
+    "sect4": {"_segment_exp": (42, 64), "_phi": (16, 146), "_exp": (12, 46),
+              "_loop": (8, 27), "power": (10, 27), "_plan_chains": (9, 0)},
+}
+
+
+@pytest.mark.parametrize("example", ["sol", "sect4"])
+def test_verify_memo_traffic(example, monkeypatch, capsys):
+    traffic = {}
+    call = linalg.Memo.__call__
+
+    def counted(memo, key, compute, *args):
+        before = memo.misses
+        value = call(memo, key, compute, *args)
+        missed = memo.misses - before
+        misses, hits = traffic.get(compute.__name__, (0, 0))
+        traffic[compute.__name__] = (misses + missed, hits + 1 - missed)
+        return value
+
+    monkeypatch.setattr(linalg.Memo, "__call__", counted)
+    verify_stdout(capsys, example, 0)
+    assert traffic == MEMO_TRAFFIC[example]
 
 
 # One verify at seed 0: each certificate is one chain-kernel call, so

@@ -2,8 +2,9 @@
 integrals imports the chain-sum kernel, every function the package
 defines is read by the package, the benchmark or the README, whose
 quick start runs, every exception class is raised or caught by the
-package, realness is checked by value only where tables are built, and
-a verify run never imports scipy.
+package, realness is checked by value only where tables are built, only
+static tables use functools.lru_cache, and a verify run never imports
+scipy.
 
 The package's __init__.py imports names only to re-export them, so it
 is not checked, and its exports do not count as reads.
@@ -225,6 +226,53 @@ def test_realness_is_checked_only_where_tables_are_built():
     sources = {m: (PACKAGE / m).read_text() for m in MODULES}
     assert stray_realness_checks(sources) == []
     assert "real_if_exact" in realness_checks(sources["linalg.py"])
+
+
+def bounded_lru_caches(source):
+    """Lines of source that name lru_cache other than in a call with maxsize None.
+
+    Only a static table, built once per argument for good, may use
+    functools.lru_cache, and then unbounded; a bounded cache of an
+    object's values is a linalg.Memo.
+    """
+
+    def unbounded(call):
+        given = call.args + [k.value for k in call.keywords if k.arg == "maxsize"]
+        return len(given) == 1 and isinstance(given[0], ast.Constant) and given[0].value is None
+
+    tree = ast.parse(source)
+    allowed = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call) and unbounded(node)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if "lru_cache" in (getattr(node, "id", None), getattr(node, "attr", None)) and id(node) not in allowed
+    )
+
+
+def test_bounded_lru_caches_are_found():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def table(n): pass\n"
+        "@lru_cache(maxsize=256)\n"
+        "def bounded(n): pass\n"
+        "@lru_cache\n"
+        "def default(n): pass\n"
+        "held = functools.lru_cache(maxsize=8)(len)\n"
+        "typed = lru_cache(typed=True)(len)\n"
+        "unbounded = lru_cache(None, typed=True)(len)\n"
+        "@functools.cache\n"
+        "def parser(): pass\n"
+    )
+    assert bounded_lru_caches(source) == [5, 7, 9, 10]
+
+
+def test_only_static_tables_use_lru_cache():
+    """Every per-object cache of the package is a linalg.Memo."""
+    found = {p.name: bounded_lru_caches(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert "linalg.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_readme_quick_start_runs():

@@ -5,6 +5,7 @@ route: hand formulas, simplex quadrature, an ODE integration, or the
 truncated series with its certified tail bound.
 """
 
+import dataclasses
 import gc
 from math import factorial
 
@@ -19,12 +20,12 @@ from solvhull import (
     build_connection_form,
     build_enveloping_rep,
     build_splitting,
-    connection,
     entry_chain_value,
     exp_iterated_integral,
     exp_iterated_integral_series,
     iterated_integral,
     iterated_integral_quadrature,
+    linalg,
     shuffle_identity_residual,
     transport,
     transport_series,
@@ -408,28 +409,39 @@ def test_writing_into_a_transport_leaves_the_next_one_unchanged(sol_stages, segm
 
 
 def test_segment_memo_is_bounded_in_entries(sol_stages, monkeypatch):
-    monkeypatch.setattr(connection, "_MEMO_SIZE", 3)
+    monkeypatch.setattr(linalg, "_MEMO_SIZE", 3)
     form = build_connection_form(sol_stages["envelope"])
     for i in range(10):
         transport(form, PathWord([((1.0, 0.5, -0.25), 0.1 * (i + 1))]))
-        assert form._segment_memo.cache_info().currsize == min(i + 1, 3)
+        assert len(form._segment_memo) == min(i + 1, 3)
 
 
-def test_segment_memo_is_bounded_in_bytes_at_rank_8():
-    """At r = 291 an entry is 1.35 MB; more distinct segments than fit never hold more."""
-    split = build_splitting(validate_algebra(graded_filiform_structure(8)))
-    form = build_connection_form(build_enveloping_rep(split))
-    assert form.r == 291
+def assert_segment_memo_fills(form, fits):
+    """More distinct segments than fit the byte bound never hold more than fits."""
     entry = 16 * form.r**2
-    fits = connection._MEMO_BYTES // entry
-    assert fits < connection._MEMO_SIZE
+    assert fits == linalg._MEMO_BYTES // entry < linalg._MEMO_SIZE
     rng = np.random.default_rng(8)
     for i in range(fits + 3):
         x = rng.standard_normal(form.dim)
         assert form.segment_exp(x, 0.01).nbytes == entry
-        held = form._segment_memo.cache_info().currsize
+        held = len(form._segment_memo)
         assert held == min(i + 1, fits)
-        assert held * entry <= connection._MEMO_BYTES
+        assert form._segment_memo.nbytes == held * entry <= linalg._MEMO_BYTES
+
+
+def test_segment_memo_is_bounded_in_bytes_at_rank_6(filiform_forms):
+    """At r = 96 an entry is 0.14 MiB, and 113 fit."""
+    form = dataclasses.replace(filiform_forms[6])
+    assert form.r == 96
+    assert_segment_memo_fills(form, 113)
+
+
+def test_segment_memo_is_bounded_in_bytes_at_rank_8():
+    """At r = 291 an entry is 1.35 MB, and 12 fit."""
+    split = build_splitting(validate_algebra(graded_filiform_structure(8)))
+    form = build_connection_form(build_enveloping_rep(split))
+    assert form.r == 291
+    assert_segment_memo_fills(form, 12)
 
 
 def test_transport_series_matches_transport_within_tail(sol_stages):

@@ -1,15 +1,18 @@
-"""The sparse Lie homomorphism residual against the dense per-pair loop.
+"""The sparse Lie homomorphism residual against the dense per-pair loop,
+and the one memo.
 
 The dense loop below is the reference the sparse routine replaced in the
 envelope and connection stages; it stays here as the oracle.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
-from solvhull import BudgetExceeded, build_connection_form, build_enveloping_rep
+from solvhull import BudgetExceeded, build_connection_form, build_enveloping_rep, linalg
 from solvhull.linalg import SparseStack, bracket_residual
 
 from conftest import CORPUS_SEEDS, letter_matrices
@@ -97,3 +100,63 @@ def test_bracket_residual_of_non_finite_entry_is_inf(sect4_stages):
     with pytest.raises(BudgetExceeded) as err:
         build_connection_form(dataclasses.replace(env, letter_entries=broken))
     assert err.value.key == "flatness"
+
+
+# ------------------------------------------------------------ the one memo
+
+
+def test_memo_holds_the_least_recently_used_values_within_its_entry_bound(monkeypatch):
+    monkeypatch.setattr(linalg, "_MEMO_SIZE", 3)
+    memo = linalg.Memo()
+    made = []
+
+    def make(key):
+        made.append(key)
+        return (key,)
+
+    for key in "abc":
+        memo(key, make, key)
+    first = memo("a", make, "a")
+    memo("d", make, "d")
+    assert made == list("abcd") and len(memo) == 3
+    assert memo("a", make, "a") is first
+    memo("b", make, "b")
+    assert made == list("abcdb") and memo.misses == 5
+
+
+def test_memo_counts_array_bytes_and_computes_an_oversized_value_each_time(monkeypatch):
+    monkeypatch.setattr(linalg, "_MEMO_BYTES", 100)
+    memo = linalg.Memo()
+    monkeypatch.setattr(linalg, "_MEMO_BYTES", 0)
+    assert memo.maxbytes == 100
+    memo(1, np.zeros, 5)
+    memo(2, np.zeros, 5)
+    assert len(memo) == 2 and memo.nbytes == 80
+    memo(3, np.zeros, 5)
+    assert len(memo) == 2 and memo.nbytes == 80
+    assert memo(4, tuple, "ab") == ("a", "b") and memo.nbytes == 80 and len(memo) == 3
+    # Eviction runs oldest first, so a value over the bound evicts every
+    # other before itself.
+    big = [memo(5, np.zeros, 13) for _ in range(2)]
+    assert big[0] is not big[1] and memo.misses == 6
+    assert memo.nbytes == 0 and len(memo) == 0
+
+
+def test_a_memo_holds_nothing_when_its_computation_fails():
+    memo = linalg.Memo()
+    with pytest.raises(ZeroDivisionError):
+        memo("x", divmod, 1, 0)
+    assert len(memo) == 0 and memo.misses == 1
+    assert memo("x", divmod, 7, 2) == (3, 1)
+
+
+def test_a_copied_or_pickled_memo_starts_empty(sol_problem, sol_stages):
+    memo = linalg.Memo()
+    memo("a", len, "abc")
+    for copied in (copy.deepcopy(memo), pickle.loads(pickle.dumps(memo))):
+        assert len(copied) == 0 and copied("a", len, "ab") == 2
+    form = sol_stages["form"]
+    form.chain_plan(0, form.r - 1)
+    for holder in (form, sol_problem.model, sol_problem.lattice):
+        assert type(copy.deepcopy(holder)) is type(pickle.loads(pickle.dumps(holder))) is type(holder)
+    assert len(copy.deepcopy(form)._chain_plans) == 0

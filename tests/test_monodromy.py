@@ -20,6 +20,7 @@ from solvhull import (
     entry_chains,
     exp_iterated_integral,
     integrals,
+    linalg,
     monodromy,
     parse_word,
     path_independence_residual,
@@ -663,7 +664,7 @@ def test_chain_plans_walk_once_per_entry_and_keep_every_value(name, request, mon
 def test_chain_plan_memo_leaves_no_reference_cycles(sect4_full_stages):
     """A form and its plans are freed when the last reference goes, not by the collector."""
     form = sect4_full_stages["form"]
-    assert form._chain_plans.maxsize == connection._MEMO_SIZE
+    assert form._chain_plans.maxsize == linalg._MEMO_SIZE
     dataclasses.replace(form).chain_plan(0, form.r - 1)
     gc.collect()
     gc.disable()
@@ -708,7 +709,7 @@ def plan_sizes(form):
 
 # The 256 largest plans of a form, the most its plan memo holds by count,
 # stay under these bytes: 1.35 MiB at r = 96 and 45.9 MiB at r = 291. The
-# memo's byte bound, _MEMO_BYTES, holds the second to 16 MiB.
+# memo's byte bound, linalg._MEMO_BYTES, holds the second to 16 MiB.
 PLAN_MEMO_BYTES = {6: 2 * 2**20, 8: 48 * 2**20}
 
 
@@ -724,7 +725,7 @@ def test_a_full_plan_memo_stays_under_its_byte_bound(rank, filiform_forms):
     p, q = np.unravel_index(int(np.argmax(sizes)), sizes.shape)
     plan = dataclasses.replace(form).chain_plan(p, q)
     assert sum(a.nbytes for a in (plan.start, plan.nodes, plan.exponents, plan.factors)) == sizes[p, q]
-    assert np.sort(sizes, axis=None)[-connection._MEMO_SIZE:].sum() <= PLAN_MEMO_BYTES[rank]
+    assert np.sort(sizes, axis=None)[-linalg._MEMO_SIZE:].sum() <= PLAN_MEMO_BYTES[rank]
 
 
 def test_a_last_column_sweep_keeps_every_plan(filiform_forms):
@@ -746,7 +747,7 @@ def test_the_plan_memo_evicts_by_bytes(filiform_forms, monkeypatch):
     path = capped_path(rng, form, 4)
     want = [entry_chain_value(dataclasses.replace(form), path, p, q) for p, q in column]
     bound = int(np.sort(plan_sizes(form)[:, -1])[-3:].sum())
-    monkeypatch.setattr(connection, "_MEMO_BYTES", bound)
+    monkeypatch.setattr(linalg, "_MEMO_BYTES", bound)
     small = dataclasses.replace(form)
     for _ in range(2):
         assert [entry_chain_value(small, path, p, q) for p, q in column] == want
@@ -768,6 +769,8 @@ def test_entry_indices_outside_the_form_are_rejected(sect4_stages, sect4_problem
         entry_chains(form, p, q)
     with pytest.raises(ValidationError):
         closedness_residual(form, variants, base, entries=[(p, q)])
+    with pytest.raises(ValidationError):
+        form.entry_functional(p, q)
 
 
 def test_entries_below_the_diagonal_are_zero(sect4_stages, sect4_problem):
