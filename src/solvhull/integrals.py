@@ -5,9 +5,9 @@ small upper bidiagonal connection, and a Chen iterated integral of
 constant one forms is the case with every exponent zero. chain_values
 evaluates a batch of them, and the monodromy entry chains too, on
 matfuncs.exp_chain_values, carried segment by segment, and chain_sums
-sums each path's batch.
-Truncated transport series run on a sparse pattern closed under
-products, which holds every generator and every product of them.
+sums each path's batch. Truncated transport series run on a sparse
+pattern closed under products, holding every generator and product of
+them; one pass per degree makes every segment's powers.
 Both kernels run in the dtype of their input, float64 when it is real,
 and return complex values either way. Nothing here looks at values to
 choose that dtype: it is decided once, where tables and paths are built
@@ -17,6 +17,7 @@ here are real when every entry is exactly real, so on real input their
 products are real; a complex table stays complex whatever its values.
 """
 
+import functools
 from dataclasses import dataclass
 from math import factorial
 
@@ -56,7 +57,7 @@ def chain_values(exponents, factors, stacked, start):
 
 def chain_sums(exponents, factors, stacked, start):
     """chain_values summed over the chains, one complex value per path."""
-    return chain_values(exponents, factors, stacked, start).sum(axis=-1).astype(complex, copy=False)
+    return np.add.reduce(chain_values(exponents, factors, stacked, start), axis=-1).astype(complex, copy=False)
 
 
 def iterated_integral(functionals, path):
@@ -154,7 +155,8 @@ class Pattern:
     index[i, j] is the position of entry (i, j). A product sums
     left[t] times right[t] values over the triples t = (i, k, j) grouped
     by their entry (i, j), whose group begins at starts[e]. Transitivity
-    keeps every product on the pattern, so products are exact.
+    keeps every product on the pattern, so products are exact. The
+    arrays are read only.
     """
 
     size: int
@@ -196,7 +198,16 @@ def closure_pattern(live):
     out = index[rows[left], cols[right]]
     order = np.argsort(out, kind="stable")
     starts = np.searchsorted(out[order], np.arange(rows.size))
-    return Pattern(size, rows, cols, index, left[order], right[order], starts)
+    arrays = (rows, cols, index, left[order], right[order], starts)
+    for a in arrays:
+        a.setflags(write=False)
+    return Pattern(size, *arrays)
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_pattern(n):
+    """closure_pattern of the n by n bidiagonal, the upper triangle, as a static table."""
+    return closure_pattern(np.eye(n, k=1, dtype=bool))
 
 
 def _pattern_series(pattern, matrices, depth):
@@ -205,49 +216,51 @@ def _pattern_series(pattern, matrices, depth):
     matrices holds each segment's generator on the pattern. coeff[l]
     collects every product of l factors drawn from consecutive segments,
     which is the depth l part of the iterated integral series of the
-    transport. Each segment's terms a^k/k! take one product each; the
-    first segment's terms are coeff, and for each later one but the
-    last the graded Cauchy product with coeff is gathered, multiplied
-    and summed over the triples in one pass. Only the sum through the
-    depth is returned, so the last segment pairs coeff[l] with its own
-    partial sum through degree depth - l, one product instead of one
-    per degree. No segment leaves the identity. The arithmetic runs in
-    the matrices' dtype, at least float64, and the sum is complex.
+    transport. Each segment's terms a^k/k! take one product each, all
+    segments' in one pass per degree; the first segment's terms are
+    coeff, and for each later one but the last the graded Cauchy product
+    with coeff is gathered, multiplied and summed over the triples in one
+    pass. Only the sum through the depth is returned, so the last segment
+    pairs coeff[l] with its own partial sum through degree depth - l, one
+    product instead of one per degree. No segment leaves the identity.
+    The arithmetic runs in the matrices' dtype, at least float64, and the
+    sum is complex.
     """
     terms = depth + 1
     identity = pattern.rows == pattern.cols
+    if not matrices:
+        return identity.astype(complex)
     # The gathered rows take megabytes at r in the hundreds, so they live
     # in buffers made once per call: fresh ones per segment and degree
     # would each be mapped and unmapped by malloc. The indices are in
     # range, and mode="clip" lets np.take write to out unbuffered.
     dtype = np.result_type(float, *{a.dtype for a in matrices})
-    lhs, rhs, prods, scratch = np.empty((4, terms, pattern.left.size), dtype=dtype)
-    coeff = None
-    for s, a in enumerate(matrices):
-        powers = np.empty((terms, pattern.rows.size), dtype=dtype)
-        powers[0] = identity
-        right = a[pattern.right]
-        for k in range(1, terms):
-            step = powers[k - 1, pattern.left] * right
-            powers[k] = np.add.reduceat(step, pattern.starts) / k
-        if coeff is None:
-            coeff = powers
-            continue
+    segments, triples = len(matrices), pattern.left.size
+    powers = np.empty((segments, terms, pattern.rows.size), dtype=dtype)
+    powers[:, 0] = identity
+    right = np.take(np.stack(matrices), pattern.right, axis=-1)
+    step = np.empty((segments, triples), dtype=dtype)
+    for k in range(1, terms):
+        np.take(powers[:, k - 1], pattern.left, axis=-1, out=step, mode="clip")
+        np.multiply(step, right, out=step)
+        np.add.reduceat(step, pattern.starts, axis=-1, out=powers[:, k])
+        np.true_divide(powers[:, k], k, out=powers[:, k])
+    lhs, rhs, prods, scratch = np.empty((4, terms, triples), dtype=dtype)
+    coeff = powers[0]
+    for s in range(1, segments):
         np.take(coeff, pattern.left, axis=1, out=lhs, mode="clip")
-        if s == len(matrices) - 1:
-            partial = np.cumsum(powers, axis=0)
+        if s == segments - 1:
+            partial = np.cumsum(powers[s], axis=0)
             partial = np.take(partial, pattern.right, axis=1, out=rhs, mode="clip")
             total = lhs[0] * partial[depth]
             for lo in range(1, terms):
                 total += lhs[lo] * partial[depth - lo]
             return np.add.reduceat(total, pattern.starts).astype(complex, copy=False)
-        np.take(powers, pattern.right, axis=1, out=rhs, mode="clip")
+        np.take(powers[s], pattern.right, axis=1, out=rhs, mode="clip")
         np.multiply(lhs[0], rhs, out=prods)
         for lo in range(1, terms):
             prods[lo:] += np.multiply(lhs[lo], rhs[: terms - lo], out=scratch[: terms - lo])
         coeff = np.add.reduceat(prods, pattern.starts, axis=-1)
-    if coeff is None:
-        return identity.astype(complex)
     return coeff.sum(axis=0).astype(complex, copy=False)
 
 
@@ -361,7 +374,7 @@ def exp_iterated_integral_series(word, path, depth):
     mats = [word.segment_matrix(x) * t for x, t in zip(vectors[0], durations.ravel())]
     growth = _growth(mats)
     tail = _tail_bound(growth, depth)
-    pattern = closure_pattern(np.eye(n, k=1, dtype=bool))
+    pattern = _upper_pattern(n)
     total = _pattern_series(pattern, [pattern.gather(m) for m in mats], depth + n - 1)
     return SeriesResult(
         value=complex(total[pattern.index[0, n - 1]]), tail_bound=tail, depth=depth, growth=growth

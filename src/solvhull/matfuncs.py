@@ -11,15 +11,15 @@ triangular result whose diagonal and first off diagonal are recomputed
 exactly after each squaring (their code fragment 2.1). Inputs here are
 small, so every step is a handful of numpy calls.
 
-Exponential iterated integrals only need exponentials of
-upper bidiagonal matrices, which have a closed form entry by entry:
-entry (i, j) is s_i ... s_(j-1) times the divided difference of exp at
-the diagonal nodes z_i, ..., z_j (McCurdy, Ng & Parlett, Math. Comp. 43,
-1984; Higham, Functions of Matrices, 2008, ch. 10). The chain-sum kernel
-evaluates them on the packed upper triangle, n(n + 1)/2 slots row by
-row, since the lower triangle is zero; when every pair of nodes is
-near, its Taylor degree comes from the largest gap between nodes. Real
-input runs in float64 arithmetic. It returns each chain's value, so one
+Exponential iterated integrals only need exponentials of upper bidiagonal
+matrices, which have a closed form entry by entry: entry (i, j) is
+s_i ... s_(j-1) times the divided difference of exp at the diagonal nodes
+z_i, ..., z_j (McCurdy, Ng & Parlett, Math. Comp. 43, 1984; Higham,
+Functions of Matrices, 2008, ch. 10). The chain-sum kernel evaluates them
+on the packed upper triangle, n(n + 1)/2 slots row by row; when every
+pair of nodes is near, its Taylor degree comes from the largest node gap.
+Its Horner loop writes into buffers made once per call, five ufunc calls
+a step, in float64 on real input. It returns each chain's value, so one
 call can serve chains that callers sum in separate groups.
 """
 
@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .linalg import lapack, strict_triangles
+from .linalg import frozen_array, lapack, strict_triangles
 
 _EPS = float(np.finfo(float).eps)
 # Entries whose end nodes are closer than this take the Taylor branch.
@@ -234,18 +234,22 @@ def _taylor_degree(radius):
 def _packed_layout(n):
     """Row-major packed upper triangle of an n by n matrix.
 
-    Returns the row and column of every slot, the slots off the
-    diagonal with the superdiagonal entry that links into each, every
-    slot's place in the row-major n by n matrix, and the diagonal slots,
-    which start the rows. The arrays are shared by every call, so they
-    are read only.
+    Returns the row and column of every slot, every slot's place in the
+    row-major n by n matrix, and the packed identity, 1 in the diagonal
+    slots, which start the rows. The arrays are shared by every call, so
+    they are read only.
     """
     rows, cols = np.triu_indices(n)
-    inner = np.flatnonzero(cols > rows)
-    arrays = (rows, cols, inner, cols[inner] - 1, rows * n + cols, np.flatnonzero(cols == rows))
+    arrays = (rows, cols, rows * n + cols, (rows == cols).astype(float))
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _horner_scales(count):
+    """1/count, ..., 1/1 as read-only 0-d arrays, which a ufunc takes faster than floats."""
+    return tuple(frozen_array(1.0 / m, float) for m in range(count, 0, -1))
 
 
 def exp_chain_values(diag, sup, start):
@@ -257,7 +261,7 @@ def exp_chain_values(diag, sup, start):
     exp(B) is carried across the segments and its last slot returned,
     shape (..., chains); zero generators pad. The arithmetic runs in
     np.result_type(diag, sup, float), so real input stays float64, and
-    the values come back in that dtype.
+    the values come back in that dtype. The inputs are only read.
 
     exp(B) is upper triangular and is kept as its packed upper triangle:
     row i holds columns i to n - 1, the rows one after another, n(n + 1)/2
@@ -266,65 +270,75 @@ def exp_chain_values(diag, sup, start):
     when |z_j - z_i| >= _TAYLOR_GAP, else the Taylor series of row i of
     e^(z_i) exp(B - z_i); right multiplication keeps rows apart, so one
     flattened Horner loop, with the superdiagonal a shift by one slot,
-    centres each row on its node. The link into the first slot of each
+    centres each row on its node. The link out of the last slot of each
     packed row is zero, so no row reads the one before it. The degree
     covers the widest Taylor entry (i, j), the largest |z_k - z_i| for
     k from i to j, which only exceeds _TAYLOR_GAP where nodes leave and
     come back, losing e^radius ulps. When every pair of nodes is nearer
     than _TAYLOR_GAP, that is the largest packed |z_j - z_i|, and the
     Newton pass, which runs only when some pair is _TAYLOR_GAP or more
-    apart, is skipped.
+    apart, is skipped. Calls are small, so a Horner step is five ufunc
+    calls into buffers made once per call, and a gather serves two arrays.
     """
     diag, sup = np.asarray(diag), np.asarray(sup)
     dtype = np.result_type(diag, sup, float)
-    diag, sup = diag.astype(dtype, copy=False), sup.astype(dtype, copy=False)
     n = diag.shape[-1]
-    rows, cols, inner, feeds, dense_slot, row_start = _packed_layout(n)
-    square = diag.shape[:-1] + (n * n,)
-    w = np.take(diag, cols, axis=-1) - np.take(diag, rows, axis=-1)
-    dist = np.abs(w)
-    radius = dist.max(initial=0.0)
+    rows, cols, dense_slot, unit = _packed_layout(n)
+    shape, square = diag.shape[:-1] + (rows.size,), diag.shape[:-1] + (n * n,)
+    # sup with a zero at slot n - 1, z and e^z: at cols the first two give
+    # the link s_j out of slot (i, j) and z_j, at rows the last two z_i, e^z_i.
+    nodes = np.zeros((3,) + diag.shape, dtype=dtype)
+    nodes[0, ..., :-1], nodes[1] = sup, diag
+    np.exp(nodes[1], out=nodes[2])
+    sup, z = nodes[0, ..., :-1], nodes[1]
+    (links, w), at_rows = nodes[:2][..., cols].reshape(2, -1), nodes[1:][..., rows]
+    w -= at_rows[0].ravel()
+    dist = np.abs(w).reshape(shape)
+    radius = float(dist.max(initial=0.0))
     all_near = radius < _TAYLOR_GAP
     if not all_near:
         near = dist < _TAYLOR_GAP
         running = np.zeros(square)
         running[..., dense_slot] = dist
         running = np.maximum.accumulate(running.reshape(diag.shape + (n,)), axis=-1)
-        radius = np.max(running.reshape(square)[..., dense_slot], where=near, initial=0.0)
+        radius = float(np.max(running.reshape(square)[..., dense_slot], where=near, initial=0.0))
     degree = _taylor_degree(radius)
-    links = np.zeros(w.shape, dtype=dtype)
-    links[..., inner] = np.take(sup, feeds, axis=-1)
-    links, flat_w = links.ravel()[1:], w.ravel()
-    eye = np.zeros(w.shape, dtype=dtype)
-    eye[..., row_start] = 1.0
-    eye = eye.ravel()
-    acc, step, shifted = eye.copy(), np.empty_like(eye), np.empty_like(links)
-    for m in range(degree + n - 1, 0, -1):
-        np.multiply(acc, flat_w, out=step)
-        step[1:] += np.multiply(acc[:-1], links, out=shifted)
-        step *= 1.0 / m
-        step += eye
-        acc, step = step, acc
+    units = np.empty((2,) + shape, dtype=dtype)
+    units[...] = unit
+    eye, acc = units.reshape(2, -1)
+    # Slot j adds its gap term to the link term of slot j - 1: linked is
+    # written one slot in and carried read one slot back.
+    terms = np.zeros((2, acc.size + 1), dtype=dtype)
+    gaps, linked, carried = terms[0, 1:], terms[1, 1:], terms[1, :-1]
+    multiply, add = np.multiply, np.add
+    for scale in _horner_scales(degree + n - 1):
+        multiply(acc, w, gaps)
+        multiply(acc, links, linked)
+        add(gaps, carried, acc)
+        multiply(acc, scale, acc)
+        add(acc, eye, acc)
     # The Newton pass and the carry run on the full matrices, the lower
     # triangle zero: bands are strided views there, and each row vector
     # product rounds as a dense one does.
     flat = np.zeros(square, dtype=dtype)
-    flat[..., dense_slot] = acc.reshape(w.shape) * np.take(np.exp(diag), rows, axis=-1)
+    flat[..., dense_slot] = acc.reshape(shape) * at_rows[1]
     if not all_near:
         prev = flat[..., :: n + 1]
         for k in range(1, n):
-            gap = diag[..., k:] - diag[..., :-k]
+            gap = z[..., k:] - z[..., :-k]
             taylor = np.abs(gap) < _TAYLOR_GAP
             newton = sup[..., : n - k] * prev[..., 1:] - sup[..., k - 1 :] * prev[..., :-1]
             newton /= np.where(taylor, 1.0, gap)
             prev = np.where(taylor, flat[..., k :: n + 1][..., : n - k], newton)
             flat[..., k :: n + 1][..., : n - k] = prev
     exps = flat.reshape(diag.shape + (n,))
-    x = np.zeros(diag.shape[:-3] + diag.shape[-2:], dtype=dtype)
-    x[..., np.arange(len(start)), start] = 1.0
+    # Each chain's row e_start, a 1 by n matrix, alternates between two buffers.
+    x, y = np.zeros((2,) + diag.shape[:-3] + (len(start), 1, n), dtype=dtype)
+    x[..., np.arange(len(start)), 0, start] = 1.0
     for s in range(diag.shape[-3]):
-        x = (x[..., None, :] @ exps[..., s, :, :, :])[..., 0, :]
-    return x[..., n - 1]
+        np.matmul(x, exps[..., s, :, :, :], out=y)
+        x, y = y, x
+    return x[..., 0, n - 1]
 
 
 def phi1_apply(m, z):

@@ -204,9 +204,12 @@ def closedness_residual(form, variants, base, entries):
     integrals.chain_values together, at most _CHAINS_PER_CALL chains a
     call, padded to the longest chain of the call; so values carry the
     rounding of the call's Taylor degree and padding, not of each entry
-    alone. Returns the worst spread across paths and the worst
-    disagreement with the transport entries.
+    alone. Returns the worst spread across paths, 0 for one path, and
+    the worst disagreement with the transport entries; no path at all
+    is a ValidationError.
     """
+    if not variants:
+        raise ValidationError("closedness needs at least one path")
     entries = list(entries)
     plans = [form.chain_plan(p, q) for p, q in entries]
     rows, cols = np.array(entries, dtype=int).reshape(-1, 2).T
@@ -217,7 +220,7 @@ def closedness_residual(form, variants, base, entries):
     for batch in _batches(plans):
         values = _batch_sums(stacked, plans[batch])
         mismatch = max(mismatch, float(np.max(np.abs(values - base[rows[batch], cols[batch]]))) / scale)
-        spread = max(spread, float(np.max(np.abs(values[1:] - values[0]))) / scale)
+        spread = max(spread, float(np.max(np.abs(values[1:] - values[0]), initial=0.0)) / scale)
     return spread, mismatch
 
 

@@ -12,13 +12,20 @@ each shuffle check became one kernel call, which moved its
 shuffle_residual by rounding (at most 8.4e-18); sol's did not move, and
 neither did the closedness keys. A change that alters a verify output on purpose updates the
 digest here and lists the old and new values in CHANGES.md.
+
+The evaluation outputs the filiform-eval benchmark times are pinned the
+same way, on the rank 6 graded filiform form (r = 96): for two seeded
+4-segment real paths, the transport, the depth 20 series value and tail
+bound, and the chain sum of every last-column entry.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from solvhull import cli
+from solvhull import cli, entry_chain_value, transport, transport_series
+from solvhull.verify import _random_path
 
 DIGESTS = {
     ("sol", 0): "1b6b2b6a581c59e46b493318b9b12fe594662ea963f021bdbdc46268e9e80d42",
@@ -39,3 +46,25 @@ def test_verify_stdout_matches_its_recorded_digest(example, seed, capsys):
     assert cli.main(["verify", "--example", example, "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[example, seed]
+
+
+FILIFORM_EVAL_DIGEST = "9e7a46e7e3a0548af479a1d6e49ae8079645a4585a7cbcb77c42b003c8c28175"
+
+
+def filiform_eval_digest(form, seed=0):
+    """sha256 of the transport, series and last-column chain sums on two seeded paths."""
+    rng = np.random.default_rng(seed)
+    paths = [_random_path(rng, form.dim, 4, False, 3.0, form) for _ in range(2)]
+    digest = hashlib.sha256()
+    for path in paths:
+        series = transport_series(form, path, 20)
+        chains = [entry_chain_value(form, path, p, form.r - 1) for p in range(form.r)]
+        for a in (transport(form, path), series.value, np.float64(series.tail_bound), np.array(chains)):
+            digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+def test_filiform_eval_outputs_match_their_recorded_digest(filiform_forms):
+    form = filiform_forms[6]
+    assert form.r == 96 and form.omega.dtype == float
+    assert filiform_eval_digest(form) == FILIFORM_EVAL_DIGEST

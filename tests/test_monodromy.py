@@ -485,6 +485,23 @@ def test_closedness_residual_subset_of_entries(sect4_stages, sect4_problem):
     assert mismatch < 1e-9
 
 
+def test_closedness_of_one_path_has_no_spread(sol_stages, sol_problem):
+    """One path gives spread 0.0 and still measures the mismatch; no path is a ValidationError."""
+    form = sol_stages["form"]
+    model, lat = sol_problem.model, sol_problem.lattice
+    path = model.loop_of(model.multiply(lat.generator("a"), lat.generator("b2")))
+    base = transport(form, path)
+    spread, mismatch = closedness_residual(form, [path], base, [(0, 3)])
+    assert spread == 0.0 and mismatch < 1e-9
+    assert closedness_residual(form, [path, path], base, [(0, 3)]) == (spread, mismatch)
+    shifted = base.copy()
+    shifted[0, 3] += 1.0
+    _, off = closedness_residual(form, [path], shifted, [(0, 3)])
+    assert off == pytest.approx(1.0 / max(1.0, float(np.max(np.abs(shifted)))), abs=1e-9)
+    with pytest.raises(ValidationError):
+        closedness_residual(form, [], base, [(0, 3)])
+
+
 # ------------------------------------------------------------ separation
 
 

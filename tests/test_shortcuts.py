@@ -141,7 +141,7 @@ def test_pattern_series_matches_the_identity_product(name, request):
         form = request.getfixturevalue(f"{name}_stages")["form"]
     rng = np.random.default_rng(5)
     pattern = form.closure
-    for segments in (0, 1, 4):
+    for segments in (0, 1, 2, 3, 4):
         path = _random_path(rng, form.dim, segments, False, 3.0, form)
         mats = [t * (x @ form.closure_psi) for x, t in path]
         for dtype in (complex, float):
@@ -168,11 +168,21 @@ def test_chain_sums_on_a_batch_match_each_path_alone(request):
     assert max(len(c) for c in entry_chains(form, 0, form.r - 1)) > 3
 
 
+def read_only(a):
+    """A read-only view of a, as the chain plans' tables and the path stacks are."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def assert_kernel_matches_dense(diag, sup, start):
-    got = exp_chain_values(diag, sup, start)
+    """The packed kernel, on read-only views of its inputs, equals the dense oracle and leaves them as they were."""
+    before = diag.tobytes(), sup.tobytes()
+    got = exp_chain_values(read_only(diag), read_only(sup), start)
     want = dense_exp_chain_values(diag, sup, start)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    assert (diag.tobytes(), sup.tobytes()) == before
     return got
 
 
@@ -217,30 +227,37 @@ def _mixed_batch(rng, variants, segments, chains, n):
     return diag, sup, start
 
 
+def with_real_parts(diag, sup):
+    """The complex kernel input, then its real parts: strided float64 views, which take the real route."""
+    return ((diag, sup), (diag.real, sup.real))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 8])
 @pytest.mark.parametrize("seed", range(6))
 def test_packed_kernel_matches_the_dense_kernel_on_mixed_batches(n, seed):
     rng = np.random.default_rng(1000 * n + seed)
-    diag, sup, start = _mixed_batch(rng, 3, 4, 7, n)
-    gaps = np.abs(diag[..., None, :] - diag[..., :, None])
-    if n > 1:
-        assert np.any(gaps >= _TAYLOR_GAP) and np.any(np.all(gaps < _TAYLOR_GAP, axis=(-2, -1)))
-    assert_kernel_matches_dense(diag, sup, start)
-    assert_kernel_matches_dense(diag[0], sup[0], start)
+    complex_diag, complex_sup, start = _mixed_batch(rng, 3, 4, 7, n)
+    for diag, sup in with_real_parts(complex_diag, complex_sup):
+        gaps = np.abs(diag[..., None, :] - diag[..., :, None])
+        if n > 1:
+            assert np.any(gaps >= _TAYLOR_GAP) and np.any(np.all(gaps < _TAYLOR_GAP, axis=(-2, -1)))
+        assert assert_kernel_matches_dense(diag, sup, start).dtype == diag.dtype
+        assert_kernel_matches_dense(diag[0], sup[0], start)
 
 
 @pytest.mark.parametrize("n", [1, 4, 6])
 def test_packed_kernel_edge_cases(n):
     """Single-node chains, chains that start at the last slot, and the empty path."""
     rng = np.random.default_rng(n)
-    diag, sup, start = _mixed_batch(rng, 2, 3, 5, n)
+    complex_diag, complex_sup, start = _mixed_batch(rng, 2, 3, 5, n)
     last = np.full(5, n - 1)
-    assert_kernel_matches_dense(diag, sup, last)
-    assert_kernel_matches_dense(diag[..., :1, :], sup[..., :1, :], last[:1])
-    single = assert_kernel_matches_dense(diag[..., -1:], sup[..., :0], np.zeros(5, dtype=int))
-    assert np.allclose(single, np.exp(diag[..., -1].sum(axis=-2)))
-    empty = assert_kernel_matches_dense(diag[:, :0], sup[:, :0], start)
-    assert np.array_equal(empty, np.broadcast_to(start == n - 1, (2, 5)))
+    for diag, sup in with_real_parts(complex_diag, complex_sup):
+        assert_kernel_matches_dense(diag, sup, last)
+        assert_kernel_matches_dense(diag[..., :1, :], sup[..., :1, :], last[:1])
+        single = assert_kernel_matches_dense(diag[..., -1:], sup[..., :0], np.zeros(5, dtype=int))
+        assert np.allclose(single, np.exp(diag[..., -1].sum(axis=-2)))
+        empty = assert_kernel_matches_dense(diag[:, :0], sup[:, :0], start)
+        assert np.array_equal(empty, np.broadcast_to(start == n - 1, (2, 5)))
 
 
 def test_taylor_radius_is_the_running_maximum_over_near_entries(monkeypatch):
